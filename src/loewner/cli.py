@@ -121,7 +121,8 @@ def _cmd_trace(args) -> int:
     curve = hull_trace(spec, T, args.dt)
     out = _outdir(args)
     curve.write_csv(out / "trace.csv")
-    curve.write_meta(out / "trace.meta.json", spec)
+    _write_meta(out / "trace.meta.json", "trace", spec, dt=curve.cell_step,
+                n_points=int(curve.times.size), nudges=curve.nudges, tolerances={})
     print(f"trace: {curve.points.size} points -> {out / 'trace.csv'}")
     return 0
 
@@ -130,7 +131,7 @@ def _cmd_capture_scan(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
     tol = args.tol if args.tol is not None else 1e-4
-    scan = capture_scan(spec, T, refine_tol=tol, jobs=max(1, args.jobs or 1))
+    scan = capture_scan(spec, T, refine_tol=tol)
     out = _outdir(args)
     scan.write_csv(out / "capture_scan.csv")
     _write_meta(out / "capture_scan.meta.json", "capture-scan", spec,
@@ -193,13 +194,22 @@ def _cmd_real_eq(args) -> int:
 
 
 def _theta_from_args(args):
+    """The gap theta, its horizon T and its closed-form frame gap eta."""
+    T = args.T if args.T is not None else 1.0
     if args.C is not None:
-        T = args.T if args.T is not None else 1.0
         C = args.C
-        return (lambda t: C * np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))), T
+        return (
+            lambda t: C * np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0)),
+            T,
+            lambda s: C + 0.0 * np.asarray(s, dtype=float),
+        )
     if args.const is not None:
         v = args.const
-        return (lambda t: v + 0.0 * np.asarray(t, dtype=float)), (args.T or 1.0)
+        return (
+            lambda t: v + 0.0 * np.asarray(t, dtype=float),
+            T,
+            lambda s: v * np.exp(s) / np.sqrt(T),
+        )
     raise ConfigError("provide --C (square-root gap) or --const (constant gap)")
 
 
@@ -218,8 +228,8 @@ def _cmd_imag_eq(args) -> int:
             _write_meta(out / "transition.meta.json", "imag-eq transition", T=T)
         return 0
     if args.action == "ile":
-        theta, T = _theta_from_args(args)
-        path, cls = solve_imaginary(theta, args.y0, T)
+        theta, T, eta = _theta_from_args(args)
+        path, cls = solve_imaginary(theta, args.y0, T, frame_eta=eta)
         print(f"status: {cls.status}  certificate: {cls.certificate}  witness: {cls.witness_time}")
         return 0
     if args.action in ("con1", "con2"):
@@ -253,7 +263,9 @@ def _cmd_welding(args) -> int:
     table = hull_welding(spec, T, s_grid, dt=args.dt)
     out = _outdir(args)
     table.write_csv(out / "welding.csv")
-    table.write_meta(out / "welding.meta.json", spec, args.dt)
+    _write_meta(out / "welding.meta.json", "welding", spec, dt=args.dt,
+                lambda_T=table.lambda_T, ratio1_range=list(table.ratio1_range),
+                ratio2_range=list(table.ratio2_range), tolerances={})
     print(f"ratio1 range: {table.ratio1_range}  ratio2 range: {table.ratio2_range}")
     return 0
 
@@ -345,10 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if driving:
             p.add_argument("--driving", required=True, help="driving config JSON or path")
         p.add_argument("--T", type=float, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("trace", help="reconstruct the trace curve")
     common(p, driving=True)
@@ -357,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capture-scan", help="scan for points captured exactly at T")
     common(p, driving=True)
+    p.add_argument("--tol", type=float, default=None, help="endpoint refinement tolerance")
     p.set_defaults(fn=_cmd_capture_scan)
 
     p = sub.add_parser("real-eq", help="real-equation operations")
@@ -397,18 +407,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--jobs", type=int, default=1, help="threads for check")
     p.add_argument("--paper-scale", action="store_true",
                    help="full sweep sizes (default is desk scale)")
-    p.add_argument("--desk-scale", action="store_true")
     p.set_defaults(fn=_cmd_weierstrass)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
     p.add_argument("--only", type=int, default=None, help="run one criterion by number")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("figure", help="oscillating-example data with reference lines")
-    common(p)
+    p.add_argument("--out", type=str, default=None)
     p.add_argument("--a", type=float, default=1.5)
     p.add_argument("--k-max", type=int, default=40)
     p.set_defaults(fn=_cmd_figure)

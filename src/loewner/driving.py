@@ -63,7 +63,7 @@ class DrivingSpec:
     family:    one of ``FAMILIES``
     params:    family parameters (see ``_PARAM_KEYS``)
     T:         right endpoint of the time domain, > 0
-    normalize: subtract the value at 0 so that eval(0) == 0 exactly
+    normalize: subtract the value at 0 so that spec(0) == 0 exactly
     seed:      RNG seed, required by the brownian family
     """
 
@@ -185,9 +185,6 @@ class DrivingSpec:
         arr = np.clip(np.atleast_1d(arr), 0.0, self.T)
         out = np.asarray(self._raw(arr), dtype=float) - self._offset
         return float(out[0]) if scalar else out
-
-    def eval(self, t):
-        return self(t)
 
     # -- derived specs -----------------------------------------------------
 

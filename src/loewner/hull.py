@@ -26,13 +26,12 @@ associated quasisymmetry statistics.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .driving import DrivingSpec, local_scaling_exponents, spec_to_config
+from .driving import DrivingSpec, local_scaling_exponents
 from .errors import DomainError, NumericalError, PreconditionError
 from .imaginary import solve_planar
 from .ode import DEFAULT_CONFIG, IntegratorConfig, integrate
@@ -163,6 +162,38 @@ def _upper_sqrt(zeta: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, int]:
     return s, nudges
 
 
+def _cells(spec: DrivingSpec, T: float, dt: float, midpoint: bool = False):
+    """Edges, durations and driving values u_k of the zipper cells (see trace)."""
+    if dt <= 0 or T <= 0:
+        raise DomainError("need positive T and dt")
+    if T > spec.T * (1 + 1e-12):
+        raise DomainError("zipper horizon exceeds the driving domain")
+    edges = np.arange(0.0, T + dt * 0.5, dt)
+    if edges[-1] < T - 1e-12 * T:
+        edges = np.append(edges, T)
+    edges[-1] = min(edges[-1], T)
+    hs = np.diff(edges)
+    u = np.asarray(spec(0.5 * (edges[:-1] + edges[1:]) if midpoint else edges[1:]))
+    return edges, hs, u
+
+
+def _compose(u: np.ndarray, hs: np.ndarray, y: float) -> tuple[np.ndarray, int]:
+    """w_k = h_1 o ... o h_k(u_k + iy) for every cell k, and the nudge count.
+
+    Each seed passes through its own cell map first; at y = 0 that map
+    sends u_k to the tip u_k + 2i sqrt(h_k) of cell k.
+    """
+    w = u + 1j * y
+    nudges = 0
+    with np.errstate(invalid="ignore"):
+        for k in range(u.size - 1, -1, -1):
+            seg = w[k:] - u[k]
+            s, nd = _upper_sqrt(seg * seg - 4.0 * hs[k], np.sign(seg.real))
+            nudges += nd
+            w[k:] = u[k] + s
+    return w, nudges
+
+
 @dataclass
 class TraceCurve:
     times: np.ndarray
@@ -179,24 +210,6 @@ class TraceCurve:
                 w.writerow([repr(float(t)), repr(float(p.real)), repr(float(p.imag)),
                             repr(float(self.cell_step))])
 
-    def write_meta(self, path, spec: DrivingSpec, tolerances: Optional[dict] = None):
-        meta = {
-            "spec_hash": _config_hash(spec),
-            "dt": self.cell_step,
-            "n_points": int(self.times.size),
-            "nudges": self.nudges,
-            "tolerances": tolerances or {},
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def _config_hash(spec: DrivingSpec) -> str:
-    import hashlib
-
-    blob = json.dumps(spec_to_config(spec), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
 
 def trace(
     spec: DrivingSpec,
@@ -212,28 +225,8 @@ def trace(
     tip u_n + 2i sqrt(h_n) of cell n.  A short final cell is used when dt
     does not divide T.
     """
-    if dt <= 0 or T <= 0:
-        raise DomainError("need positive T and dt")
-    if T > spec.T * (1 + 1e-12):
-        raise DomainError("trace horizon exceeds the driving domain")
-    edges = np.arange(0.0, T + dt * 0.5, dt)
-    if edges[-1] < T - 1e-12 * T:
-        edges = np.append(edges, T)
-    edges[-1] = min(edges[-1], T)
-    n = edges.size - 1
-    hs = np.diff(edges)
-    u = np.asarray(spec(0.5 * (edges[:-1] + edges[1:]) if midpoint else edges[1:]))
-
-    with np.errstate(invalid="ignore"):
-        w = u + 2j * np.sqrt(hs)  # tip of each cell's own map
-        nudges = 0
-        for k in range(n - 2, -1, -1):
-            seg = w[k + 1 :] - u[k]
-            zeta = seg * seg - 4.0 * hs[k]
-            s, nd = _upper_sqrt(zeta, np.sign(seg.real))
-            nudges += nd
-            w[k + 1 :] = u[k] + s
-
+    edges, hs, u = _cells(spec, T, dt, midpoint)
+    w, nudges = _compose(u, hs, 0.0)
     times = edges
     points = np.concatenate([[complex(spec(0.0))], w])
     if not np.all(np.isfinite(points)):
@@ -339,18 +332,6 @@ class WeldingTable:
             w.writerow(["s", "left", "right", "ratio1"])
             for s, l, r, q in zip(self.s_grid, self.left, self.right, self.ratio1):
                 w.writerow([repr(float(s)), repr(float(l)), repr(float(r)), repr(float(q))])
-
-    def write_meta(self, path, spec: DrivingSpec, dt: float, tolerances: Optional[dict] = None):
-        meta = {
-            "spec_hash": _config_hash(spec),
-            "dt": dt,
-            "lambda_T": self.lambda_T,
-            "ratio1_range": list(self.ratio1_range),
-            "ratio2_range": list(self.ratio2_range),
-            "tolerances": tolerances or {},
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
 
 
 def welding(
@@ -474,22 +455,8 @@ def continuity_diagnostic(
     y_ladder = np.asarray(y_ladder, dtype=float)
     if np.any(np.diff(y_ladder) >= 0) or np.any(y_ladder <= 0):
         raise DomainError("ladder must be strictly decreasing and positive")
-    edges = np.arange(0.0, T + dt * 0.5, dt)
-    if edges[-1] < T - 1e-12 * T:
-        edges = np.append(edges, T)
-    n = edges.size - 1
-    hs = np.diff(edges)
-    u = np.asarray(spec(edges[1:]))
-
-    vals = np.empty((y_ladder.size, n), dtype=complex)
-    for r, y in enumerate(y_ladder):
-        w = u + 1j * y
-        for k in range(n - 1, -1, -1):
-            seg = w[k:] - u[k]
-            zeta = seg * seg - 4.0 * hs[k]
-            s, _ = _upper_sqrt(zeta, np.sign(seg.real))
-            w[k:] = u[k] + s
-        vals[r] = w
+    _, hs, u = _cells(spec, T, dt)
+    vals = np.array([_compose(u, hs, y)[0] for y in y_ladder])
     sup = np.max(np.abs(np.diff(vals, axis=0)), axis=1)
     trend = bool(np.all(np.diff(sup) < 1e-12)) if sup.size > 1 else True
     return ContinuityReport(y_ladder, sup, trend, vals)

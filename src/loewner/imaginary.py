@@ -40,6 +40,7 @@ from scipy import optimize as sp_optimize
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, SolutionPath, integrate, integrate_until
+from .real_line import _rescaled
 
 __all__ = [
     "VanishClassification",
@@ -62,7 +63,6 @@ THRESHOLD_MARGIN = 1e-6     # strictness above the level-2 certificate
 VANISH_THRESHOLD = 1e-12    # e^{-s} y below this with the right trends
 TREND_WINDOW = 5.0
 S_CAP_DEFAULT = 2000.0
-FRAME_FREEZE_S = 14.0       # beyond this, T - t is too noisy to rescale theta
 
 
 @dataclass
@@ -296,7 +296,7 @@ def solve_imaginary(
     solutions on both sides of the vanishing transition collapse below any
     floor, so the ambiguous band is reclassified in the transformed frame
     (pass ``frame_eta`` when the rescaled gap is known analytically; the
-    generic rescaling loses T - t beyond s ~ 14).
+    generic rescaling is frozen past ``real_line.FRAME_FREEZE_S``).
     """
     cfg = cfg or DEFAULT_CONFIG
     if y0 <= 0:
@@ -325,7 +325,7 @@ def solve_imaginary(
         return path, VanishClassification("not_vanishing_certified", "horizon", T)
 
     if frame_eta is None:
-        frame_eta = _rescaled_gap(theta, T)
+        frame_eta = _rescaled(theta, T)
     _, cls = solve_frame_imaginary(frame_eta, y0 / np.sqrt(T))
     if cls.status == "vanishing":
         witness = hit_time if hit_time is not None else T
@@ -333,20 +333,6 @@ def solve_imaginary(
     if cls.status == "not_vanishing_certified":
         return path, VanishClassification("not_vanishing_certified", cls.certificate, T)
     return path, VanishClassification("undecided", "horizon", None)
-
-
-def _rescaled_gap(theta: Callable, T: float) -> Callable:
-    """eta(s) = theta(t(s)) e^{s} / sqrt(T), frozen once T - t degenerates."""
-
-    def eta(s):
-        s = np.minimum(np.asarray(s, dtype=float), FRAME_FREEZE_S)
-        rem = T * np.exp(-2.0 * s)
-        t = T - rem
-        th = np.asarray(theta(t), dtype=float)
-        out = th * np.exp(s) / np.sqrt(T)
-        return out if out.shape else float(out)
-
-    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .ode import _A, _C, _ERR, DEFAULT_CONFIG, IntegratorConfig, SolutionPath, integrate_until
+from .ode import DEFAULT_CONFIG, IntegratorConfig, SolutionPath, _Stepper, integrate_until
 from .sharp import SharpOscillation
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "CaptureReport",
     "solve_real_loewner",
     "frame_for",
-    "to_frame_driving",
     "from_frame_driving",
     "solve_frame_equation",
     "density_flags",
@@ -66,9 +65,11 @@ __all__ = [
 # transformed-time horizon at which a bounded positive frame solution is
 # certified captured (original time then sits within e^{-2s} of T)
 CAPTURE_HORIZON_S = 25.0
-# frame driving cannot be recovered from lambda once T - t underflows
-# below the double-precision resolution of T; freeze beyond this
-FRAME_FREEZE_S = 17.0
+# a rescaled driving cannot be recovered from lambda once T - t is no
+# longer resolved against T; freeze beyond this.  The rescaling of
+# C sqrt(T - t) returns C within 3.5e-5 (relative) up to s = 14 and
+# drifts to 2.6e-3 at s = 16 and 1.9e-2 at s = 17.
+FRAME_FREEZE_S = 14.0
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +106,6 @@ class FrameMap:
         s = np.asarray(s, dtype=float)
         t = self.T * -np.expm1(-2.0 * s)
         return t if t.shape else float(t)
-
-    def remaining(self, s):
-        """T - t(s), computed without cancellation."""
-        s = np.asarray(s, dtype=float)
-        rem = self.T * np.exp(-2.0 * s)
-        return rem if rem.shape else float(rem)
 
 
 def frame_for(spec: DrivingSpec, T: Optional[float] = None, direction: int = 1) -> FrameMap:
@@ -164,7 +159,7 @@ class FrameDriving:
                 self._osc = osc
                 self._mode = "sharp"
         if self._mode == "generic":
-            self._freeze_val = None
+            self._generic = _rescaled(lambda t: d * (lam_T - spec(t)), T)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -173,7 +168,6 @@ class FrameDriving:
         return float(out[0]) if scalar else out
 
     def _eval(self, s: np.ndarray) -> np.ndarray:
-        fr = self.frame
         if self._mode == "zero":
             return np.zeros_like(s)
         if self._mode == "const":
@@ -184,15 +178,23 @@ class FrameDriving:
             return self._amp * np.exp(s)
         if self._mode == "sharp":
             return np.asarray(self._osc.xi(s), dtype=float)
-        sc = np.minimum(s, FRAME_FREEZE_S)
-        rem = fr.remaining(sc)
-        t = np.minimum(fr.T - rem, fr.T)
-        lam = np.asarray(self.spec(t), dtype=float)
-        return fr.direction * (fr.lambda_T - lam) * np.exp(sc) / np.sqrt(fr.T)
+        return self._generic(s)
 
 
-def to_frame_driving(spec: DrivingSpec, frame: FrameMap) -> FrameDriving:
-    return FrameDriving(spec, frame)
+def _rescaled(f: Callable, T: float) -> Callable:
+    """eta(s) = f(T - T e^{-2s}) e^{s} / sqrt(T), frozen past FRAME_FREEZE_S.
+
+    The square-root rescaling shared by the real side (f = lambda(T) -
+    lambda) and the imaginary side (f = theta).
+    """
+
+    def eta(s):
+        sc = np.minimum(np.asarray(s, dtype=float), FRAME_FREEZE_S)
+        t = T - T * np.exp(-2.0 * sc)
+        out = np.asarray(f(t), dtype=float) * np.exp(sc) / np.sqrt(T)
+        return out if out.shape else float(out)
+
+    return eta
 
 
 def from_frame_driving(xi: Callable, frame: FrameMap) -> Callable:
@@ -660,9 +662,6 @@ def capture_bracket(
 # capture scan
 # ---------------------------------------------------------------------------
 
-_STATUS_CODE = {0: "alive", 1: "escaped-zero", 2: "escaped-singular"}
-
-
 def _classify_frame_batch(
     xi: Callable,
     x0s: np.ndarray,
@@ -674,80 +673,52 @@ def _classify_frame_batch(
 ):
     """Vectorised frame-equation classification with component freezing.
 
-    Returns (status codes, exit times, terminal values); code 0 means the
-    component survived to the horizon.  Components parked at an attracting
+    Returns (status codes, exit times, terminal values).  Codes: 0 survived
+    to the horizon, 1 escaped through zero, 2 exited at the singular floor,
+    3 stalled undecided.  Components parked at an attracting
     fixed point (drift below ``stationary_tol`` inside the band) are
     certified early: explicit stepping is stability-capped there, so waiting
     out a long horizon step by step would dominate the cost for nothing.
     """
     y = np.asarray(x0s, dtype=float).copy()
-    n = y.size
-    code = np.zeros(n, dtype=int)
-    s_exit = np.full(n, np.nan)
-    s = 0.0
-    h = 1e-3
-    atol = 1e-12
+    code = np.zeros(y.size, dtype=int)
+    s_exit = np.full(y.size, np.nan)
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-12, min_step=1e-13, max_steps=2_000_000)
 
-    def rhs(ss, yy, alive):
-        out = np.zeros_like(yy)
-        if np.any(alive):
-            gap = float(np.asarray(xi(ss))) - yy[alive]
-            out[alive] = yy[alive] - 4.0 / gap
-        return out
+    def field(s, x):
+        return x - 4.0 / (float(xi(s)) - x)
 
+    # the stepper carries the live components only; an exit rebuilds it on
+    # the survivors with the current step size
+    live = np.arange(y.size)
+    st = _Stepper(field, 0.0, y, s_horizon, cfg)
     nsteps = 0
-    while s < s_horizon and np.any(code == 0):
-        alive = code == 0
-        h = min(h, s_horizon - s)
-        ks = [rhs(s, y, alive)]
-        reject = False
-        y5 = None
-        for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-            if np.any(~np.isfinite(yi[alive])):
-                reject = True
-                break
-            ks.append(rhs(s + _C[i] * h, yi, alive))
-            if i == 6:
-                y5 = yi
-        if not reject:
-            err = h * sum(e * k for e, k in zip(_ERR, ks))
-            sc = atol + rel_tol * np.maximum(np.abs(y[alive]), np.abs(y5[alive]))
-            enorm = float(np.sqrt(np.mean((err[alive] / sc) ** 2))) if np.any(alive) else 0.0
-            reject = not np.isfinite(enorm) or enorm > 1.0
-        if reject:
-            h *= 0.5
-            if h < 1e-13 * max(1.0, s):
-                # stalled: components at a collapsing gap exit singular,
-                # anything else is left undecided rather than mislabelled
-                gap = float(np.asarray(xi(s))) - y
-                hit = alive & (gap <= 10 * sing_floor)
-                code[hit] = 2
-                s_exit[hit] = s
-                code[alive & ~hit] = 3
-                s_exit[alive & ~hit] = s
-                break
-            continue
-        s += h
-        y = y5
-        h *= float(np.clip(0.9 * (enorm + 1e-16) ** -0.2, 0.3, 6.0))
+    while st.t < s_horizon:
+        if st.step() == "underflow":
+            # stalled: components at a collapsing gap exit singular,
+            # anything else is left undecided rather than mislabelled
+            code[live] = np.where(float(xi(st.t)) - st.y <= 10 * sing_floor, 2, 3)
+            s_exit[live] = st.t
+            break
         nsteps += 1
-        if nsteps > 2_000_000:
-            raise NumericalError("frame batch exceeded the step budget")
-        xiv = float(np.asarray(xi(s)))
-        newly_zero = (code == 0) & (y <= zero_floor)
-        code[newly_zero] = 1
-        s_exit[newly_zero] = s
-        newly_sing = (code == 0) & (xiv - y <= sing_floor)
-        code[newly_sing] = 2
-        s_exit[newly_sing] = s
-        alive = code == 0
-        if np.any(alive) and nsteps % 8 == 0:
-            drift = np.abs(rhs(s, y, alive)[alive])
+        y[live] = st.y
+        xiv = float(xi(st.t))
+        out = np.where(st.y <= zero_floor, 1, np.where(xiv - st.y <= sing_floor, 2, 0))
+        if np.any(out):
+            code[live] = out
+            s_exit[live[out > 0]] = st.t
+            keep = out == 0
+            live = live[keep]
+            if not live.size:
+                break
+            h = st.h
+            st = _Stepper(field, st.t, st.y[keep], s_horizon, cfg)
+            st.h = h
+        if nsteps % 8 == 0:
             parked = (
-                (drift <= stationary_tol * np.maximum(1.0, np.abs(y[alive])))
-                & (y[alive] >= 1e-9)
-                & (xiv - y[alive] >= 10 * sing_floor)
+                (np.abs(st.k1) <= stationary_tol * np.maximum(1.0, np.abs(st.y)))
+                & (st.y >= 1e-9)
+                & (xiv - st.y >= 10 * sing_floor)
             )
             if np.all(parked):
                 break
@@ -786,7 +757,6 @@ def _scan_one_side(
     member_tol: float,
     refine: bool,
     refine_tol: float,
-    jobs: int = 1,
 ):
     lam_T = float(spec(T))
     lam_0 = float(spec(0.0))
@@ -821,23 +791,9 @@ def _scan_one_side(
     s_exit = np.full(grid.size, np.nan)
     x_end = np.full(grid.size, np.nan)
     if np.any(runnable):
-        xr = x_frame[runnable]
-        if jobs > 1 and xr.size >= 2 * jobs:
-            # grid points are independent: split into chunks and merge in
-            # index order for a deterministic result
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = np.array_split(np.arange(xr.size), jobs)
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                parts = list(ex.map(
-                    lambda idx: _classify_frame_batch(xi, xr[idx], s_horizon), chunks
-                ))
-            c = np.concatenate([p[0] for p in parts])
-            se = np.concatenate([p[1] for p in parts])
-            xe = np.concatenate([p[2] for p in parts])
-        else:
-            c, se, xe = _classify_frame_batch(xi, xr, s_horizon)
-        code[runnable], s_exit[runnable], x_end[runnable] = c, se, xe
+        code[runnable], s_exit[runnable], x_end[runnable] = _classify_frame_batch(
+            xi, x_frame[runnable], s_horizon
+        )
 
     for i, X0 in enumerate(grid):
         if not runnable[i]:
@@ -927,7 +883,6 @@ def capture_scan(
     refine: bool = True,
     refine_tol: float = 1e-4,
     mirrored: bool = True,
-    jobs: int = 1,
 ) -> ScanResult:
     """Interval estimate of {X0 : capture time of X0 equals T}.
 
@@ -943,14 +898,14 @@ def capture_scan(
     cfg = cfg or DEFAULT_CONFIG
     member_tol = 1e-4 * T if member_tol is None else member_tol
     members, interval, reports, undecided, cell, note = _scan_one_side(
-        spec, T, grid, cfg, s_horizon, member_tol, refine, refine_tol, jobs
+        spec, T, grid, cfg, s_horizon, member_tol, refine, refine_tol
     )
     mirrored_interval = None
     if mirrored:
         # the mirrored side always scans its own default grid: user grids
         # describe the upper side only
         m_members, m_interval, m_reports, m_und, _, m_note = _scan_one_side(
-            spec.reflected(), T, None, cfg, s_horizon, member_tol, refine, refine_tol, jobs,
+            spec.reflected(), T, None, cfg, s_horizon, member_tol, refine, refine_tol
         )
         if m_interval is not None:
             mirrored_interval = (-m_interval[1], -m_interval[0])

@@ -47,6 +47,13 @@ class TestStrictness:
     def test_unknown_subcommand_exits_2(self):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--driving", ZERO, "--dt", "1e-3", "--seed", "1"],
+        ["capture-scan", "--driving", ZERO, "--jobs", "2"],
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, tmp_path):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")
         assert run(["verify", "--only", "5"]) == 2
@@ -92,6 +99,29 @@ class TestSubcommands:
         lines = (tmp_path / "weierstrass_checks.csv").read_text().splitlines()
         assert lines[0] == "b,N,c,check,margin,verdict"
         assert all(l.endswith("pass") for l in lines[1:])
+
+    def test_weierstrass_check_jobs(self, tmp_path):
+        assert run(["weierstrass", "check", "--b", "16", "--jobs", "2",
+                    "--out", str(tmp_path)]) == 0
+
+    def test_sidecars_share_the_spec_hash(self, tmp_path):
+        assert run(["trace", "--driving", ZERO, "--dt", "1e-2",
+                    "--out", str(tmp_path)]) == 0
+        assert run(["welding", "--driving", ZERO, "--dt", "1e-2", "--n", "4",
+                    "--out", str(tmp_path)]) == 0
+        trace_meta = json.loads((tmp_path / "trace.meta.json").read_text())
+        weld_meta = json.loads((tmp_path / "welding.meta.json").read_text())
+        assert trace_meta["spec_hash"] == weld_meta["spec_hash"]
+        assert {"dt", "n_points", "nudges", "tolerances"} <= set(trace_meta)
+        assert {"dt", "lambda_T", "ratio1_range", "ratio2_range", "tolerances"} <= set(weld_meta)
+
+    def test_ile_sqrt_gap_at_the_closed_form_start(self, capsys):
+        # sqrt(T (4 - C^2)) vanishes exactly at T; the start sits on the
+        # height flow's unstable equilibrium, so only the closed-form frame
+        # gap decides it reliably
+        y0 = repr(float(np.sqrt(4.0 - 1.5**2)))
+        assert run(["imag-eq", "ile", "--C", "1.5", "--y0", y0, "--T", "1"]) == 0
+        assert "status: vanishing " in capsys.readouterr().out
 
     def test_figure_reference_lines(self, tmp_path):
         assert run(["figure", "--a", "1.5", "--k-max", "10",

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from loewner import DomainError, DrivingSpec, PreconditionError
 from loewner.real_line import (
+    FRAME_FREEZE_S,
+    FrameDriving,
     FrameMap,
     capture_bracket,
     capture_scan,
@@ -20,7 +22,6 @@ from loewner.real_line import (
     solve_frame_equation,
     solve_real_loewner,
     speed_condition_report,
-    to_frame_driving,
 )
 
 
@@ -48,25 +49,35 @@ class TestFrame:
     def test_sqrt_approach_maps_to_constant(self):
         for c, T in ((4.0, 1.0), (2.5, 3.0)):
             spec = sqrt_spec(c, T)
-            xi = to_frame_driving(spec, frame_for(spec))
+            xi = FrameDriving(spec, frame_for(spec))
             s = np.linspace(0.0, 30.0, 64)
             assert np.allclose(xi(s), c, atol=1e-12)
 
     def test_zero_maps_to_zero(self):
         spec = DrivingSpec("constant", {"value": 0.0}, 1.0)
-        xi = to_frame_driving(spec, frame_for(spec))
+        xi = FrameDriving(spec, frame_for(spec))
         assert np.allclose(xi(np.linspace(0, 20, 40)), 0.0, atol=1e-14)
 
     def test_linear_maps_to_decaying_exponential(self):
         spec = DrivingSpec("linear", {"slope": 1.0}, 1.0)
-        xi = to_frame_driving(spec, frame_for(spec))
+        xi = FrameDriving(spec, frame_for(spec))
         s = np.linspace(0.0, 10.0, 30)
         assert np.allclose(xi(s), np.exp(-s), atol=1e-12)
+
+    @pytest.mark.parametrize("C, T", [(2.0, 1.0), (2.0, 3.0), (1.0, 0.37)])
+    def test_generic_rescaling_resolves_up_to_the_freeze(self, C, T):
+        # a twice-reflected copy is a composite driving, so the generic
+        # quotient runs; rescaling C sqrt(T - t) must give back C
+        spec = sqrt_spec(C, T).reflected().reflected()
+        xi = FrameDriving(spec, frame_for(spec))
+        assert xi._mode == "generic"
+        s = np.linspace(0.0, FRAME_FREEZE_S, 281)
+        assert np.max(np.abs(xi(s) - C)) <= 1e-4 * C
 
     @pytest.mark.parametrize("spec", ZOO, ids=[s.family for s in ZOO])
     def test_roundtrip_through_frame(self, spec):
         fr = frame_for(spec)
-        lam_back = from_frame_driving(to_frame_driving(spec, fr), fr)
+        lam_back = from_frame_driving(FrameDriving(spec, fr), fr)
         t = np.linspace(0.0, spec.T - 1e-6, 400)
         assert np.max(np.abs(lam_back(t) - spec(t))) < 1e-8
 
@@ -253,7 +264,7 @@ class TestNoCaptureCertificate:
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.0, 3.5])
     def test_soundness_against_scan(self, c):
         spec = sqrt_spec(c)
-        xi = to_frame_driving(spec, frame_for(spec))
+        xi = FrameDriving(spec, frame_for(spec))
         descent = 4.0 - c if c >= 2 else 4.0 / c
         t2 = 1.01 * c / descent
         assert no_capture_certificate(xi, 0.0, t2).holds
