@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all, run_one
-from .driving import DrivingSpec, spec_from_config, spec_to_config
-from .errors import ConfigError, LoewnerError
+from .driving import DrivingSpec, spec_from_json, spec_to_config
+from .errors import ConfigError, DomainError, LoewnerError
 from .hull import trace as hull_trace
 from .hull import welding as hull_welding
 from .imaginary import (
@@ -59,14 +59,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 def _load_driving(arg: str) -> DrivingSpec:
-    text = arg
-    if os.path.exists(arg):
-        text = Path(arg).read_text()
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"driving config is not valid JSON: {exc}") from exc
-    return spec_from_config(cfg)
+    return spec_from_json(Path(arg).read_text() if os.path.exists(arg) else arg)
 
 
 def _outdir(args) -> Path:
@@ -196,8 +189,12 @@ def _cmd_real_eq(args) -> int:
 def _theta_from_args(args):
     """The gap theta, its horizon T and its closed-form frame gap eta."""
     T = args.T if args.T is not None else 1.0
+    if not 0.0 < T < np.inf:
+        raise ConfigError(f"--T must be a positive finite number, got {T!r}")
     if args.C is not None:
         C = args.C
+        if not C >= 0.0:
+            raise ConfigError(f"--C must be a nonnegative gap constant, got {C!r}")
         return (
             lambda t: C * np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0)),
             T,
@@ -260,7 +257,10 @@ def _cmd_welding(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
     s_grid = np.linspace(0.05 * T, 0.9 * T, args.n)
-    table = hull_welding(spec, T, s_grid, dt=args.dt)
+    try:
+        table = hull_welding(spec, T, s_grid, dt=args.dt)
+    except DomainError as exc:  # the grid, T and dt all come from flags
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     table.write_csv(out / "welding.csv")
     _write_meta(out / "welding.meta.json", "welding", spec, dt=args.dt,

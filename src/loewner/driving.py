@@ -13,6 +13,7 @@ local square-root scaling exponents used by the capture diagnostics.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,16 +43,18 @@ FAMILIES = (
     "composite",
 )
 
+# family: (required parameters, optional parameters)
 _PARAM_KEYS = {
-    "constant": {"value"},
-    "linear": {"slope", "intercept"},
-    "sqrt_approach": {"c"},
-    "weierstrass_partial": {"c", "b", "N"},
-    "brownian": {"kappa", "grid_step"},
-    "sampled": {"times", "values"},
-    "sharp_example": {"a", "branch", "k_max"},
-    "composite": {"base", "t_offset", "scale"},
+    "constant": ({"value"}, set()),
+    "linear": ({"slope"}, {"intercept"}),
+    "sqrt_approach": ({"c"}, set()),
+    "weierstrass_partial": ({"c", "b", "N"}, set()),
+    "brownian": (set(), {"kappa", "grid_step"}),
+    "sampled": ({"times", "values"}, set()),
+    "sharp_example": ({"a"}, {"branch", "k_max"}),
+    "composite": ({"base"}, {"t_offset", "scale"}),
 }
+_NON_SCALAR_KEYS = {"times", "values", "branch", "base"}
 
 DEFAULT_BROWNIAN_STEP_FRACTION = 2.0**-16
 
@@ -81,13 +84,21 @@ class DrivingSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown driving family {self.family!r}")
-        if not (self.T > 0.0 and np.isfinite(self.T)):
-            raise DomainError(f"domain end T={self.T} must be positive finite")
-        unknown = set(self.params) - _PARAM_KEYS[self.family]
-        if unknown:
-            raise ConfigError(
-                f"unknown parameter(s) {sorted(unknown)} for family {self.family!r}"
-            )
+        if not (_is_real(self.T) and 0.0 < self.T < np.inf):
+            raise DomainError(f"domain end T={self.T!r} must be a positive finite number")
+        object.__setattr__(self, "T", float(self.T))
+        required, optional = _PARAM_KEYS[self.family]
+        for kind, keys in (("unknown", set(self.params) - required - optional),
+                           ("missing", required - set(self.params))):
+            if keys:
+                raise ConfigError(
+                    f"{kind} parameter(s) {sorted(keys)} for family {self.family!r}"
+                )
+        for key, value in self.params.items():
+            if key not in _NON_SCALAR_KEYS and not _is_real(value):
+                raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
+        if self.seed is not None and not _is_real(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         self._prepare()
         if self.normalize:
             object.__setattr__(self, "_offset", float(self._raw(np.zeros(1))[0]))
@@ -199,6 +210,10 @@ class DrivingSpec:
             T=self.T,
             normalize=self.normalize,
         )
+
+
+def _is_real(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _sharp_driving(osc: SharpOscillation, T: float, t: np.ndarray) -> np.ndarray:
@@ -334,16 +349,19 @@ def spec_from_config(cfg: dict) -> DrivingSpec:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown driving config key(s): {sorted(unknown)}")
-    for key in ("family", "params", "T"):
-        if key not in cfg:
-            raise ConfigError(f"driving config missing required key {key!r}")
-    return DrivingSpec(
-        family=cfg["family"],
-        params=dict(cfg["params"]),
-        T=float(cfg["T"]),
-        normalize=bool(cfg.get("normalize", False)),
-        seed=cfg.get("seed"),
-    )
+    # a missing family, params or T fails the checks below like a bad one
+    if not isinstance(cfg.get("params"), dict):
+        raise ConfigError("driving config params must be a JSON object")
+    try:
+        return DrivingSpec(
+            family=cfg.get("family"),
+            params=dict(cfg["params"]),
+            T=cfg.get("T"),
+            normalize=bool(cfg.get("normalize", False)),
+            seed=cfg.get("seed"),
+        )
+    except DomainError as exc:
+        raise ConfigError(f"driving config out of domain: {exc}") from exc
 
 
 def spec_from_json(text: str) -> DrivingSpec:

@@ -17,10 +17,10 @@ The composition is evaluated for all n simultaneously (one triangular
 vectorised sweep) at O(n^2) map evaluations per curve.
 
 Welding: for a simple trace, g_T sends each curve point to two real prime
-ends.  Seeding the two sides at lambda(s) -/+ 2 sqrt(delta) after a
-micro-cell of duration delta and flowing them under the real Loewner
-equation to T yields the welding pairs (left(s), right(s)) and the
-associated quasisymmetry statistics.
+ends.  Each point is seeded on the slit of its cell and carried through
+the later cells by the forward maps x -> u + sign(x - u) sqrt((x - u)^2 + 4 dt),
+giving the welding pairs (left(s), right(s)), which converge at O(dt), and
+the associated quasisymmetry statistics.
 """
 
 from __future__ import annotations
@@ -338,91 +338,73 @@ def welding(
     spec: DrivingSpec,
     T: float,
     s_grid: Sequence[float],
-    cfg: Optional[IntegratorConfig] = None,
     dt: float = 1e-3,
     check_simple: bool = True,
 ) -> WeldingTable:
-    """Extract the conformal welding of a simple trace.
+    """Extract the conformal welding of the zipper trace (cell step dt).
 
-    For each time s the two prime ends of gamma(s) are seeded at
-    lambda(s) -/+ 2 sqrt(delta) after a micro-cell of duration
-    delta = dt/100 and flowed under dX/dt = 2/(X - lambda) to T.  The first
-    quasisymmetry statistic is reported per row as
-    ratio1 = (left - lambda(T)) / (lambda(T) - right); the three-point
-    statistic is evaluated on equally spaced triples through a monotone
-    interpolant of the welding map.
+    A time s in the cell [t_j, t_{j+1}] of :func:`trace` is seeded after
+    that cell at c(s) -/+ 2 sqrt(t_{j+1} - s), with the centre c(s) sliding
+    linearly from u_j to u_{j+1}: the seeds are continuous in s across cell
+    edges and exact for constant driving.  Each later cell k maps them by
+    x -> u_k + sign(x - u_k) sqrt((x - u_k)^2 + 4 h_k); a point on the wrong
+    side of u_k (a one-cell jump of at least 2 sqrt(h_k)) raises, since the
+    discrete curve is not simple there.  ratio1 = (left - lambda(T)) /
+    (lambda(T) - right) per row; the three-point statistic uses equally
+    spaced triples through a monotone interpolant of the welding map, so
+    the grid needs at least 3 points.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    s_grid = np.sort(np.asarray(s_grid, dtype=float))
+    edges, hs, u = _cells(spec, T, dt)
+    if s_grid.size < 3 or s_grid[0] < 0 or s_grid[-1] >= edges[-1]:
+        raise DomainError("welding grid must have at least 3 points in [0, T)")
     if check_simple:
         rep = simplicity_diagnostic(spec, T, dt)
         if not rep.simple:
             raise PreconditionError(
                 f"trace failed the simplicity diagnostic (pair {rep.pair})"
             )
-    s_grid = np.sort(np.asarray(s_grid, dtype=float))
-    if s_grid.size == 0 or s_grid[0] < 0 or s_grid[-1] >= T:
-        raise DomainError("welding grid must lie in [0, T)")
-    delta = dt / 100.0
     lam_T = float(spec(T))
 
-    lam_s = np.asarray(spec(s_grid))
-    starts = s_grid + delta
-    seeds_l = lam_s - 2.0 * np.sqrt(delta)
-    seeds_r = lam_s + 2.0 * np.sqrt(delta)
-    floor = cfg.singularity_floor
-
-    state0 = np.concatenate([seeds_l, seeds_r])
-    t_start = np.concatenate([starts, starts])
-
-    def fieldf(t, x):
-        active = t_start <= t
-        lam = spec(min(t, spec.T))
-        gap = x - lam
-        if np.any(active & (np.abs(gap) < 100 * floor)):
-            j = int(np.argmin(np.abs(gap) + 1e30 * (~active)))
-            side = "left" if j < s_grid.size else "right"
+    # row 0 holds the left prime ends, row 1 the right ones; the grid is
+    # sorted, so the points born before cell k are the first live[k] columns
+    cell = np.searchsorted(edges, s_grid, side="right") - 1
+    live = np.searchsorted(cell, np.arange(u.size))
+    side = np.array([[-1.0], [1.0]])
+    rest = edges[cell + 1] - s_grid
+    jump = np.diff(u, append=u[-1])
+    x = u[cell] + jump[cell] * (1.0 - rest / hs[cell]) + side * 2.0 * np.sqrt(rest)
+    for k in range(int(cell[0]) + 1, u.size):
+        d = x[:, : live[k]] - u[k]
+        crossed = side * d <= 0
+        if np.any(crossed):
+            row, col = np.argwhere(crossed)[0]
             raise NumericalError(
-                f"welding {side} point collided with the driving near "
-                f"s = {s_grid[j % s_grid.size]}: the curve is not simple there"
+                f"welding {('left', 'right')[row]} point of s = {s_grid[col]} crossed "
+                f"the driving in cell {k}: the discrete curve is not simple there"
             )
-        out = np.where(active, 2.0 / gap, 0.0)
-        return out
-
-    path = integrate(fieldf, state0, (float(np.min(t_start)), T), cfg)
-    final = path.values[-1]
-    left = np.asarray(final[: s_grid.size], dtype=float)
-    right = np.asarray(final[s_grid.size :], dtype=float)
+        x[:, : live[k]] = u[k] + side * np.sqrt(d * d + 4.0 * hs[k])
+    left, right = x
     if np.any(left >= lam_T) or np.any(right <= lam_T):
         raise NumericalError("welding images crossed lambda(T); grid too close to T?")
 
     ratio1 = (left - lam_T) / (lam_T - right)
-    r1min, r1max = float(np.min(ratio1)), float(np.max(ratio1))
 
-    # three-point quasisymmetry on the interpolated welding map
-    order = np.argsort(left)
-    xs, ys = left[order], right[order]
-    r2min, r2max = np.inf, -np.inf
-    if xs.size >= 3:
-        span = xs[-1] - xs[0]
-        for frac in (1 / 64, 1 / 32, 1 / 16, 1 / 8):
-            hstep = span * frac
-            x = np.linspace(xs[0], xs[-1] - 2 * hstep, 33)
-            phi = lambda v: np.interp(v, xs, ys)
-            num = phi(x + hstep) - phi(x)
-            den = phi(x + 2 * hstep) - phi(x + hstep)
-            good = np.abs(den) > 0
-            q = num[good] / den[good]
-            if q.size:
-                r2min = min(r2min, float(np.min(q)))
-                r2max = max(r2max, float(np.max(q)))
+    # three-point quasisymmetry on the interpolated welding map; the prime
+    # ends stay in the order of s while one-cell jumps are below sqrt(h)
+    h = (left[-1] - left[0]) * np.array([1 / 64, 1 / 32, 1 / 16, 1 / 8])
+    v = np.linspace(left[0], left[-1] - 2 * h, 33)[..., None] + h[:, None] * np.arange(3)
+    phi = np.interp(v, left, right)
+    num, den = phi[..., 1] - phi[..., 0], phi[..., 2] - phi[..., 1]
+    q = num[den != 0] / den[den != 0]
     return WeldingTable(
         s_grid=s_grid,
         left=left,
         right=right,
         ratio1=ratio1,
         lambda_T=lam_T,
-        ratio1_range=(r1min, r1max),
-        ratio2_range=(float(r2min), float(r2max)),
+        ratio1_range=(float(np.min(ratio1)), float(np.max(ratio1))),
+        ratio2_range=(float(q.min()), float(q.max())),
     )
 
 

@@ -206,7 +206,6 @@ def quasislit_pipeline(
     T: float = 1.0,
     dt: float = 1e-3,
     n_weld: int = 12,
-    cfg: Optional[IntegratorConfig] = None,
     compute_ratio_bound: bool = False,
     run_welding: bool = True,
 ) -> QuasislitVerdict:
@@ -239,7 +238,7 @@ def quasislit_pipeline(
     contained = None
     if simp.simple and run_welding:
         s_grid = np.linspace(0.05 * T, 0.9 * T, n_weld)
-        table = welding(spec, T, s_grid, cfg, dt=dt, check_simple=False)
+        table = welding(spec, T, s_grid, dt=dt, check_simple=False)
         if compute_ratio_bound:
             C1 = capture_bracket(spec, T, b_bound * 1.001).ratio_max
             C2 = comparison_constant(b_bound)

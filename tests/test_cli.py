@@ -54,6 +54,31 @@ class TestStrictness:
     def test_flag_the_subcommand_does_not_read_exits_2(self, argv, tmp_path):
         assert run(argv + ["--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        '{"family":"brownian","params":{},"T":1,"seed":1.5}',
+        '{"family":"constant","params":{},"T":1}',
+        '{"family":"sqrt_approach","params":{"c":"x"},"T":1}',
+        '{"family":"constant","params":{"value":0}}',
+        '{"family":"constant","params":{"value":0},"T":0}',
+    ])
+    def test_malformed_driving_config_exits_2(self, cfg, tmp_path, capsys):
+        assert run(["trace", "--driving", cfg, "--dt", "1e-2",
+                    "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--T", "0", "--C", "1"],
+        ["--C", "-1"],
+    ])
+    def test_ile_outside_its_domain_exits_2(self, argv):
+        assert run(["imag-eq", "ile"] + argv) == 2
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_welding_needs_three_points(self, n, tmp_path):
+        assert run(["welding", "--driving", ZERO, "--dt", "1e-2", "--n", n,
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "welding.meta.json").exists()
+
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")
         assert run(["verify", "--only", "5"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loewner import DomainError, DrivingSpec, PreconditionError, shift
+from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, shift
 from loewner.hull import (
     capacity_estimate,
     continuity_diagnostic,
@@ -12,7 +12,9 @@ from loewner.hull import (
     trace,
     welding,
 )
+from loewner.ode import integrate
 from loewner.real_line import capture_scan
+from loewner.weierstrass import WeierstrassParams
 
 ZERO = DrivingSpec("constant", {"value": 0.0}, 2.0)
 
@@ -172,9 +174,52 @@ class TestWelding:
         assert np.all(np.diff(wt.left) > 0)   # left images increase with s
         assert np.all(np.diff(wt.right) < 0)
 
+    def test_slit_welding_converges_to_the_ode_flow(self):
+        # oracle: the prime ends seeded at lambda(s) -/+ 2 sqrt(delta) after a
+        # micro-cell of duration delta and flowed under dX/dt = 2/(X - lambda)
+        spec = WeierstrassParams(b=9.0, N=2, c=0.3).spec(1.0)
+        s = np.linspace(0.05, 0.9, 12)
+        delta = 1e-4 / 100
+        start = np.concatenate([s, s]) + delta
+        lam = spec(s)
+        x0 = np.concatenate([lam - 2 * np.sqrt(delta), lam + 2 * np.sqrt(delta)])
+        field = lambda t, x: np.where(start <= t, 2.0 / (x - spec(min(t, 1.0))), 0.0)
+        ode_ends = integrate(field, x0, (float(start.min()), 1.0)).values[-1]
+        errs = []
+        for dt in (1e-3, 1e-4):
+            wt = welding(spec, 1.0, s, dt=dt, check_simple=False)
+            errs.append(np.max(np.abs(np.concatenate([wt.left, wt.right]) - ode_ends)))
+        assert errs[1] < 1e-4
+        assert errs[0] > 5 * errs[1]
+
+    def test_simple_curve_welds_without_a_crossing(self):
+        # a collision guard on the ODE's trial stages once raised here
+        spec = WeierstrassParams(b=9.0, N=3, c=0.28403724793324314).spec(1.0)
+        wt = welding(spec, 1.0, np.linspace(0.05, 0.9, 12), dt=2e-3, check_simple=False)
+        assert np.all(np.diff(wt.left) > 0) and np.all(np.diff(wt.right) < 0)
+        assert np.all(wt.left < spec(1.0)) and np.all(wt.right > spec(1.0))
+
+    def test_points_just_below_a_cell_edge_weld(self):
+        # a point seeded at the top of its cell must not be cut off by the
+        # driving jump to the next cell
+        spec = WeierstrassParams(b=9.0, N=3, c=0.28403724793324314).spec(1.0)
+        edges = np.arange(25, 450, 25) * 2e-3
+        s = np.sort(np.concatenate([edges - 1e-9, edges]))
+        wt = welding(spec, 1.0, s, dt=2e-3, check_simple=False)
+        assert np.all(np.diff(wt.left) > 0) and np.all(np.diff(wt.right) < 0)
+        assert np.all(wt.left < spec(1.0)) and np.all(wt.right > spec(1.0))
+
+    def test_driving_jump_past_a_prime_end_raises(self):
+        jump = DrivingSpec("sampled", {"times": [0, 0.5, 0.5 + 1e-6, 1],
+                                       "values": [0, 0, -5, -5]}, 1.0)
+        with pytest.raises(NumericalError, match="left point of s = 0.05 crossed"):
+            welding(jump, 1.0, np.linspace(0.05, 0.9, 12), dt=1e-2, check_simple=False)
+
     def test_grid_domain_checked(self):
         with pytest.raises(DomainError):
             welding(ZERO, 1.0, [1.5], check_simple=False)
+        with pytest.raises(DomainError, match="at least 3 points"):
+            welding(ZERO, 1.0, [0.2, 0.5], check_simple=False)
 
     def test_csv_export(self, tmp_path):
         wt = welding(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0,
