@@ -155,8 +155,7 @@ class DrivingSpec:
             b = float(p["b"])
             if b <= 1.0:
                 raise DomainError("weierstrass frequency ratio b must exceed 1")
-            if int(p["N"]) < 1:
-                raise DomainError("weierstrass order N must be >= 1")
+            check_weierstrass_order(p["N"])
 
     # -- evaluation ------------------------------------------------------
 
@@ -214,6 +213,12 @@ class DrivingSpec:
 
 def _is_real(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_weierstrass_order(N) -> None:
+    """Raise DomainError unless the partial-sum order N is an integral value >= 1."""
+    if not (_is_real(N) and float(N).is_integer() and N >= 1):
+        raise DomainError(f"weierstrass order N={N!r} must be an integer >= 1")
 
 
 def _sharp_driving(osc: SharpOscillation, T: float, t: np.ndarray) -> np.ndarray:

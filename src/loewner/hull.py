@@ -34,7 +34,7 @@ import numpy as np
 from .driving import DrivingSpec, local_scaling_exponents
 from .errors import DomainError, NumericalError, PreconditionError
 from .imaginary import solve_planar
-from .ode import DEFAULT_CONFIG, IntegratorConfig, integrate
+from .ode import SINGULARITY_FLOOR, integrate
 from .real_line import FrameDriving, FrameMap, solve_frame_equation
 
 __all__ = [
@@ -66,10 +66,9 @@ def forward_map(
     spec: DrivingSpec,
     t: float,
     z: complex,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> ForwardResult:
     """g_t(z) for one point, with guarded capture detection."""
-    path, ev = solve_planar(spec, z, t, cfg)
+    path, ev = solve_planar(spec, z, t)
     if ev is not None and ev.kind in ("capture", "blow_up"):
         return ForwardResult(None, ev)
     X, Y = path.values[-1]
@@ -80,7 +79,6 @@ def forward_map_grid(
     spec: DrivingSpec,
     t_checkpoints: Sequence[float],
     zs: Sequence[complex],
-    cfg: Optional[IntegratorConfig] = None,
 ) -> np.ndarray:
     """g_t(z) on a grid of times and points, one vectorised integration.
 
@@ -88,22 +86,20 @@ def forward_map_grid(
     (use :func:`forward_map` for potentially captured points); a collapsing
     gap raises rather than returning poisoned values.
     """
-    cfg = cfg or DEFAULT_CONFIG
     ts = np.sort(np.asarray(t_checkpoints, dtype=float))
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag < 0):
         raise DomainError("points must lie in the closed upper half-plane")
-    floor = cfg.singularity_floor
 
     def fieldf(t, u):
         dz = u - spec(t)
-        if np.min(np.abs(dz)) < 100 * floor:
+        if np.min(np.abs(dz)) < 100 * SINGULARITY_FLOOR:
             raise NumericalError(
                 "a grid point approached the singularity; remove near-hull points"
             )
         return 2.0 / dz
 
-    path = integrate(fieldf, zs, (0.0, float(ts[-1])), cfg, t_stops=ts)
+    path = integrate(fieldf, zs, (0.0, float(ts[-1])), t_stops=ts)
     out = np.empty((ts.size, zs.size), dtype=complex)
     for i, t in enumerate(ts):
         k = int(np.argmin(np.abs(path.times - t)))
@@ -115,7 +111,6 @@ def capacity_estimate(
     spec: DrivingSpec,
     t: float,
     R: float,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> tuple[float, float]:
     """Estimate the capacity coefficient c(t) from far-field probes.
 
@@ -131,7 +126,7 @@ def capacity_estimate(
     if R < 10.0 * max(1.0, hull_scale):
         raise PreconditionError(f"probe radius {R} too small for hull scale {hull_scale}")
     zs = R * np.array([1j, np.exp(1j * np.pi / 4), np.exp(3j * np.pi / 4)])
-    g = forward_map_grid(spec, [t], zs, cfg)[0]
+    g = forward_map_grid(spec, [t], zs)[0]
     est = float(np.mean((zs * (g - zs)).real))
     bound = 50.0 * max(1.0, hull_scale) ** 3 / R**2 + 1e-7
     if abs(est - 2.0 * t) > bound:
@@ -470,7 +465,6 @@ def endpoint_experiment(
     burn_in: float = 5.0,
     band_tol: float = 0.05,
     scales=None,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> EndpointExperiment:
     """Probe trace-endpoint behaviour for steep square-root approaches.
 
@@ -511,7 +505,7 @@ def endpoint_experiment(
     floor = a_hat - r_b - band_tol
     band_min = np.inf
     for x0 in np.linspace(r_b + 0.1 * (a_hat - r_b), a_hat - 0.1 * (a_hat - r_b), 5):
-        run = solve_frame_equation(xi, float(x0), 25.0, cfg)
+        run = solve_frame_equation(xi, float(x0), 25.0)
         ss = run.path.times
         xs = np.asarray(run.path.values, dtype=float)
         late = ss >= burn_in

@@ -30,7 +30,7 @@ horizon until one of them lands (or a hard cap is reached).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,8 +39,8 @@ from scipy import optimize as sp_optimize
 
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
-from .ode import DEFAULT_CONFIG, IntegratorConfig, SolutionPath, integrate, integrate_until
-from .real_line import _rescaled
+from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, integrate, integrate_until
+from .real_line import FRAME_FREEZE_S, _rescaled
 
 __all__ = [
     "VanishClassification",
@@ -63,6 +63,9 @@ THRESHOLD_MARGIN = 1e-6     # strictness above the level-2 certificate
 VANISH_THRESHOLD = 1e-12    # e^{-s} y below this with the right trends
 TREND_WINDOW = 5.0
 S_CAP_DEFAULT = 2000.0
+# the transformed flows cap the step so trailing trend windows always hold
+# enough samples (below abs_tol the error control would let steps explode)
+_FLOW_CONFIG = IntegratorConfig(max_step=0.5)
 
 
 @dataclass
@@ -81,7 +84,6 @@ def solve_planar(
     spec: DrivingSpec,
     z0: complex,
     horizon: float,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> tuple[SolutionPath, Optional[object]]:
     """Evolve one complex point; capture when |z - lambda| hits the floor.
 
@@ -89,13 +91,12 @@ def solve_planar(
     (X - lambda)^2 + Y^2 to collapse, which the squared guard tracks with an
     O(1) slope.
     """
-    cfg = cfg or DEFAULT_CONFIG
     z0 = complex(z0)
     if z0.imag < 0:
         raise DomainError("initial point must lie in the closed upper half-plane")
     if z0.imag == 0 and z0.real == float(spec(0.0)):
         raise DomainError("initial point coincides with lambda(0)")
-    floor2 = cfg.singularity_floor**2
+    floor2 = SINGULARITY_FLOOR**2
 
     def fieldf(t, u):
         dx = u[0] - spec(t)
@@ -108,7 +109,7 @@ def solve_planar(
 
     horizon = min(float(horizon), spec.T)
     path = integrate_until(
-        fieldf, np.array([z0.real, z0.imag]), (0.0, horizon), guard, cfg, guard_kind="capture"
+        fieldf, np.array([z0.real, z0.imag]), (0.0, horizon), guard, guard_kind="capture"
     )
     ev = path.event
     if ev is not None and ev.kind == "horizon":
@@ -161,7 +162,6 @@ def _classify_flow(
     y0: float,
     kind: str,  # "height" or "difference"
     s_horizon: float,
-    cfg: IntegratorConfig,
     s_cap: float = S_CAP_DEFAULT,
     margin: float = 1e-3,
 ) -> tuple[SolutionPath, VanishClassification]:
@@ -170,14 +170,11 @@ def _classify_flow(
     e0 = float(np.asarray(eta(0.0)))
     if e0 < 0:
         raise DomainError("gap driving must be nonnegative")
-    # cap the step so trailing trend windows always hold enough samples
-    # (below abs_tol the error control would otherwise let steps explode)
-    cfg = replace(cfg, max_step=min(cfg.max_step, 0.5))
     field = _con1_field(eta) if kind == "height" else _con2_field(eta)
 
     if kind == "height" and y0 >= 2.0 + THRESHOLD_MARGIN:
         # never vanishing: at or above the threshold the drive is nonnegative
-        path = integrate(field, float(y0), (0.0, min(s_horizon, 10.0)), cfg)
+        path = integrate(field, float(y0), (0.0, min(s_horizon, 10.0)), _FLOW_CONFIG)
         return path, VanishClassification("not_vanishing_certified", "y_crossed_2", 0.0)
 
     def g_threshold(s, y):
@@ -188,7 +185,7 @@ def _classify_flow(
     s, y = 0.0, float(y0)
     target = max(s_horizon, 10.0)
     while True:
-        seg = integrate_until(field, y, (s, s + 10.0), None, cfg, guards=guards)
+        seg = integrate_until(field, y, (s, s + 10.0), None, _FLOW_CONFIG, guards=guards)
         paths.append(seg)
         ev = seg.event
         if ev is not None and ev.kind == "threshold":
@@ -242,7 +239,6 @@ def solve_frame_imaginary(
     eta: Callable,
     y0: float,
     s_horizon: float = 40.0,
-    cfg: Optional[IntegratorConfig] = None,
     s_cap: float = S_CAP_DEFAULT,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Height flow dy/ds = y - 4y/(eta^2 + y^2) with trend classification.
@@ -253,14 +249,13 @@ def solve_frame_imaginary(
     not growing is classified vanishing.  A growing subthreshold solution
     extends the horizon until the threshold certificate can fire.
     """
-    return _classify_flow(eta, y0, "height", s_horizon, cfg or DEFAULT_CONFIG, s_cap)
+    return _classify_flow(eta, y0, "height", s_horizon, s_cap)
 
 
 def solve_frame_difference(
     eta: Callable,
     w0: float,
     s_horizon: float = 40.0,
-    cfg: Optional[IntegratorConfig] = None,
     s_cap: float = S_CAP_DEFAULT,
     margin: float = 1e-3,
 ) -> tuple[SolutionPath, VanishClassification]:
@@ -275,7 +270,7 @@ def solve_frame_difference(
     e_samples = np.asarray(eta(np.linspace(0.0, min(s_horizon, 50.0), 501)), dtype=float)
     if np.any(e_samples <= 0):
         raise DomainError("difference flow requires strictly positive gap driving")
-    return _classify_flow(eta, w0, "difference", s_horizon, cfg or DEFAULT_CONFIG, s_cap, margin)
+    return _classify_flow(eta, w0, "difference", s_horizon, s_cap, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +282,6 @@ def solve_imaginary(
     theta: Callable,
     y0: float,
     T: float,
-    cfg: Optional[IntegratorConfig] = None,
     frame_eta: Optional[Callable] = None,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Integrate dY/dt = -2Y/(theta^2 + Y^2) and classify vanishing by T.
@@ -296,12 +290,13 @@ def solve_imaginary(
     solutions on both sides of the vanishing transition collapse below any
     floor, so the ambiguous band is reclassified in the transformed frame
     (pass ``frame_eta`` when the rescaled gap is known analytically; the
-    generic rescaling is frozen past ``real_line.FRAME_FREEZE_S``).
+    generic rescaling is frozen past ``real_line.FRAME_FREEZE_S``, where it
+    no longer follows theta, so a threshold crossing past the freeze is
+    reported undecided).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if y0 <= 0:
         raise DomainError("initial height must be positive")
-    floor2 = cfg.singularity_floor**2
+    floor2 = SINGULARITY_FLOOR**2
 
     def fieldf(t, y):
         th = float(np.asarray(theta(t)))
@@ -310,7 +305,7 @@ def solve_imaginary(
     def guard(t, y):
         return y * y - floor2
 
-    path = integrate_until(fieldf, float(y0), (0.0, T), guard, cfg, guard_kind="vanish")
+    path = integrate_until(fieldf, float(y0), (0.0, T), guard, guard_kind="vanish")
     ev = path.event
     hit_time = ev.time if ev is not None and ev.kind in ("vanish", "blow_up") else None
     if hit_time is not None and hit_time < T * (1 - 1e-6):
@@ -324,13 +319,15 @@ def solve_imaginary(
     if not ambiguous:
         return path, VanishClassification("not_vanishing_certified", "horizon", T)
 
-    if frame_eta is None:
+    generic = frame_eta is None
+    if generic:
         frame_eta = _rescaled(theta, T)
     _, cls = solve_frame_imaginary(frame_eta, y0 / np.sqrt(T))
     if cls.status == "vanishing":
         witness = hit_time if hit_time is not None else T
         return path, VanishClassification("vanishing", cls.certificate, witness)
-    if cls.status == "not_vanishing_certified":
+    frozen = generic and cls.witness_time > FRAME_FREEZE_S
+    if cls.status == "not_vanishing_certified" and not frozen:
         return path, VanishClassification("not_vanishing_certified", cls.certificate, T)
     return path, VanishClassification("undecided", "horizon", None)
 
@@ -352,7 +349,6 @@ def ramp_ode_terminal(
     eps: float,
     T: float,
     cross_validate: bool = True,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> RampTerminal:
     """Terminal value y(T) of dy/dt = 2y/(y^2 + c t), y(0) = eps.
 
@@ -392,7 +388,7 @@ def ramp_ode_terminal(
     y_int = None
     diff = None
     if cross_validate:
-        path = integrate(lambda t, u: 2.0 * u / (u * u + c * t), eps, (0.0, T), cfg or DEFAULT_CONFIG)
+        path = integrate(lambda t, u: 2.0 * u / (u * u + c * t), eps, (0.0, T))
         y_int = float(np.asarray(path.terminal_value))
         diff = abs(y_int - y)
     return RampTerminal(y, y_int, diff)
@@ -407,7 +403,7 @@ class TransitionResult:
     run: VanishClassification
 
 
-def classify_sqrt_gap(C: float, T: float, cfg: Optional[IntegratorConfig] = None) -> TransitionResult:
+def classify_sqrt_gap(C: float, T: float) -> TransitionResult:
     """Vanishing classification of the gap theta(t) = C sqrt(T - t).
 
     The transition sits at C = 2: below it the explicit initial height
@@ -424,13 +420,13 @@ def classify_sqrt_gap(C: float, T: float, cfg: Optional[IntegratorConfig] = None
     eta_const = lambda s: C + 0.0 * np.asarray(s)
     if C < 2.0:
         w = float(np.sqrt(T * (4.0 - C * C)))
-        _, cls = solve_imaginary(theta, w, T, cfg, frame_eta=eta_const)
+        _, cls = solve_imaginary(theta, w, T, frame_eta=eta_const)
         status = "vanishing"
         if cls.status == "vanishing":
             cls = VanishClassification("vanishing", "closed_form", cls.witness_time)
         return TransitionResult(C, T, status, w, cls)
     y0 = np.sqrt(T)  # any positive probe height
-    _, cls = solve_imaginary(theta, y0, T, cfg, frame_eta=eta_const)
+    _, cls = solve_imaginary(theta, y0, T, frame_eta=eta_const)
     status = "boundary_not_vanishing" if C == 2.0 else "not_vanishing"
     return TransitionResult(C, T, status, None, cls)
 
@@ -566,7 +562,6 @@ def vanishing_spread(
     y0s: Sequence[float],
     s_horizon: float = 40.0,
     use_difference_flow: bool = False,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> SpreadReport:
     """Run the height (or difference) flow from several initial values.
 
@@ -581,7 +576,7 @@ def vanishing_spread(
     rows = []
     terminals = {}
     for y0 in y0s:
-        path, cls = solve(eta, y0, s_horizon, cfg)
+        path, cls = solve(eta, y0, s_horizon)
         term = float(np.asarray(path.terminal_value))
         rows.append(SpreadRow(y0, cls.status, term, cls.certificate))
         if cls.status == "vanishing":
@@ -610,7 +605,6 @@ class DualProbeReport:
 def dual_vanishing_probe(
     eta: Callable,
     s_horizon: float = 40.0,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> DualProbeReport:
     """Probe the duality: a difference-flow vanishing solution staying below
     the gap's lower bound forces the height flow to vanish from the same
@@ -623,12 +617,12 @@ def dual_vanishing_probe(
     for frac in (0.9, 0.5, 0.25):
         w0 = frac * c
         tried.append(w0)
-        path, cls = solve_frame_difference(eta, w0, s_horizon, cfg)
+        path, cls = solve_frame_difference(eta, w0, s_horizon)
         if cls.status != "vanishing":
             continue
         if float(np.max(np.asarray(path.values, dtype=float))) >= c:
             continue
-        _, h_cls = solve_frame_imaginary(eta, w0, s_horizon, cfg)
+        _, h_cls = solve_frame_imaginary(eta, w0, s_horizon)
         return DualProbeReport(c, tried, w0, h_cls.status, h_cls.status == "vanishing")
     return DualProbeReport(c, tried, None, None, None)
 

@@ -32,6 +32,9 @@ from .errors import ConfigError, DomainError, NumericalError
 
 __all__ = ["IntegratorConfig", "Event", "SolutionPath", "integrate", "integrate_until"]
 
+# distance to the singular set at which the solvers' guards report an exit
+SINGULARITY_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -39,7 +42,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = np.inf
     min_step: float = 1e-14
-    singularity_floor: float = 1e-9
     max_steps: int = 10_000_000
 
     def __post_init__(self):
@@ -47,8 +49,6 @@ class IntegratorConfig:
             raise ConfigError("need 0 < min_step <= max_step")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.singularity_floor <= 0:
-            raise ConfigError("singularity_floor must be positive")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -245,7 +245,6 @@ def integrate(
     cfg: Optional[IntegratorConfig] = None,
     *,
     t_stops: Optional[Sequence[float]] = None,
-    record: bool = True,
 ) -> SolutionPath:
     """Integrate y' = field(t, y) over span = (t0, t1).
 
@@ -253,7 +252,7 @@ def integrate(
     always classified (vanish near zero state, blow_up otherwise), never a
     silent NaN.  ``t_stops`` forces the stepper to land on the given times.
     """
-    return integrate_until(field, y0, span, None, cfg, t_stops=t_stops, record=record)
+    return integrate_until(field, y0, span, None, cfg, t_stops=t_stops)
 
 
 def integrate_until(
@@ -266,7 +265,6 @@ def integrate_until(
     guard_kind: str = "threshold",
     guards: Optional[Sequence[tuple]] = None,
     t_stops: Optional[Sequence[float]] = None,
-    record: bool = True,
 ) -> SolutionPath:
     """Integrate until the first sign change of a guard.
 
@@ -344,9 +342,8 @@ def integrate_until(
             times.append(t_ev)
             values.append(y_ev)
             break
-        if record:
-            times.append(t_now)
-            values.append(y_now)
+        times.append(t_now)
+        values.append(y_now)
 
     if times[-1] != st.t and event is None:
         times.append(st.t)

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .ode import DEFAULT_CONFIG, IntegratorConfig, SolutionPath, _Stepper, integrate_until
+from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, _Stepper, integrate_until
 from .sharp import SharpOscillation
 
 __all__ = [
@@ -227,7 +227,7 @@ class CaptureReport:
     initial: float
     status: str  # captured | escaped | undecided
     capture_time: Optional[float]
-    certificate: str  # event_bisection | g_test | fixed_point_band | horizon_exhausted
+    certificate: str  # event_bisection | singular_floor | fixed_point_band | horizon_exhausted
     horizon_used: float
 
     def to_record(self) -> dict:
@@ -244,7 +244,6 @@ def solve_real_loewner(
     spec: DrivingSpec,
     x0: float,
     horizon: float,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> tuple[SolutionPath, CaptureReport]:
     """Integrate dX/dt = 2/(X - lambda(t)) with guarded capture detection.
 
@@ -252,12 +251,11 @@ def solve_real_loewner(
     keeps the guard's time derivative O(1) at square-root-type captures, so
     the bisected event time is certified to the configured bracket.
     """
-    cfg = cfg or DEFAULT_CONFIG
     lam0 = float(spec(0.0))
     if x0 == lam0:
         raise DomainError("x0 coincides with lambda(0): already on the singularity")
     horizon = min(float(horizon), spec.T)
-    floor2 = cfg.singularity_floor**2
+    floor2 = SINGULARITY_FLOOR**2
 
     def fieldf(t, x):
         return 2.0 / (x - spec(t))
@@ -265,7 +263,7 @@ def solve_real_loewner(
     def guard(t, x):
         return (x - spec(t)) ** 2 - floor2
 
-    path = integrate_until(fieldf, float(x0), (0.0, horizon), guard, cfg, guard_kind="capture")
+    path = integrate_until(fieldf, float(x0), (0.0, horizon), guard, guard_kind="capture")
     ev = path.event
     if ev is not None and ev.kind == "capture":
         report = CaptureReport(x0, "captured", ev.time, "event_bisection", horizon)
@@ -292,7 +290,6 @@ def solve_frame_equation(
     xi: Callable,
     x0: float,
     s_horizon: float = CAPTURE_HORIZON_S,
-    cfg: Optional[IntegratorConfig] = None,
     x_floor: float = 1e-9,
 ) -> FrameRun:
     """Integrate the frame equation and classify the exit.
@@ -304,11 +301,10 @@ def solve_frame_equation(
     captured-candidate: x stayed inside (0, xi) to the horizon within the
                       floor margins, certifying capture at T numerically.
     """
-    cfg = cfg or DEFAULT_CONFIG
     xi0 = float(np.asarray(xi(0.0)))
     if not (0.0 < x0 < xi0):
         raise DomainError(f"x0={x0} outside (0, xi(0))=(0, {xi0})")
-    floor2 = cfg.singularity_floor**2
+    floor2 = SINGULARITY_FLOOR**2
 
     def fieldf(s, x):
         return x - 4.0 / (xi(s) - x)
@@ -324,7 +320,6 @@ def solve_frame_equation(
         float(x0),
         (0.0, s_horizon),
         None,
-        cfg,
         guards=[(g_zero, "vanish"), (g_sing, "capture")],
     )
     ev = path.event
@@ -626,7 +621,6 @@ def capture_bracket(
     spec: DrivingSpec,
     T: float,
     C1: float,
-    cfg: Optional[IntegratorConfig] = None,
     n_check: int = 512,
 ) -> BracketResult:
     """Start at lambda(T) + C1 sqrt(T) and verify X(T) - lambda(T) < (C1+2) sqrt(T).
@@ -636,7 +630,6 @@ def capture_bracket(
     attain the bound exactly; offsets stop at 1e-8 T where forming T - t
     starts losing digits to cancellation.
     """
-    cfg = cfg or DEFAULT_CONFIG
     lam_T = float(spec(T))
     dts = T * np.concatenate([np.linspace(1e-4, 1.0, n_check // 2), np.geomspace(1e-4, 1e-8, n_check // 2)])
     ratios = np.abs(lam_T - spec(T - dts)) / np.sqrt(dts)
@@ -647,7 +640,7 @@ def capture_bracket(
             f"|lambda(T)-lambda(t)|/sqrt(T-t) = {ratio_max:.6g} > C1 = {C1} at t = {bad}"
         )
     x0 = lam_T + C1 * np.sqrt(T)
-    path, report = solve_real_loewner(spec, x0, T, cfg)
+    path, report = solve_real_loewner(spec, x0, T)
     if report.status == "captured":
         raise NumericalError("bracket solution unexpectedly captured")
     X_T = float(np.asarray(path.terminal_value))
@@ -752,7 +745,6 @@ def _scan_one_side(
     spec: DrivingSpec,
     T: float,
     grid: Optional[np.ndarray],
-    cfg: IntegratorConfig,
     s_horizon: float,
     member_tol: float,
     refine: bool,
@@ -818,7 +810,7 @@ def _scan_one_side(
             t_cap = frame.t_of_s(float(s_exit[i]))
             member = abs(t_cap - T) <= member_tol
             reports.append(
-                CaptureReport(float(X0), "captured", float(t_cap), "event_bisection", s_horizon)
+                CaptureReport(float(X0), "captured", float(t_cap), "singular_floor", s_horizon)
             )
             member_mask[i] = member
 
@@ -877,7 +869,6 @@ def capture_scan(
     spec: DrivingSpec,
     T: float,
     grid=None,
-    cfg: Optional[IntegratorConfig] = None,
     s_horizon: float = 60.0,
     member_tol: Optional[float] = None,
     refine: bool = True,
@@ -895,17 +886,16 @@ def capture_scan(
     the interval is open or closed at the far end is not decidable
     numerically.
     """
-    cfg = cfg or DEFAULT_CONFIG
     member_tol = 1e-4 * T if member_tol is None else member_tol
     members, interval, reports, undecided, cell, note = _scan_one_side(
-        spec, T, grid, cfg, s_horizon, member_tol, refine, refine_tol
+        spec, T, grid, s_horizon, member_tol, refine, refine_tol
     )
     mirrored_interval = None
     if mirrored:
         # the mirrored side always scans its own default grid: user grids
         # describe the upper side only
         m_members, m_interval, m_reports, m_und, _, m_note = _scan_one_side(
-            spec.reflected(), T, None, cfg, s_horizon, member_tol, refine, refine_tol
+            spec.reflected(), T, None, s_horizon, member_tol, refine, refine_tol
         )
         if m_interval is not None:
             mirrored_interval = (-m_interval[1], -m_interval[0])

@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .driving import DrivingSpec, holder_half_norm
+from .driving import DrivingSpec, check_weierstrass_order, holder_half_norm
 from .errors import DomainError, NumericalError, PreconditionError
 from .hull import SimplicityReport, WeldingTable, simplicity_diagnostic, welding
-from .ode import DEFAULT_CONFIG, IntegratorConfig, integrate
+from .ode import integrate
 from .real_line import capture_bracket
 
 __all__ = [
@@ -47,8 +47,7 @@ class WeierstrassParams:
     def __post_init__(self):
         if not self.b > 1.0:
             raise DomainError("frequency ratio b must exceed 1")
-        if self.N < 1:
-            raise DomainError("partial-sum order N must be >= 1")
+        check_weierstrass_order(self.N)
         if self.c < 0:
             raise DomainError("amplitude must be nonnegative")
 
@@ -165,7 +164,6 @@ def offset_ratio_check(
 def comparison_constant(
     K: float,
     n_ladder: int = 6,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> float:
     """Lower barrier constant from the comparison flow.
 
@@ -174,13 +172,12 @@ def comparison_constant(
     solution separated from a driving with Hölder bound K at time t keeps a
     gap of at least this constant times sqrt(T - t) at time T.
     """
-    cfg = cfg or DEFAULT_CONFIG
     best = np.inf
     for l in np.geomspace(1e-6, 1.0, n_ladder):
         def fieldf(u, x):
             return 2.0 / (x + K * np.sqrt(max(1.0 - u, 0.0)))
 
-        path = integrate(fieldf, float(l), (0.0, 1.0), cfg)
+        path = integrate(fieldf, float(l), (0.0, 1.0))
         best = min(best, float(np.asarray(path.terminal_value)))
     if not best > 0:
         raise NumericalError("comparison flow produced a nonpositive barrier")

@@ -60,6 +60,7 @@ class TestStrictness:
         '{"family":"sqrt_approach","params":{"c":"x"},"T":1}',
         '{"family":"constant","params":{"value":0}}',
         '{"family":"constant","params":{"value":0},"T":0}',
+        '{"family":"weierstrass_partial","params":{"c":0.1,"b":9,"N":2.5},"T":1}',
     ])
     def test_malformed_driving_config_exits_2(self, cfg, tmp_path, capsys):
         assert run(["trace", "--driving", cfg, "--dt", "1e-2",

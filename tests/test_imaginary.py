@@ -83,6 +83,14 @@ class TestImaginaryEquation:
         _, cls = solve_imaginary(sqrt_gap(2.0), 1.0, 1.0)
         assert cls.status == "not_vanishing_certified"
 
+    @pytest.mark.parametrize("C", [1.0, 1.5, 1.9])
+    def test_generic_rescaling_certifies_nothing_past_the_freeze(self, C):
+        # sqrt(4 - C^2) vanishes exactly at T; without the closed-form gap
+        # the frame crosses 2 only past FRAME_FREEZE_S (s = 21.5 to 62.5),
+        # where the generic rescaling no longer follows theta
+        _, cls = solve_imaginary(sqrt_gap(C), np.sqrt(4.0 - C * C), 1.0)
+        assert cls.status in ("vanishing", "undecided")
+
     def test_planar_consistency(self):
         # the height of the planar flow solves the scalar equation driven
         # by the gap theta = X - lambda; for the trivial driving theta is

@@ -107,7 +107,3 @@ class TestConfigValidation:
     def test_bad_steps(self):
         with pytest.raises(ConfigError):
             IntegratorConfig(min_step=1.0, max_step=0.5)
-
-    def test_bad_floor(self):
-        with pytest.raises(ConfigError):
-            IntegratorConfig(singularity_floor=0.0)

@@ -313,6 +313,13 @@ class TestCaptureScan:
         with pytest.raises(DomainError):
             capture_scan(sqrt_spec(5.0), 1.0, grid=np.array([-1.0, 1.0]), mirrored=False)
 
+    def test_singular_floor_exits_are_labelled_as_such(self):
+        # starts within 1e-9 of lambda(0) exit the frame batch at the
+        # singular floor at s = 0; no bisection refines a batch exit
+        grid = np.array([1e-10, 1e-9])
+        scan = capture_scan(sqrt_spec(5.0), 1.0, grid=grid, refine=False, mirrored=False)
+        assert [r.certificate for r in scan.reports] == ["singular_floor"] * 2
+
     def test_csv_export(self, tmp_path):
         scan = capture_scan(sqrt_spec(4.0), 1.0, refine=False, mirrored=False)
         out = tmp_path / "scan.csv"

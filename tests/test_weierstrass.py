@@ -49,6 +49,8 @@ class TestPartialSum:
             WeierstrassParams(b=1.0, N=2)
         with pytest.raises(DomainError):
             WeierstrassParams(b=4.0, N=0)
+        with pytest.raises(DomainError):
+            WeierstrassParams(b=4.0, N=2.5)
 
 
 class TestNormBound:
