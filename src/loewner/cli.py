@@ -111,7 +111,10 @@ def _parse_density(arg: str):
 def _cmd_trace(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
-    curve = hull_trace(spec, T, args.dt)
+    try:
+        curve = hull_trace(spec, T, args.dt)
+    except DomainError as exc:  # T and dt come from flags
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     curve.write_csv(out / "trace.csv")
     _write_meta(out / "trace.meta.json", "trace", spec, dt=curve.cell_step,
@@ -256,6 +259,8 @@ def _cmd_imag_eq(args) -> int:
 def _cmd_welding(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
+    if args.n < 3:
+        raise ConfigError(f"--n must be at least 3, got {args.n}")
     s_grid = np.linspace(0.05 * T, 0.9 * T, args.n)
     try:
         table = hull_welding(spec, T, s_grid, dt=args.dt)

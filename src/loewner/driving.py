@@ -188,7 +188,8 @@ class DrivingSpec:
         """Evaluate the driving function at scalar or array times."""
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
-        if np.any(arr < -1e-12 * self.T) or np.any(arr > self.T * (1 + 1e-12)):
+        # written so that a NaN time fails the range test
+        if not (np.all(arr >= -1e-12 * self.T) and np.all(arr <= self.T * (1 + 1e-12))):
             raise DomainError(
                 f"time outside [0, {self.T}]: {np.min(arr)}..{np.max(arr)}"
             )

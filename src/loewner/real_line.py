@@ -688,11 +688,23 @@ def _classify_frame_batch(
     nsteps = 0
     while st.t < s_horizon:
         if st.step() == "underflow":
-            # stalled: components at a collapsing gap exit singular,
-            # anything else is left undecided rather than mislabelled
-            code[live] = np.where(float(xi(st.t)) - st.y <= 10 * sing_floor, 2, 3)
-            s_exit[live] = st.t
-            break
+            # stalled: the stiffest components (smallest gap) exit singular
+            # when at the floor and the others go on with a fresh stepper;
+            # a stall with no live component at the floor leaves them all
+            # undecided rather than mislabelled
+            gap = float(xi(st.t)) - st.y
+            if gap.min() > 10 * sing_floor:
+                code[live] = 3
+                s_exit[live] = st.t
+                break
+            stiff = gap == gap.min()  # the field's stiffness is 4 / gap^2
+            code[live[stiff]] = 2
+            s_exit[live[stiff]] = st.t
+            live = live[~stiff]
+            if not live.size:
+                break
+            st = _Stepper(field, st.t, st.y[~stiff], s_horizon, cfg)
+            continue
         nsteps += 1
         y[live] = st.y
         xiv = float(xi(st.t))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from loewner.cli import main
 
@@ -74,11 +76,22 @@ class TestStrictness:
     def test_ile_outside_its_domain_exits_2(self, argv):
         assert run(["imag-eq", "ile"] + argv) == 2
 
-    @pytest.mark.parametrize("n", ["1", "2"])
+    @pytest.mark.parametrize("n", ["-1", "1", "2"])
     def test_welding_needs_three_points(self, n, tmp_path):
         assert run(["welding", "--driving", ZERO, "--dt", "1e-2", "--n", n,
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "welding.meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--dt", "0"],
+        ["--dt", "nan"],
+        ["--dt", "inf"],
+        ["--dt", "1e-2", "--T", "-1"],
+        ["--dt", "1e-2", "--T", "nan"],
+    ])
+    def test_trace_outside_its_domain_exits_2(self, argv, tmp_path, capsys):
+        assert run(["trace", "--driving", ZERO, "--out", str(tmp_path)] + argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")
@@ -164,3 +177,31 @@ class TestSubcommands:
         assert run(["imag-eq", "con1", "--const", "1.5", "--y0", "0.5",
                     "--out", str(tmp_path)]) == 0
         assert "vanishing" in capsys.readouterr().out
+
+
+# --dt and --T: the invalid values and a range that keeps the zipper below
+# 1000 cells on ZERO's domain [0, 1]
+STEPS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0]),
+    st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    """Every flag value ends in a documented exit code, never an exception."""
+
+    @FUZZ
+    @given(dt=STEPS, T=st.none() | STEPS)
+    def test_trace(self, dt, T, tmp_path):
+        argv = ["trace", "--driving", ZERO, f"--dt={dt!r}", "--out", str(tmp_path)]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(dt=STEPS, T=st.none() | STEPS, n=st.integers(-2, 6))
+    def test_welding(self, dt, T, n, tmp_path):
+        argv = ["welding", "--driving", ZERO, f"--dt={dt!r}", f"--n={n}",
+                "--out", str(tmp_path)]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)

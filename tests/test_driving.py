@@ -39,6 +39,15 @@ class TestEval:
         with pytest.raises(DomainError):
             sqrt_spec(1.0)(1.5)
 
+    @pytest.mark.parametrize("spec", [
+        DrivingSpec("constant", {"value": 0.0}, 1.0),
+        DrivingSpec("weierstrass_partial", {"c": 0.3, "b": 9.0, "N": 3}, 1.0),
+    ], ids=["constant", "weierstrass"])
+    @pytest.mark.parametrize("t", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "array"])
+    def test_nan_time_rejected(self, spec, t):
+        with pytest.raises(DomainError):
+            spec(t)
+
     def test_normalize_pins_origin(self):
         s = DrivingSpec("weierstrass_partial", {"c": 1.0, "b": 4.0, "N": 8}, 1.0,
                         normalize=True)

@@ -3,6 +3,8 @@ import pytest
 
 from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, shift
 from loewner.hull import (
+    _cells,
+    _inverse_slit_map,
     capacity_estimate,
     continuity_diagnostic,
     endpoint_experiment,
@@ -137,7 +139,67 @@ class TestTrace:
         assert out.read_text().splitlines()[0] == "t,re,im,cell_step"
 
 
+def complex_slit_root(x, y, u, h):
+    """Reference root: numpy's complex sqrt flipped into the upper half-plane,
+    with an on-axis root put on the side of u that w was on."""
+    seg = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float) - u
+    s = np.sqrt(seg * seg - 4.0 * h)
+    s = np.where(s.imag < 0.0, -s, s)
+    on_axis = (s.imag == 0.0) & (s.real != 0.0)
+    s = np.where(on_axis & (np.sign(seg.real) < 0), -s, s)
+    return u + s, int(np.count_nonzero(on_axis))
+
+
+def planar_slit_root(x, y, u, h):
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    work = [np.empty(x.size) for _ in range(4)] + [np.empty(x.size, dtype=bool)]
+    with np.errstate(invalid="ignore"):
+        nudges = _inverse_slit_map(x, y, u, h, work)
+    return x + 1j * y, nudges
+
+
+class TestPlanarKernel:
+    U, H = 0.3, 0.25  # the slit of the cell has its base at u +/- 2 sqrt(h) = u +/- 1
+
+    @pytest.mark.parametrize("d, y", [
+        ([1.0, -1.0], [0.0, 0.0]),  # zeta = 0
+        ([0.0, 0.0, 0.0, 0.5, -0.5], [0.0, 0.5, 2.0, 0.0, 0.0]),  # zeta < 0
+        ([3.0, 0.2, 1e-9, 40.0], [0.5, 2.0, 3.0, 1e-6]),  # Im zeta > 0, both branches
+        ([-3.0, -0.2, -1e-9, -40.0], [0.5, 2.0, 3.0, 1e-6]),  # Im zeta < 0
+        ([2.0, 5.0, -2.0], [0.0, 0.0, 0.0]),  # on the axis, both sides of u
+    ])
+    def test_root_matches_the_complex_reference(self, d, y):
+        x = self.U + np.asarray(d)
+        got, nudges = planar_slit_root(x, y, self.U, self.H)
+        ref, ref_nudges = complex_slit_root(x, y, self.U, self.H)
+        assert np.all(np.isfinite(got)) and np.all(got.imag >= 0.0)
+        assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref) + 1.0)
+        assert nudges == ref_nudges
+
+    @pytest.mark.parametrize("spec", [
+        DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=100),
+        DrivingSpec("weierstrass_partial", {"c": 0.3, "b": 9.0, "N": 3}, 1.0),
+        sqrt_spec(5.5),
+    ], ids=["brownian", "weierstrass", "sqrt_approach"])
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_trace_matches_the_complex_composition(self, spec, n):
+        _, hs, u = _cells(spec, 1.0, 1.0 / n)
+        w, nudges = u + 0j, 0
+        for k in range(u.size - 1, -1, -1):
+            w[k:], nd = complex_slit_root(w[k:].real, w[k:].imag, u[k], hs[k])
+            nudges += nd
+        c = trace(spec, 1.0, 1.0 / n)
+        assert np.max(np.abs(c.points[1:] - w)) <= 1e-12
+        assert c.nudges == nudges
+
+
 class TestSimplicity:
+    def test_step_that_does_not_divide_the_horizon(self):
+        # the dt and dt/2 traces end in short cells of different lengths;
+        # both end at T, where the refinement pairs them
+        rep = simplicity_diagnostic(ZERO, 0.7, 0.3)
+        assert rep.simple and rep.refinement_scale < 1e-9
+
     @pytest.mark.parametrize("c", [2.0, 3.0, 3.9])
     def test_subcritical_flagged_simple(self, c):
         rep = simplicity_diagnostic(sqrt_spec(c), 1.0, 2e-3)

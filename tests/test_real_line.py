@@ -320,6 +320,16 @@ class TestCaptureScan:
         scan = capture_scan(sqrt_spec(5.0), 1.0, grid=grid, refine=False, mirrored=False)
         assert [r.certificate for r in scan.reports] == ["singular_floor"] * 2
 
+    @pytest.mark.parametrize("grid", [[1e-12, 1.0, 4.5], [1e-10, 1e-7, 1.0]])
+    def test_a_stalled_start_does_not_decide_the_others(self, grid):
+        # the start nearest lambda(0) underflows the shared step at s = 0;
+        # every point must get the verdict it gets when scanned alone
+        def verdicts(g):
+            scan = capture_scan(sqrt_spec(5.0), 1.0, grid=g, refine=False, mirrored=False)
+            return [(r.status, r.capture_time, r.certificate) for r in scan.reports]
+
+        assert verdicts(grid) == [verdicts([x])[0] for x in grid]
+
     def test_csv_export(self, tmp_path):
         scan = capture_scan(sqrt_spec(4.0), 1.0, refine=False, mirrored=False)
         out = tmp_path / "scan.csv"
