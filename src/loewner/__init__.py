@@ -6,7 +6,7 @@ driving      driving-function zoo, Hölder norm and scaling estimates
 ode          adaptive Runge-Kutta engine with guarded event detection
 real_line    real Loewner equation, square-root frame, capture machinery
 imaginary    imaginary/transformed equations, vanishing classification
-hull         forward maps, capacity, trace reconstruction, welding
+hull         forward maps, capacity, trace reconstruction, welding, capture bracket
 weierstrass  Weierstrass driving: bounds, sweeps, quasislit pipeline
 acceptance   the quantitative acceptance suite (also `loewner verify`)
 """

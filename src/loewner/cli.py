@@ -259,6 +259,8 @@ def _cmd_imag_eq(args) -> int:
 def _cmd_welding(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
+    if not 0.0 < T < np.inf:
+        raise ConfigError(f"--T must be a positive finite number, got {T!r}")
     if args.n < 3:
         raise ConfigError(f"--n must be at least 3, got {args.n}")
     s_grid = np.linspace(0.05 * T, 0.9 * T, args.n)
@@ -310,11 +312,12 @@ def _cmd_weierstrass(args) -> int:
         return 0 if not bad else 1
     if args.action == "pipeline":
         p = WeierstrassParams(b=args.b, N=args.N or 4, c=args.c if args.c is not None else 0.05)
-        v = quasislit_pipeline(p, args.T or 1.0, dt=args.dt or 1e-3)
+        v = quasislit_pipeline(p, args.T or 1.0, dt=args.dt or 1e-3, compute_ratio_bound=True)
         print(
             f"margins: small {v.margin_small!r}, oscillation {v.margin_oscillation!r}; "
             f"simple: {v.simple}; ratio1 range: "
-            f"{None if v.welding_table is None else v.welding_table.ratio1_range}"
+            f"{None if v.welding_table is None else v.welding_table.ratio1_range}; "
+            f"M0: {v.ratio_bound!r}; ratio1 in [1/M0, M0]: {v.ratio1_contained}"
         )
         if args.out and v.welding_table is not None:
             v.welding_table.write_csv(out / "pipeline_welding.csv")

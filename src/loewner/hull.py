@@ -29,7 +29,8 @@ Welding: for a simple trace, g_T sends each curve point to two real prime
 ends.  Each point is seeded on the slit of its cell and carried through
 the later cells by the forward maps x -> u + sign(x - u) sqrt((x - u)^2 + 4 dt),
 giving the welding pairs (left(s), right(s)), which converge at O(dt), and
-the associated quasisymmetry statistics.
+the associated quasisymmetry statistics.  The capture bracket pushes the
+barrier start lambda(T) + C1 sqrt(T) through every cell by the same maps.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ __all__ = [
     "simplicity_diagnostic",
     "WeldingTable",
     "welding",
+    "BracketResult",
+    "capture_bracket",
     "continuity_diagnostic",
     "endpoint_experiment",
 ]
@@ -354,8 +357,28 @@ def simplicity_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# welding
+# welding and the capture bracket: real points pushed forward
 # ---------------------------------------------------------------------------
+
+
+def _push_forward(x, side, u, hs, live):
+    """Carry real points through the zipper cells in place.
+
+    Cell k maps the first live[k] columns of x (the points born before
+    it) by x -> u_k + side sqrt((x - u_k)^2 + 4 h_k), the exact forward
+    slit map on the real line; ``side`` gives each row's side of the
+    driving, -1 left and +1 right.  Returns (k, row, column) of the first
+    point met on the wrong side of u_k, or None when every point stays on
+    its side.
+    """
+    for k in range(u.size):
+        d = x[:, : live[k]] - u[k]
+        crossed = side * d <= 0
+        if np.any(crossed):
+            row, col = np.argwhere(crossed)[0]
+            return k, int(row), int(col)
+        x[:, : live[k]] = u[k] + side * np.sqrt(d * d + 4.0 * hs[k])
+    return None
 
 
 @dataclass
@@ -416,16 +439,13 @@ def welding(
     rest = edges[cell + 1] - s_grid
     jump = np.diff(u, append=u[-1])
     x = u[cell] + jump[cell] * (1.0 - rest / hs[cell]) + side * 2.0 * np.sqrt(rest)
-    for k in range(int(cell[0]) + 1, u.size):
-        d = x[:, : live[k]] - u[k]
-        crossed = side * d <= 0
-        if np.any(crossed):
-            row, col = np.argwhere(crossed)[0]
-            raise NumericalError(
-                f"welding {('left', 'right')[row]} point of s = {s_grid[col]} crossed "
-                f"the driving in cell {k}: the discrete curve is not simple there"
-            )
-        x[:, : live[k]] = u[k] + side * np.sqrt(d * d + 4.0 * hs[k])
+    crossing = _push_forward(x, side, u, hs, live)
+    if crossing is not None:
+        k, row, col = crossing
+        raise NumericalError(
+            f"welding {('left', 'right')[row]} point of s = {s_grid[col]} crossed "
+            f"the driving in cell {k}: the discrete curve is not simple there"
+        )
     left, right = x
     if np.any(left >= lam_T) or np.any(right <= lam_T):
         raise NumericalError("welding images crossed lambda(T); grid too close to T?")
@@ -448,6 +468,53 @@ def welding(
         ratio1_range=(float(np.min(ratio1)), float(np.max(ratio1))),
         ratio2_range=(float(q.min()), float(q.max())),
     )
+
+
+@dataclass
+class BracketResult:
+    x0: float
+    X_T: float
+    gap0: float
+    gap_T: float
+    bound: float
+    ratio_max: float
+
+
+def capture_bracket(
+    spec: DrivingSpec,
+    T: float,
+    C1: float,
+    dt: float = 1e-3,
+) -> BracketResult:
+    """Start at lambda(T) + C1 sqrt(T) and verify X(T) - lambda(T) < (C1+2) sqrt(T).
+
+    Requires |lambda(T) - lambda(t)| / sqrt(T - t) < C1 on [0, T), verified
+    on a grid clustered at T.  A small relative slack admits drivings that
+    attain the bound exactly; offsets stop at 1e-8 T where forming T - t
+    starts losing digits to cancellation.  X(T) is the start pushed through
+    every zipper cell of step dt by the exact forward slit maps, which is
+    exact for constant driving and O(dt) from the Loewner flow otherwise.
+    """
+    _, hs, u = _cells(spec, T, dt)
+    lam_T = float(spec(T))
+    dts = T * np.concatenate([np.linspace(1e-4, 1.0, 256), np.geomspace(1e-4, 1e-8, 256)])
+    ratios = np.abs(lam_T - spec(T - dts)) / np.sqrt(dts)
+    ratio_max = float(np.max(ratios))
+    if ratio_max > C1 + 1e-6 * max(1.0, C1):
+        bad = float(T - dts[int(np.argmax(ratios))])
+        raise PreconditionError(
+            f"|lambda(T)-lambda(t)|/sqrt(T-t) = {ratio_max:.6g} > C1 = {C1} at t = {bad}"
+        )
+    x0 = lam_T + C1 * np.sqrt(T)
+    x = np.array([[x0]])
+    if _push_forward(x, 1.0, u, hs, np.ones(u.size, dtype=int)) is not None:
+        raise NumericalError("bracket solution unexpectedly captured")
+    X_T = float(x[0, 0])
+    gap_T = X_T - lam_T
+    bound = (C1 + 2.0) * np.sqrt(T)
+    if not gap_T < bound:
+        raise NumericalError(f"bracket bound violated: gap {gap_T} >= {bound}")
+    return BracketResult(x0, X_T, C1 * np.sqrt(T), gap_T, bound, ratio_max)
 
 
 # ---------------------------------------------------------------------------

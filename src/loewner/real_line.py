@@ -35,7 +35,6 @@ from .driving import (
 )
 from .errors import (
     DomainError,
-    NumericalError,
     PreconditionError,
     ReconstructionError,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "driving_from_profile",
     "reconstruct_captured_pair",
     "no_capture_certificate",
-    "capture_bracket",
     "capture_scan",
     "scaling_bound_diagnostic",
     "sharp_oscillation",
@@ -265,9 +263,11 @@ def solve_real_loewner(
 
     path = integrate_until(fieldf, float(x0), (0.0, horizon), guard, guard_kind="capture")
     ev = path.event
-    if ev is not None and ev.kind == "capture":
+    if ev is not None and ev.kind == "capture" and ev.time > 0.0:
         report = CaptureReport(x0, "captured", ev.time, "event_bisection", horizon)
-    elif ev is not None and ev.kind == "blow_up":
+    elif ev is not None and ev.kind in ("capture", "blow_up"):
+        # x0 != lambda(0), so a capture at t = 0 is a step underflow at the
+        # start promoted by the guard, no more decided than a blow-up
         report = CaptureReport(x0, "undecided", None, "horizon_exhausted", path.terminal_time)
     else:
         report = CaptureReport(x0, "escaped", None, "horizon_exhausted", horizon)
@@ -600,55 +600,6 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
     threshold = float(np.asarray(xi(t1)))
     holds = bool(integral >= threshold - err - 1e-12)
     return NoCaptureCertificate(holds, integral, err, threshold, t1, t2)
-
-
-# ---------------------------------------------------------------------------
-# capture bracket (upper barrier comparison)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BracketResult:
-    x0: float
-    X_T: float
-    gap0: float
-    gap_T: float
-    bound: float
-    ratio_max: float
-
-
-def capture_bracket(
-    spec: DrivingSpec,
-    T: float,
-    C1: float,
-    n_check: int = 512,
-) -> BracketResult:
-    """Start at lambda(T) + C1 sqrt(T) and verify X(T) - lambda(T) < (C1+2) sqrt(T).
-
-    Requires |lambda(T) - lambda(t)| / sqrt(T - t) < C1 on [0, T), verified
-    on a grid clustered at T.  A small relative slack admits drivings that
-    attain the bound exactly; offsets stop at 1e-8 T where forming T - t
-    starts losing digits to cancellation.
-    """
-    lam_T = float(spec(T))
-    dts = T * np.concatenate([np.linspace(1e-4, 1.0, n_check // 2), np.geomspace(1e-4, 1e-8, n_check // 2)])
-    ratios = np.abs(lam_T - spec(T - dts)) / np.sqrt(dts)
-    ratio_max = float(np.max(ratios))
-    if ratio_max > C1 + 1e-6 * max(1.0, C1):
-        bad = float(T - dts[int(np.argmax(ratios))])
-        raise PreconditionError(
-            f"|lambda(T)-lambda(t)|/sqrt(T-t) = {ratio_max:.6g} > C1 = {C1} at t = {bad}"
-        )
-    x0 = lam_T + C1 * np.sqrt(T)
-    path, report = solve_real_loewner(spec, x0, T)
-    if report.status == "captured":
-        raise NumericalError("bracket solution unexpectedly captured")
-    X_T = float(np.asarray(path.terminal_value))
-    gap_T = X_T - lam_T
-    bound = (C1 + 2.0) * np.sqrt(T)
-    if not gap_T < bound:
-        raise NumericalError(f"bracket bound violated: gap {gap_T} >= {bound}")
-    return BracketResult(x0, X_T, C1 * np.sqrt(T), gap_T, bound, ratio_max)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ import numpy as np
 
 from .driving import DrivingSpec, check_weierstrass_order, holder_half_norm
 from .errors import DomainError, NumericalError, PreconditionError
-from .hull import SimplicityReport, WeldingTable, simplicity_diagnostic, welding
+from .hull import SimplicityReport, WeldingTable, capture_bracket, simplicity_diagnostic, welding
 from .ode import integrate
-from .real_line import capture_bracket
 
 __all__ = [
     "WeierstrassParams",
@@ -204,7 +203,6 @@ def quasislit_pipeline(
     dt: float = 1e-3,
     n_weld: int = 12,
     compute_ratio_bound: bool = False,
-    run_welding: bool = True,
 ) -> QuasislitVerdict:
     """Hypothesis margins, trace simplicity, and welding statistics.
 
@@ -214,10 +212,12 @@ def quasislit_pipeline(
     bb < a + 4/a.  Since x + 4/x decreases below 2, the true oscillation
     exponents then satisfy the same inequalities.  With
     ``compute_ratio_bound`` the welding ratio is checked against
-    M0 = (C1 + 2)/C2 built from the barrier runs.
+    M0 = (C1 + 2)/C2.  C1 is at least the largest square-root increment
+    on the capture bracket's grid, and the bracket checks the upper barrier
+    on the zipper cells of step dt; C2 comes from the comparison flow.
     """
-    a_bound = p.c * offset_constant(p.b)
-    b_bound = p.c * norm_constant(p.b)
+    a_bound = float(p.c * offset_constant(p.b))
+    b_bound = float(p.c * norm_constant(p.b))
     m_small = 2.0 - a_bound
     m_osc = (a_bound + 4.0 / a_bound) - b_bound if a_bound > 0 else np.inf
     if m_small <= 0 or m_osc <= 0:
@@ -233,13 +233,13 @@ def quasislit_pipeline(
     table = None
     m0 = None
     contained = None
-    if simp.simple and run_welding:
+    if simp.simple:
         s_grid = np.linspace(0.05 * T, 0.9 * T, n_weld)
         table = welding(spec, T, s_grid, dt=dt, check_simple=False)
         if compute_ratio_bound:
-            C1 = capture_bracket(spec, T, b_bound * 1.001).ratio_max
+            C1 = capture_bracket(spec, T, b_bound * 1.001, dt=dt).ratio_max
             C2 = comparison_constant(b_bound)
-            m0 = (max(C1, b_bound) + 2.0) / C2
+            m0 = float((max(C1, b_bound) + 2.0) / C2)
             r1 = np.asarray(table.ratio1)
             contained = bool(np.all((r1 >= 1.0 / m0) & (r1 <= m0)))
     return QuasislitVerdict(

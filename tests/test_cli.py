@@ -93,6 +93,12 @@ class TestStrictness:
         assert run(["trace", "--driving", ZERO, "--out", str(tmp_path)] + argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("T", ["inf", "-inf", "nan", "0"])
+    @pytest.mark.filterwarnings("error")
+    def test_welding_horizon_checked_before_the_grid(self, T, tmp_path, capsys):
+        assert run(["welding", "--driving", ZERO, f"--T={T}", "--out", str(tmp_path)]) == 2
+        assert "--T must be a positive finite number" in capsys.readouterr().err
+
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")
         assert run(["verify", "--only", "5"]) == 2
@@ -138,6 +144,14 @@ class TestSubcommands:
         lines = (tmp_path / "weierstrass_checks.csv").read_text().splitlines()
         assert lines[0] == "b,N,c,check,margin,verdict"
         assert all(l.endswith("pass") for l in lines[1:])
+
+    def test_weierstrass_pipeline_reports_the_ratio_bound(self, capsys):
+        assert run(["weierstrass", "pipeline", "--b", "16", "--N", "2", "--c", "0.3",
+                    "--dt", "5e-3"]) == 0
+        out = capsys.readouterr().out
+        m0 = float(out.split("M0: ")[1].split(";")[0])
+        assert m0 > 1.0
+        assert "ratio1 in [1/M0, M0]: True" in out
 
     def test_weierstrass_check_jobs(self, tmp_path):
         assert run(["weierstrass", "check", "--b", "16", "--jobs", "2",

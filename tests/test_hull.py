@@ -6,6 +6,7 @@ from loewner.hull import (
     _cells,
     _inverse_slit_map,
     capacity_estimate,
+    capture_bracket,
     continuity_diagnostic,
     endpoint_experiment,
     forward_map,
@@ -15,8 +16,8 @@ from loewner.hull import (
     welding,
 )
 from loewner.ode import integrate
-from loewner.real_line import capture_scan
-from loewner.weierstrass import WeierstrassParams
+from loewner.real_line import capture_scan, solve_real_loewner
+from loewner.weierstrass import WeierstrassParams, norm_constant
 
 ZERO = DrivingSpec("constant", {"value": 0.0}, 2.0)
 
@@ -289,6 +290,65 @@ class TestWelding:
         out = tmp_path / "weld.csv"
         wt.write_csv(out)
         assert out.read_text().splitlines()[0] == "s,left,right,ratio1"
+
+
+class TestCaptureBracket:
+    def test_trivial_driving(self):
+        br = capture_bracket(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, 0.1)
+        assert br.x0 == pytest.approx(0.1)
+        assert br.gap_T == pytest.approx(np.sqrt(4.01), abs=1e-6)
+        assert br.gap_T < 2.1
+
+    def test_boundary_hoelder_constant(self):
+        br = capture_bracket(sqrt_spec(4.0), 1.0, 4.0)
+        assert br.gap0 == pytest.approx(4.0)
+        assert br.gap_T < 6.0
+
+    def test_longer_horizon(self):
+        br = capture_bracket(DrivingSpec("constant", {"value": 0.0}, 4.0), 4.0, 1.0)
+        assert br.x0 == pytest.approx(2.0)
+        assert br.gap_T == pytest.approx(np.sqrt(20.0), abs=1e-6)
+        assert br.gap_T < 6.0
+
+    def test_hypothesis_violation_reported(self):
+        with pytest.raises(PreconditionError):
+            capture_bracket(sqrt_spec(4.0), 1.0, 3.0)
+
+    @pytest.mark.parametrize("b, N, c", [(9.0, 2, 0.35), (9.0, 3, 0.284), (16.0, 3, 0.45)])
+    def test_slit_bracket_converges_to_the_ode_flow(self, b, N, c):
+        # oracle: dX/dt = 2/(X - lambda) from the bracket start, as the
+        # Weierstrass pipeline sets it up
+        spec = WeierstrassParams(b=b, N=N, c=c).spec(1.0)
+        C1 = c * norm_constant(b) * 1.001
+        path, rep = solve_real_loewner(spec, float(spec(1.0)) + C1, 1.0)
+        assert rep.status == "escaped"
+        X_T = float(path.terminal_value)
+        errs = [abs(capture_bracket(spec, 1.0, C1, dt=dt).X_T - X_T) for dt in (2e-3, 1e-3)]
+        assert errs[1] < 1e-4
+        assert errs[0] > 1.5 * errs[1]
+
+    def test_driving_hidden_from_the_grid_breaks_the_barrier(self):
+        # zero at T and on every point of the precondition grid, tents in
+        # between: the grid sees no increment, yet the flow from 0.1 ends
+        # beyond (C1 + 2) sqrt(T) = 2.1 (solve_real_loewner gives 2.29504,
+        # the zipper 2.29537 at dt = 1e-3)
+        dts = np.concatenate([np.linspace(1e-4, 1.0, 256), np.geomspace(1e-4, 1e-8, 256)])
+        grid = np.unique(np.append(1.0 - dts, 1.0))
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        times = np.insert(grid, np.arange(1, grid.size), mids)
+        values = np.insert(np.zeros(grid.size), np.arange(1, grid.size),
+                           0.5 * np.sqrt(0.01 + 4.0 * mids))
+        spec = DrivingSpec("sampled", {"times": times.tolist(), "values": values.tolist()}, 1.0)
+        with pytest.raises(NumericalError, match="bracket bound violated"):
+            capture_bracket(spec, 1.0, 0.1)
+
+    def test_crossing_the_driving_raises(self):
+        # a spike over the cell edge t = 0.5 that falls between the points
+        # of the precondition grid jumps past the barrier point
+        spike = DrivingSpec("sampled", {"times": [0, 0.499, 0.4991, 0.5009, 0.501, 1],
+                                        "values": [0, 0, 10, 10, 0, 0]}, 1.0)
+        with pytest.raises(NumericalError, match="unexpectedly captured"):
+            capture_bracket(spike, 1.0, 1.0, dt=1e-2)
 
 
 class TestContinuityDiagnostic:

@@ -8,7 +8,6 @@ from loewner.real_line import (
     FRAME_FREEZE_S,
     FrameDriving,
     FrameMap,
-    capture_bracket,
     capture_scan,
     density_flags,
     driving_from_profile,
@@ -103,6 +102,17 @@ class TestRealEquation:
         path, rep = solve_real_loewner(spec, x0, 1.0)
         assert rep.status == "escaped"
         assert path.terminal_value - spec(1.0) > 0
+
+    def test_underflow_at_the_start_is_not_a_capture(self):
+        # a start off lambda(0) cannot be captured at t = 0; the step
+        # underflow there leaves the start undecided
+        _, rep = solve_real_loewner(sqrt_spec(5.0), 1e-7, 1.0)
+        assert rep.status == "undecided"
+        assert rep.certificate == "horizon_exhausted"
+        assert rep.capture_time is None
+        _, rep = solve_real_loewner(sqrt_spec(5.0), 2e-6, 1.0)
+        assert rep.status == "captured"
+        assert rep.capture_time == pytest.approx(1.0, abs=1e-6)
 
     def test_start_on_singularity_rejected(self):
         with pytest.raises(DomainError):
@@ -270,29 +280,6 @@ class TestNoCaptureCertificate:
         assert no_capture_certificate(xi, 0.0, t2).holds
         scan = capture_scan(spec, 1.0, refine=False, mirrored=False)
         assert scan.interval is None
-
-
-class TestCaptureBracket:
-    def test_trivial_driving(self):
-        br = capture_bracket(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, 0.1)
-        assert br.x0 == pytest.approx(0.1)
-        assert br.gap_T == pytest.approx(np.sqrt(4.01), abs=1e-6)
-        assert br.gap_T < 2.1
-
-    def test_boundary_hoelder_constant(self):
-        br = capture_bracket(sqrt_spec(4.0), 1.0, 4.0)
-        assert br.gap0 == pytest.approx(4.0)
-        assert br.gap_T < 6.0
-
-    def test_longer_horizon(self):
-        br = capture_bracket(DrivingSpec("constant", {"value": 0.0}, 4.0), 4.0, 1.0)
-        assert br.x0 == pytest.approx(2.0)
-        assert br.gap_T == pytest.approx(np.sqrt(20.0), abs=1e-6)
-        assert br.gap_T < 6.0
-
-    def test_hypothesis_violation_reported(self):
-        with pytest.raises(PreconditionError):
-            capture_bracket(sqrt_spec(4.0), 1.0, 3.0)
 
 
 class TestCaptureScan:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loewner import DomainError, PreconditionError
+from loewner import DomainError, PreconditionError, ode, weierstrass
 from loewner.weierstrass import (
     WeierstrassParams,
     comparison_constant,
@@ -98,10 +98,8 @@ class TestOffsetRatios:
 
 class TestPipeline:
     def test_margins_decrease_in_amplitude(self):
-        v1 = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.02), dt=5e-3,
-                                run_welding=False)
-        v2 = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.05), dt=5e-3,
-                                run_welding=False)
+        v1 = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.02), dt=5e-3)
+        v2 = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.05), dt=5e-3)
         assert v2.margin_small < v1.margin_small
         assert v2.margin_oscillation < v1.margin_oscillation
 
@@ -145,6 +143,30 @@ class TestPipeline:
         )
         assert v.ratio_bound is not None and v.ratio_bound > 1.0
         assert v.ratio1_contained
+
+    def test_ratio_bound_runs_no_ode_outside_the_comparison_flow(self, monkeypatch):
+        # the capture bracket runs on the zipper cells: every adaptive
+        # stepper the pipeline builds belongs to comparison_constant
+        inside, built = [False], {True: 0, False: 0}
+        init, compare = ode._Stepper.__init__, weierstrass.comparison_constant
+
+        def counting_init(self, *args, **kwargs):
+            built[inside[0]] += 1
+            init(self, *args, **kwargs)
+
+        def flagged_compare(*args, **kwargs):
+            inside[0] = True
+            try:
+                return compare(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ode._Stepper, "__init__", counting_init)
+        monkeypatch.setattr(weierstrass, "comparison_constant", flagged_compare)
+        v = quasislit_pipeline(WeierstrassParams(b=9.0, N=2, c=0.35), dt=2e-3,
+                               compute_ratio_bound=True)
+        assert v.ratio1_contained
+        assert built[True] > 0 and built[False] == 0
 
     def test_comparison_constant_positive_and_monotone(self):
         c1 = comparison_constant(0.5)
