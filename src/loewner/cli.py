@@ -127,7 +127,10 @@ def _cmd_capture_scan(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
     tol = args.tol if args.tol is not None else 1e-4
-    scan = capture_scan(spec, T, refine_tol=tol)
+    try:
+        scan = capture_scan(spec, T, refine_tol=tol)
+    except DomainError as exc:  # T and tol come from flags
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     scan.write_csv(out / "capture_scan.csv")
     _write_meta(out / "capture_scan.meta.json", "capture-scan", spec,
@@ -144,9 +147,16 @@ def _cmd_real_eq(args) -> int:
     if args.action == "hrle":
         spec = _load_driving(args.driving)
         T = args.T if args.T is not None else spec.T
-        frame = FrameMap(T=T, lambda_T=float(spec(T)))
-        xi = FrameDriving(spec, frame)
-        run = solve_frame_equation(xi, args.x0, args.horizon or 25.0)
+        horizon = 25.0 if args.horizon is None else args.horizon
+        if not 0.0 < horizon < np.inf:
+            raise ConfigError(f"--horizon must be a positive finite number, got {horizon!r}")
+        if args.x0 is None:
+            raise ConfigError("hrle needs --x0")
+        try:
+            xi = FrameDriving(spec, FrameMap(T=T, lambda_T=float(spec(T))))
+            run = solve_frame_equation(xi, args.x0, horizon)
+        except DomainError as exc:  # T and x0 come from flags
+            raise ConfigError(str(exc)) from exc
         _csv_rows(out / "hrle.csv", ["s", "x"],
                   [[repr(float(s)), repr(float(v))] for s, v in
                    zip(run.path.times, np.atleast_1d(run.path.values))])

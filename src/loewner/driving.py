@@ -80,6 +80,8 @@ class DrivingSpec:
     _sharp: SharpOscillation = field(init=False, repr=False, default=None)
     _base: "DrivingSpec" = field(init=False, repr=False, default=None)
     _offset: float = field(init=False, repr=False, default=0.0)
+    _bn: np.ndarray = field(init=False, repr=False, default=None)  # weierstrass b**n
+    _bw: np.ndarray = field(init=False, repr=False, default=None)  # weierstrass b**(-n/2)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -156,6 +158,9 @@ class DrivingSpec:
             if b <= 1.0:
                 raise DomainError("weierstrass frequency ratio b must exceed 1")
             check_weierstrass_order(p["N"])
+            bn = b ** np.arange(1, int(p["N"]) + 1)
+            object.__setattr__(self, "_bn", bn)
+            object.__setattr__(self, "_bw", bn**-0.5)
 
     # -- evaluation ------------------------------------------------------
 
@@ -170,10 +175,7 @@ class DrivingSpec:
             rem = np.maximum(self.T - t, 0.0)
             return c * (np.sqrt(self.T) - np.sqrt(rem))
         if fam == "weierstrass_partial":
-            c, b, N = float(p["c"]), float(p["b"]), int(p["N"])
-            n = np.arange(1, N + 1)
-            bn = b**n
-            return c * np.cos(np.multiply.outer(t, bn)) @ (bn**-0.5)
+            return float(p["c"]) * np.cos(np.multiply.outer(t, self._bn)) @ self._bw
         if fam in ("brownian", "sampled"):
             return np.interp(t, self._grid_t, self._grid_v)
         if fam == "sharp_example":
@@ -184,8 +186,20 @@ class DrivingSpec:
             return scale * self._base(t + r)
         raise AssertionError(fam)
 
+    def _raw_float(self, t: float) -> float:
+        """_raw at one float time: a composite passes it on to its base as a float."""
+        p = self.params
+        if self.family == "composite":
+            return float(p.get("scale", 1.0)) * self._base(t + float(p.get("t_offset", 0.0)))
+        return float(self._raw(np.array([t]))[0])
+
     def __call__(self, t):
         """Evaluate the driving function at scalar or array times."""
+        if isinstance(t, float):
+            # the float lane; written so that a NaN time fails the range test
+            if not -1e-12 * self.T <= t <= self.T * (1 + 1e-12):
+                raise DomainError(f"time outside [0, {self.T}]: {t}..{t}")
+            return self._raw_float(min(max(t, 0.0), self.T)) - self._offset
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         # written so that a NaN time fails the range test

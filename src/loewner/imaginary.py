@@ -153,8 +153,8 @@ def _stitch(paths: list[SolutionPath]) -> SolutionPath:
     times = np.concatenate([p.times if i == 0 else p.times[1:] for i, p in enumerate(paths)])
     values = np.concatenate([p.values if i == 0 else p.values[1:] for i, p in enumerate(paths)])
     last = paths[-1]
-    return SolutionPath(times, values, last.event,
-                        sum(p.nsteps for p in paths), sum(p.nrejected for p in paths))
+    return SolutionPath(times, values, last.event, sum(p.nsteps for p in paths),
+                        sum(p.nrejected for p in paths), sum(p.nfev for p in paths))
 
 
 def _classify_flow(

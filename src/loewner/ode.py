@@ -23,6 +23,7 @@ States may be scalars or 1-d arrays, real or complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -71,6 +72,7 @@ class SolutionPath:
     event: Optional[Event] = None
     nsteps: int = 0
     nrejected: int = 0
+    nfev: int = 0  # field evaluations, event bisection included
 
     @property
     def terminal_time(self) -> float:
@@ -82,26 +84,36 @@ class SolutionPath:
         return v.item() if np.ndim(v) == 0 or (np.ndim(v) == 1 and v.size == 1) else v
 
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau; row i of _AM weighs the stages before stage i
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_AM = np.zeros((7, 7))
+_AM[np.tril_indices(7, -1)] = (
+    1 / 5,
+    3 / 40, 9 / 40,
+    44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+)
+_A_ROWS = tuple(_AM[i, :i] for i in range(7))
+_B5 = _AM[6]  # the 5th-order weights are the last stage's input row (FSAL)
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
 
+# the smallest step, relative to |t|, that still moves t in double precision
+_TIME_RESOLUTION = 8 * np.finfo(float).eps
+
 
 class _Stepper:
-    """One integration run; owns the adaptive loop state."""
+    """One integration run; owns the adaptive loop state.
+
+    Scalar states run as 1-element arrays through the same code as batch
+    states.  The stage derivatives of an attempt fill the rows of one
+    array ``K`` whose row 0 is the FSAL derivative at the current point;
+    ``nfev`` counts every field evaluation, failed ones included.
+    """
 
     def __init__(self, field, t0, y0, t1, cfg: IntegratorConfig):
         self.f = field
@@ -114,25 +126,30 @@ class _Stepper:
         self.scalar = np.ndim(y0) == 0
         self.y = y.copy()
         self.scale0 = max(1.0, float(np.max(np.abs(y))))
-        self.k1 = self._eval(self.t, self.y)
-        if self.k1 is None:
+        self.nfev = 0
+        k1 = self._eval(self.t, self.y)
+        if k1 is None:
             raise DomainError(f"field not finite at the initial point t={t0}")
+        self.K = np.empty((7, y.size), dtype=np.result_type(y, k1, np.float64))
+        self.K[0] = k1
+        self.k1 = self.K[0]
         self.err_prev = 1.0
         self.h = self._initial_step()
         self.nsteps = 0
         self.nrejected = 0
 
     def _eval(self, t, y):
-        out = np.atleast_1d(np.asarray(self.f(t, y if not self.scalar else y[0])))
-        if not np.all(np.isfinite(out)):
+        out = self.f(t, y[0] if self.scalar else y)
+        self.nfev += 1
+        if type(out) is not np.ndarray or out.ndim != 1:
+            out = np.atleast_1d(np.asarray(out))
+        if not np.isfinite(out).all():
             return None
         return out
 
     def _norm(self, err, y_old, y_new):
-        sc = self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(
-            np.abs(y_old), np.abs(y_new)
-        )
-        return float(np.sqrt(np.mean(np.abs(err / sc) ** 2)))
+        r = err / (self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new)))
+        return math.sqrt(np.vdot(r, r).real / r.size)
 
     def _initial_step(self):
         span = self.t1 - self.t
@@ -143,7 +160,7 @@ class _Stepper:
         return float(np.clip(h0, 1e-8 * span, min(span, self.cfg.max_step)))
 
     def _min_step_at(self, t):
-        return max(self.cfg.min_step, 8 * np.finfo(float).eps * max(abs(t), 1e-3))
+        return max(self.cfg.min_step, _TIME_RESOLUTION * max(abs(t), 1e-3))
 
     def step(self, h_cap=np.inf):
         """Advance one accepted step; returns "ok" or "underflow"."""
@@ -153,59 +170,52 @@ class _Stepper:
             # snap to the endpoint rather than reporting an underflow
             self.t = self.t1
             return "ok"
+        K, t, y = self.K, self.t, self.y
         while True:
-            h_free = min(self.h, self.t1 - self.t, cfg.max_step)
-            if h_free <= self._min_step_at(self.t):
+            h_free = min(self.h, self.t1 - t, cfg.max_step)
+            if h_free <= self._min_step_at(t):
                 return "underflow"
             h = min(h_free, h_cap)
-            ks = [self.k1]
-            y_new = None
             for i in range(1, 7):
-                yi = self.y + h * sum(a * k for a, k in zip(_A[i], ks))
-                ki = self._eval(self.t + _C[i] * h, yi)
+                yi = y + h * (_A_ROWS[i] @ K[:i])
+                ki = self._eval(t + _C[i] * h, yi)
                 if ki is None:
                     break
-                ks.append(ki)
-                if i == 6:
-                    y_new = yi  # stage 7 input is the 5th-order solution
-            if y_new is None or len(ks) < 7:
-                self.h = h / 2
-                self.nrejected += 1
-                continue
-            err = h * sum(e * k for e, k in zip(_ERR, ks))
-            enorm = self._norm(err, self.y, y_new)
-            if not np.isfinite(enorm):
-                self.h = h / 2
-                self.nrejected += 1
-                continue
-            if enorm <= 1.0:
-                # PI controller (accepted)
-                fac = 0.9 * (enorm + 1e-16) ** -0.14 * (self.err_prev + 1e-16) ** 0.04
-                self.h = h * float(np.clip(fac, 0.2, 10.0))
-                self.err_prev = max(enorm, 1e-16)
-                self.t = self.t + h
-                self.y = y_new
-                self.k1 = ks[6]  # FSAL
-                self.nsteps += 1
-                if self.nsteps + self.nrejected > cfg.max_steps:
-                    raise NumericalError("max_steps exceeded")
-                return "ok"
-            self.h = h * float(np.clip(0.9 * enorm**-0.2, 0.1, 0.9))
+                K[i] = ki
+            else:
+                # stage 7 input is the 5th-order solution
+                enorm = self._norm(h * (_ERR @ K), y, yi)
+                if enorm <= 1.0:
+                    # PI controller (accepted)
+                    fac = 0.9 * (enorm + 1e-16) ** -0.14 * (self.err_prev + 1e-16) ** 0.04
+                    self.h = h * min(max(fac, 0.2), 10.0)
+                    self.err_prev = max(enorm, 1e-16)
+                    self.t = t + h
+                    self.y = yi
+                    K[0] = K[6]  # FSAL: self.k1 is this row
+                    self.nsteps += 1
+                    if self.nsteps + self.nrejected > cfg.max_steps:
+                        raise NumericalError("max_steps exceeded")
+                    return "ok"
+                if math.isfinite(enorm):
+                    self.h = h * min(max(0.9 * enorm**-0.2, 0.1), 0.9)
+                    self.nrejected += 1
+                    continue
+            # a stage or the error norm is not finite
+            self.h = h / 2
             self.nrejected += 1
 
     def state(self):
         return self.t, (self.y[0] if self.scalar else self.y.copy())
 
 
-def _advance(field, t0, y0, t1, cfg) -> tuple[float, object]:
+def _advance(field, t0, y0, t1, cfg) -> _Stepper:
     """Integrate without recording; used by event bisection."""
-    if t1 <= t0:
-        return t0, y0
     st = _Stepper(field, t0, y0, t1, cfg)
     while st.t < t1:
         if st.step() == "underflow":
             break
-    return st.state()
+    return st
 
 
 def _classify_underflow(t, y, guards, guard_vals, scale0, cfg):
@@ -221,21 +231,24 @@ def _classify_underflow(t, y, guards, guard_vals, scale0, cfg):
 
 def _bisect_event(field, t_lo, y_lo, g_lo, t_hi, guard, cfg):
     """Shrink [t_lo, t_hi] around the first sign change of guard."""
-    tol_w = max(0.25 * cfg.abs_tol, 8 * np.finfo(float).eps * max(1.0, abs(t_hi)))
+    tol_w = max(0.25 * cfg.abs_tol, _TIME_RESOLUTION * max(1.0, abs(t_hi)))
     g_mid = g_lo
+    nfev = 0
     for _ in range(90):
         if t_hi - t_lo <= tol_w:
             break
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid <= t_lo or t_mid >= t_hi:
             break
-        _, y_mid = _advance(field, t_lo, y_lo, t_mid, cfg)
+        st = _advance(field, t_lo, y_lo, t_mid, cfg)
+        nfev += st.nfev
+        y_mid = st.state()[1]
         g_mid = guard(t_mid, y_mid)
         if np.sign(g_mid) == np.sign(g_lo) and g_mid != 0.0:
             t_lo, y_lo, g_lo = t_mid, y_mid, g_mid
         else:
             t_hi = t_mid
-    return 0.5 * (t_lo + t_hi), float(abs(g_mid)), t_hi - t_lo, y_lo
+    return 0.5 * (t_lo + t_hi), float(abs(g_mid)), t_hi - t_lo, y_lo, nfev
 
 
 def integrate(
@@ -299,10 +312,11 @@ def integrate_until(
     values = [st.state()[1]]
     h_cap = (t1 - t0) / 50.0 if glist else np.inf
     event = None
+    bisect_nfev = 0
     stop_i = 0
 
     def land_tol(t):
-        return max(10 * cfg.min_step, 16 * np.finfo(float).eps * max(1.0, abs(t)))
+        return max(10 * cfg.min_step, 2 * _TIME_RESOLUTION * max(1.0, abs(t)))
 
     while st.t < t1:
         cap = h_cap
@@ -335,7 +349,7 @@ def integrate_until(
             g_prev[j] = g_now
         if fired is not None:
             j, g, kind = fired
-            t_ev, resid, width, y_ev = _bisect_event(
+            t_ev, resid, width, y_ev, bisect_nfev = _bisect_event(
                 field, t_prev, y_prev, g_prev[j], t_now, g, cfg
             )
             event = Event(kind, t_ev, resid, width)
@@ -358,4 +372,5 @@ def integrate_until(
         event=event,
         nsteps=st.nsteps,
         nrejected=st.nrejected,
+        nfev=st.nfev + bisect_nfev,
     )

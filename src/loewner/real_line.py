@@ -22,6 +22,7 @@ and that correspondence powers the reconstruction round trip below.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -68,6 +69,12 @@ CAPTURE_HORIZON_S = 25.0
 # C sqrt(T - t) returns C within 3.5e-5 (relative) up to s = 14 and
 # drifts to 2.6e-3 at s = 16 and 1.9e-2 at s = 17.
 FRAME_FREEZE_S = 14.0
+# math.exp overflows (and raises) just above this
+_EXP_MAX = 709.0
+# smallest capture_scan refine_tol: the refinement horizon 4/refine_tol is
+# then 4e12, far past where a run parks at its fixed point or exits, and a
+# finer bisection would resolve endpoints of order one below double precision
+REFINE_TOL_MIN = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +138,13 @@ class FrameDriving:
         lam_T = frame.lambda_T
         fam, p = spec.family, spec.params
         if fam == "constant":
-            self._amp = d * (lam_T - spec(0.0)) / np.sqrt(T)
+            self._amp = float(d * (lam_T - spec(0.0)) / np.sqrt(T))
             self._mode = "exp" if self._amp != 0.0 else "zero"
         elif fam == "linear":
             lam0 = spec(0.0)
             k = float(p["slope"])
             if abs(lam_T - (lam0 + k * T)) <= 1e-12 * max(1.0, abs(lam_T)):
-                self._amp = d * k * np.sqrt(T)
+                self._amp = float(d * k * np.sqrt(T))
                 self._mode = "decay"
         elif fam == "sqrt_approach":
             if (
@@ -160,6 +167,18 @@ class FrameDriving:
             self._generic = _rescaled(lambda t: d * (lam_T - spec(t)), T)
 
     def __call__(self, s):
+        if isinstance(s, float):
+            # the float lane of the closed forms; math.exp raises where
+            # np.exp overflows to inf, so the array path keeps that range
+            mode = self._mode
+            if mode == "zero":
+                return 0.0
+            if mode == "const":
+                return self._const
+            if mode == "decay" and s > -_EXP_MAX:
+                return self._amp * math.exp(-s)
+            if mode == "exp" and s < _EXP_MAX:
+                return self._amp * math.exp(s)
         s = np.asarray(s, dtype=float)
         scalar = not s.shape
         out = self._eval(np.atleast_1d(s))
@@ -821,6 +840,8 @@ def _refine_edge(pred, inside: float, outside: float, tol: float) -> float:
     lo, hi = inside, outside
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: tol is below their spacing
+            break
         if pred(mid):
             lo = mid
         else:
@@ -847,8 +868,13 @@ def capture_scan(
     the boundary resolves only like 1/s, so the refinement horizon scales
     with 1/refine_tol.  Endpoints inherit a one-cell uncertainty; whether
     the interval is open or closed at the far end is not decidable
-    numerically.
+    numerically.  ``refine_tol`` must be a finite number of at least
+    ``REFINE_TOL_MIN``.
     """
+    if not REFINE_TOL_MIN <= refine_tol < np.inf:
+        raise DomainError(
+            f"refine_tol must be a finite number >= {REFINE_TOL_MIN}, got {refine_tol!r}"
+        )
     member_tol = 1e-4 * T if member_tol is None else member_tol
     members, interval, reports, undecided, cell, note = _scan_one_side(
         spec, T, grid, s_horizon, member_tol, refine, refine_tol

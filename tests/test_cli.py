@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from loewner.cli import main
 
 ZERO = '{"family":"constant","params":{"value":0},"T":1}'
+# its frame driving is the constant xi = 5; the captured set is (0, 4]
+SQRT5 = '{"family":"sqrt_approach","params":{"c":5},"T":1}'
 
 
 def run(argv):
@@ -99,6 +101,43 @@ class TestStrictness:
         assert run(["welding", "--driving", ZERO, f"--T={T}", "--out", str(tmp_path)]) == 2
         assert "--T must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "0"],
+        ["--tol", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "1e-300"],
+        ["--T", "nan"],
+        ["--T", "0"],
+        ["--T", "2"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_capture_scan_outside_its_domain_exits_2(self, argv, tmp_path, capsys):
+        assert run(["capture-scan", "--driving", SQRT5, "--out", str(tmp_path)] + argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "capture_scan.meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--x0", "2", "--horizon", "nan"],
+        ["--x0", "2", "--horizon", "-1"],
+        ["--x0", "2", "--horizon", "0"],
+        ["--x0", "2", "--horizon", "inf"],
+        ["--x0", "nan"],
+        ["--x0", "inf"],
+        ["--x0", "0"],
+        ["--x0", "5"],
+        ["--x0", "-1"],
+        ["--x0", "2", "--T", "2"],
+        ["--x0", "2", "--T", "nan"],
+        ["--x0", "2", "--T", "0"],
+        [],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_hrle_outside_its_domain_exits_2(self, argv, tmp_path, capsys):
+        assert run(["real-eq", "hrle", "--driving", SQRT5, "--out", str(tmp_path)] + argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "hrle.csv").exists()
+
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")
         assert run(["verify", "--only", "5"]) == 2
@@ -131,8 +170,7 @@ class TestSubcommands:
         assert (tmp_path / "sharp_example.csv").exists()
 
     def test_capture_scan(self, tmp_path, capsys):
-        spec = '{"family":"sqrt_approach","params":{"c":5},"T":1}'
-        assert run(["capture-scan", "--driving", spec, "--out", str(tmp_path)]) == 0
+        assert run(["capture-scan", "--driving", SQRT5, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "capture interval" in out
         header = (tmp_path / "capture_scan.csv").read_text().splitlines()[0]
@@ -176,6 +214,13 @@ class TestSubcommands:
         assert run(["imag-eq", "ile", "--C", "1.5", "--y0", y0, "--T", "1"]) == 0
         assert "status: vanishing " in capsys.readouterr().out
 
+    def test_hrle_horizon_is_the_flag(self, tmp_path, capsys):
+        assert run(["real-eq", "hrle", "--driving", SQRT5, "--x0", "2", "--horizon", "3",
+                    "--out", str(tmp_path)]) == 0
+        assert "captured-candidate" in capsys.readouterr().out
+        rows = list(csv.DictReader(open(tmp_path / "hrle.csv")))
+        assert float(rows[-1]["s"]) == 3.0
+
     def test_figure_reference_lines(self, tmp_path):
         assert run(["figure", "--a", "1.5", "--k-max", "10",
                     "--out", str(tmp_path)]) == 0
@@ -212,6 +257,20 @@ class TestFuzz:
     def test_trace(self, dt, T, tmp_path):
         argv = ["trace", "--driving", ZERO, f"--dt={dt!r}", "--out", str(tmp_path)]
         assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(T=st.none() | STEPS | st.floats(1.0, 1e3), tol=st.none() | STEPS | st.floats(0.0, 1e-10))
+    def test_capture_scan(self, T, tol, tmp_path):
+        argv = ["capture-scan", "--driving", ZERO, "--out", str(tmp_path)]
+        argv += [] if T is None else [f"--T={T!r}"]
+        assert run(argv + ([] if tol is None else [f"--tol={tol!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(x0=st.sampled_from([float("nan"), float("inf"), float("-inf")]) | st.floats(-1.0, 6.0),
+           horizon=st.none() | STEPS | st.floats(1.0, 30.0))
+    def test_hrle(self, x0, horizon, tmp_path):
+        argv = ["real-eq", "hrle", "--driving", SQRT5, f"--x0={x0!r}", "--out", str(tmp_path)]
+        assert run(argv + ([] if horizon is None else [f"--horizon={horizon!r}"])) in (0, 1, 2)
 
     @FUZZ
     @given(dt=STEPS, T=st.none() | STEPS, n=st.integers(-2, 6))

@@ -53,6 +53,16 @@ class TestEval:
                         normalize=True)
         assert s(0.0) == 0.0
 
+    @pytest.mark.parametrize("c,b,N", [(1.0, 4.0, 8), (0.3, 9.0, 4), (0.05, 100.0, 4)])
+    def test_normalize_pins_origin_in_both_lanes(self, c, b, N):
+        # b = 9 and b = 100 weights are not powers of two, so a summation
+        # order that differs between the two lanes would show here
+        s = DrivingSpec("weierstrass_partial", {"c": c, "b": b, "N": N}, 1.0,
+                        normalize=True)
+        for spec in (s, s.reflected(), shift(s, 0.25, normalize=True)):
+            assert spec(0.0) == 0.0
+            assert spec(np.zeros(1))[0] == 0.0
+
     @pytest.mark.parametrize("family,params,seed", [
         ("constant", {"value": 0.7}, None),
         ("linear", {"slope": 2.0, "intercept": 0.1}, None),
@@ -69,6 +79,54 @@ class TestEval:
         gaps2 = np.abs(np.diff(np.asarray(s(t2))))
         assert np.max(gaps2) < np.max(gaps) + 1e-12
         assert np.max(gaps2) < 0.6  # no jumps at this resolution
+
+
+WEIER = DrivingSpec("weierstrass_partial", {"c": 0.3, "b": 9.0, "N": 4}, 1.0)
+EVERY_FAMILY = {
+    "constant": DrivingSpec("constant", {"value": 0.7}, 1.0),
+    "linear": DrivingSpec("linear", {"slope": 2.0, "intercept": 0.1}, 1.0),
+    "sqrt_approach": sqrt_spec(3.0),
+    "weierstrass": WEIER,
+    "weierstrass_N60_normalized": DrivingSpec(
+        "weierstrass_partial", {"c": 1.0, "b": 4.0, "N": 60}, 1.0, normalize=True),
+    "brownian": DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=5),
+    "sampled": DrivingSpec("sampled", {"times": [0.0, 0.4, 1.0], "values": [0.0, 1.0, -2.0]}, 1.0),
+    "sharp_example": DrivingSpec("sharp_example", {"a": 1.5}, 1.0),
+    "composite_reflected": WEIER.reflected(),
+    "composite_shifted": shift(WEIER, 0.25),
+}
+
+
+class TestFloatLane:
+    """A float time takes a scalar lane that must agree with the array path."""
+
+    @pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+    def test_float_time_matches_the_array_path(self, name):
+        spec = EVERY_FAMILY[name]
+        ts = np.linspace(0.0, spec.T, 997)
+        for t in ts.tolist() + [-1e-13 * spec.T, spec.T * (1 + 1e-13)]:
+            v = spec(t)
+            assert type(v) is float
+            assert v == spec(np.array([t]))[0]
+
+    def test_numpy_float_takes_the_float_lane(self, monkeypatch):
+        # only the array path runs a composite's own _raw
+        raw = DrivingSpec._raw
+
+        def array_path(self, t):
+            if self.family == "composite":
+                raise AssertionError("array path taken")
+            return raw(self, t)
+
+        monkeypatch.setattr(DrivingSpec, "_raw", array_path)
+        spec = EVERY_FAMILY["composite_shifted"]
+        assert spec(np.float64(0.3)) == spec(0.3)
+
+    @pytest.mark.parametrize("name", ["weierstrass", "composite_shifted", "sqrt_approach"])
+    @pytest.mark.parametrize("t", [np.nan, -1e-3, 1.01, np.inf, -np.inf])
+    def test_float_time_outside_the_domain_rejected(self, name, t):
+        with pytest.raises(DomainError):
+            EVERY_FAMILY[name](t)
 
 
 class TestBrownian:

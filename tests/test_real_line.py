@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from loewner import DomainError, DrivingSpec, PreconditionError
 from loewner.real_line import (
     FRAME_FREEZE_S,
+    REFINE_TOL_MIN,
     FrameDriving,
     FrameMap,
     capture_scan,
@@ -21,6 +22,7 @@ from loewner.real_line import (
     solve_frame_equation,
     solve_real_loewner,
     speed_condition_report,
+    _refine_edge,
 )
 
 
@@ -72,6 +74,32 @@ class TestFrame:
         assert xi._mode == "generic"
         s = np.linspace(0.0, FRAME_FREEZE_S, 281)
         assert np.max(np.abs(xi(s) - C)) <= 1e-4 * C
+
+    @pytest.mark.parametrize("mode, spec, frame", [
+        pytest.param("zero", ZOO[0], None, id="zero"),
+        pytest.param("const", sqrt_spec(4.0), None, id="const"),
+        pytest.param("decay", ZOO[1], None, id="decay"),
+        pytest.param("exp", ZOO[0], FrameMap(T=1.0, lambda_T=0.5), id="exp"),
+        pytest.param("sharp", DrivingSpec("sharp_example", {"a": 1.5}, 1.0), None, id="sharp"),
+        pytest.param("generic", ZOO[3], None, id="generic"),
+    ])
+    def test_float_lane_matches_the_array_path(self, mode, spec, frame):
+        xi = FrameDriving(spec, frame or frame_for(spec))
+        assert xi._mode == mode
+        for s in np.linspace(0.0, 30.0, 301).tolist():
+            v = xi(s)
+            assert type(v) is float
+            assert abs(v - xi(np.array([s]))[0]) <= 4 * np.finfo(float).eps * max(1.0, abs(v))
+
+    def test_numpy_float_takes_the_float_lane(self, monkeypatch):
+        spec = sqrt_spec(4.0)
+        xi = FrameDriving(spec, frame_for(spec))
+
+        def array_path(self, s):
+            raise AssertionError("array path taken")
+
+        monkeypatch.setattr(FrameDriving, "_eval", array_path)
+        assert xi(np.float64(2.5)) == 4.0
 
     @pytest.mark.parametrize("spec", ZOO, ids=[s.family for s in ZOO])
     def test_roundtrip_through_frame(self, spec):
@@ -316,6 +344,16 @@ class TestCaptureScan:
             return [(r.status, r.capture_time, r.certificate) for r in scan.reports]
 
         assert verdicts(grid) == [verdicts([x])[0] for x in grid]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, 1e-300, 0.5 * REFINE_TOL_MIN])
+    def test_refine_tol_outside_its_range_rejected(self, tol):
+        with pytest.raises(DomainError, match="refine_tol"):
+            capture_scan(sqrt_spec(5.0), 1.0, refine_tol=tol, mirrored=False)
+
+    def test_edge_bisection_stops_at_adjacent_doubles(self):
+        # the spacing of doubles near 4e4 is 7.3e-12, above the tolerance
+        edge = _refine_edge(lambda x: x <= 4e4 + 0.3, 3e4, 5e4, REFINE_TOL_MIN)
+        assert edge == pytest.approx(4e4 + 0.3, abs=1e-11)
 
     def test_csv_export(self, tmp_path):
         scan = capture_scan(sqrt_spec(4.0), 1.0, refine=False, mirrored=False)
