@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all, run_one
 from .driving import DrivingSpec, spec_from_json, spec_to_config
-from .errors import ConfigError, DomainError, LoewnerError
+from .errors import ConfigError, DomainError, LoewnerError, NumericalError
 from .hull import trace as hull_trace
 from .hull import welding as hull_welding
 from .imaginary import (
@@ -88,6 +88,31 @@ def _csv_rows(path: Path, header, rows):
             w.writerow(r)
 
 
+def _positive(value, default: float, flag: str) -> float:
+    """The flag's value, or ``default`` when it is absent; exit 2 unless positive and finite."""
+    v = default if value is None else value
+    if not 0.0 < v < np.inf:
+        raise ConfigError(f"{flag} must be a positive finite number, got {v!r}")
+    return v
+
+
+@contextmanager
+def _flag_domain():
+    """Classify a run whose inputs all come from flags.
+
+    A DomainError is a usage error (exit 2).  A floating-point overflow,
+    invalid operation or division by zero raises, as a NumericalError
+    (exit 1), instead of carrying an inf or NaN into the printed result.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise NumericalError(f"floating-point failure: {exc}") from exc
+
+
 def _parse_density(arg: str):
     try:
         d = json.loads(arg)
@@ -147,9 +172,7 @@ def _cmd_real_eq(args) -> int:
     if args.action == "hrle":
         spec = _load_driving(args.driving)
         T = args.T if args.T is not None else spec.T
-        horizon = 25.0 if args.horizon is None else args.horizon
-        if not 0.0 < horizon < np.inf:
-            raise ConfigError(f"--horizon must be a positive finite number, got {horizon!r}")
+        horizon = _positive(args.horizon, 25.0, "--horizon")
         if args.x0 is None:
             raise ConfigError("hrle needs --x0")
         try:
@@ -181,13 +204,13 @@ def _cmd_real_eq(args) -> int:
         return 0
     if args.action == "operator-f":
         phi = _parse_density(args.density)
-        grid = np.linspace(0.0, args.horizon or 10.0, 501)
+        grid = np.linspace(0.0, _positive(args.horizon, 10.0, "--horizon"), 501)
         Phi, _ = profile_from_density(phi, grid)
         xi = driving_from_profile(Phi, grid)
         _csv_rows(out / "operator_f.csv", ["s", "Phi", "xi"],
                   [[repr(float(a)), repr(float(b)), repr(float(c))]
                    for a, b, c in zip(grid, Phi, xi)])
-        print(f"xi(0) = {xi[0]!r} -> {out / 'operator_f.csv'}")
+        print(f"xi(0) = {float(xi[0])!r} -> {out / 'operator_f.csv'}")
         return 0
     if args.action == "sharp-example":
         osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
@@ -201,9 +224,7 @@ def _cmd_real_eq(args) -> int:
 
 def _theta_from_args(args):
     """The gap theta, its horizon T and its closed-form frame gap eta."""
-    T = args.T if args.T is not None else 1.0
-    if not 0.0 < T < np.inf:
-        raise ConfigError(f"--T must be a positive finite number, got {T!r}")
+    T = _positive(args.T, 1.0, "--T")
     if args.C is not None:
         C = args.C
         if not C >= 0.0:
@@ -247,9 +268,10 @@ def _cmd_imag_eq(args) -> int:
             raise ConfigError(f"{args.action} needs --const for the gap driving")
         v = args.const
         eta = lambda s: v + 0.0 * np.asarray(s, dtype=float)
-        y0 = args.y0
+        horizon = _positive(args.horizon, 40.0, "--horizon")
         solver = solve_frame_imaginary if args.action == "con1" else solve_frame_difference
-        path, cls = solver(eta, y0, args.horizon or 40.0)
+        with _flag_domain():
+            path, cls = solver(eta, args.y0, horizon)
         _csv_rows(out / f"{args.action}.csv", ["s", "y"],
                   [[repr(float(s)), repr(float(u))] for s, u in
                    zip(path.times, np.atleast_1d(path.values))])
@@ -268,9 +290,7 @@ def _cmd_imag_eq(args) -> int:
 
 def _cmd_welding(args) -> int:
     spec = _load_driving(args.driving)
-    T = args.T if args.T is not None else spec.T
-    if not 0.0 < T < np.inf:
-        raise ConfigError(f"--T must be a positive finite number, got {T!r}")
+    T = _positive(args.T, spec.T, "--T")
     if args.n < 3:
         raise ConfigError(f"--n must be at least 3, got {args.n}")
     s_grid = np.linspace(0.05 * T, 0.9 * T, args.n)
@@ -289,40 +309,39 @@ def _cmd_welding(args) -> int:
 
 def _cmd_weierstrass(args) -> int:
     out = _outdir(args)
+    T = _positive(args.T, 1.0, "--T")
     if args.action == "check":
         default_N = [1, 2, 4, 8, 16, 32] if args.paper_scale else [1, 2, 4, 8]
         default_b = [9.0, 16.0, 25.0, 36.0, 64.0, 100.0] if args.paper_scale else [9.0, 16.0, 25.0, 100.0]
         bs = [args.b] if args.b is not None else default_b
         Ns = [args.N] if args.N is not None else default_N
-        c = args.c if args.c is not None else 1.0
-        jobs = max(1, args.jobs or 1)
-        combos = [(b, N) for b in bs for N in Ns]
-
-        def check_one(combo):
-            b, N = combo
-            p = WeierstrassParams(b=b, N=N, c=c)
-            rn = norm_bound_check(p)
-            ro = offset_ratio_check(p, args.T or 1.0, range(2, 9))
-            return [
-                {"b": b, "N": N, "c": c, "check": "norm",
-                 "margin": rn.bound - rn.estimate, "verdict": "pass" if rn.ok else "fail"},
-                {"b": b, "N": N, "c": c, "check": "offset",
-                 "margin": ro.bound - ro.max_ratio, "verdict": "pass" if ro.ok else "fail"},
-            ]
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                chunks = list(ex.map(check_one, combos))
-        else:
-            chunks = [check_one(cb) for cb in combos]
-        rows = [r for ch in chunks for r in ch]
+        # both bounds scale with c, and the offset bound is strict: c = 0 would fail it
+        c = _positive(args.c, 1.0, "--c")
+        rows = []
+        for b in bs:
+            for N in Ns:
+                with _flag_domain():
+                    p = WeierstrassParams(b=b, N=N, c=c)
+                    rn = norm_bound_check(p)
+                    ro = offset_ratio_check(p, T, range(2, 9))
+                rows += [
+                    {"b": b, "N": N, "c": c, "check": "norm",
+                     "margin": rn.bound - rn.estimate, "verdict": "pass" if rn.ok else "fail"},
+                    {"b": b, "N": N, "c": c, "check": "offset",
+                     "margin": ro.bound - ro.max_ratio, "verdict": "pass" if ro.ok else "fail"},
+                ]
         write_sweep_csv(out / "weierstrass_checks.csv", rows)
         bad = [r for r in rows if r["verdict"] != "pass"]
         print(f"{len(rows)} checks, {len(bad)} failures -> {out / 'weierstrass_checks.csv'}")
         return 0 if not bad else 1
     if args.action == "pipeline":
-        p = WeierstrassParams(b=args.b, N=args.N or 4, c=args.c if args.c is not None else 0.05)
-        v = quasislit_pipeline(p, args.T or 1.0, dt=args.dt or 1e-3, compute_ratio_bound=True)
+        if args.b is None:
+            raise ConfigError("pipeline needs --b")
+        dt = _positive(args.dt, 1e-3, "--dt")
+        with _flag_domain():
+            p = WeierstrassParams(b=args.b, N=4 if args.N is None else args.N,
+                                  c=0.05 if args.c is None else args.c)
+            v = quasislit_pipeline(p, T, dt=dt, compute_ratio_bound=True)
         print(
             f"margins: small {v.margin_small!r}, oscillation {v.margin_oscillation!r}; "
             f"simple: {v.simple}; ratio1 range: "
@@ -425,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="threads for check")
     p.add_argument("--paper-scale", action="store_true",
                    help="full sweep sizes (default is desk scale)")
     p.set_defaults(fn=_cmd_weierstrass)

@@ -165,10 +165,10 @@ def _classify_flow(
     s_cap: float = S_CAP_DEFAULT,
     margin: float = 1e-3,
 ) -> tuple[SolutionPath, VanishClassification]:
-    if y0 <= 0:
-        raise DomainError("initial value must be positive")
+    if not 0.0 < y0 < np.inf:
+        raise DomainError(f"initial value must be positive and finite, got {y0!r}")
     e0 = float(np.asarray(eta(0.0)))
-    if e0 < 0:
+    if not e0 >= 0:
         raise DomainError("gap driving must be nonnegative")
     field = _con1_field(eta) if kind == "height" else _con2_field(eta)
 
@@ -185,7 +185,9 @@ def _classify_flow(
     s, y = 0.0, float(y0)
     target = max(s_horizon, 10.0)
     while True:
-        seg = integrate_until(field, y, (s, s + 10.0), None, _FLOW_CONFIG, guards=guards)
+        seg = integrate_until(
+            field, y, (s, min(s + 10.0, target)), None, _FLOW_CONFIG, guards=guards
+        )
         paths.append(seg)
         ev = seg.event
         if ev is not None and ev.kind == "threshold":

@@ -44,11 +44,11 @@ class WeierstrassParams:
     c: float = 1.0  # amplitude >= 0
 
     def __post_init__(self):
-        if not self.b > 1.0:
-            raise DomainError("frequency ratio b must exceed 1")
+        if not 1.0 < self.b < np.inf:
+            raise DomainError(f"frequency ratio b must be a finite number above 1, got {self.b!r}")
         check_weierstrass_order(self.N)
-        if self.c < 0:
-            raise DomainError("amplitude must be nonnegative")
+        if not 0.0 <= self.c < np.inf:
+            raise DomainError(f"amplitude c must be a nonnegative finite number, got {self.c!r}")
 
     @property
     def tail_bound(self) -> float:

@@ -11,6 +11,7 @@ from loewner.cli import main
 ZERO = '{"family":"constant","params":{"value":0},"T":1}'
 # its frame driving is the constant xi = 5; the captured set is (0, 4]
 SQRT5 = '{"family":"sqrt_approach","params":{"c":5},"T":1}'
+DENSITY = '{"A": [1.0], "beta": [1.0]}'
 
 
 def run(argv):
@@ -54,6 +55,7 @@ class TestStrictness:
     @pytest.mark.parametrize("argv", [
         ["trace", "--driving", ZERO, "--dt", "1e-3", "--seed", "1"],
         ["capture-scan", "--driving", ZERO, "--jobs", "2"],
+        ["weierstrass", "check", "--b", "16", "--jobs", "2"],
     ])
     def test_flag_the_subcommand_does_not_read_exits_2(self, argv, tmp_path):
         assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -138,6 +140,65 @@ class TestStrictness:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "hrle.csv").exists()
 
+    @pytest.mark.parametrize("action", ["con1", "con2"])
+    @pytest.mark.parametrize("argv", [
+        ["--horizon", "nan"],
+        ["--horizon", "-1"],
+        ["--horizon", "0"],
+        ["--horizon", "inf"],
+        ["--y0", "nan"],
+        ["--y0", "inf"],
+        ["--y0", "0"],
+        ["--y0", "-1"],
+        ["--const", "nan"],
+        ["--const", "-1"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_con_outside_its_domain_exits_2(self, action, argv, tmp_path, capsys):
+        argv = ["imag-eq", action, "--const", "1.5", "--y0", "0.5", "--out", str(tmp_path)] + argv
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / f"{action}.csv").exists()
+
+    @pytest.mark.parametrize("horizon", ["nan", "-1", "0", "inf"])
+    @pytest.mark.filterwarnings("error")
+    def test_operator_f_outside_its_domain_exits_2(self, horizon, tmp_path, capsys):
+        assert run(["real-eq", "operator-f", "--density", DENSITY, f"--horizon={horizon}",
+                    "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "operator_f.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--b", "nan"],
+        ["check", "--b", "inf"],
+        ["check", "--b", "1"],
+        ["check", "--b", "16", "--N", "0"],
+        ["check", "--b", "16", "--c", "nan"],
+        ["check", "--b", "16", "--c", "inf"],
+        ["check", "--b", "16", "--c", "0"],
+        ["check", "--b", "16", "--T", "0"],
+        ["check", "--b", "16", "--T", "nan"],
+        ["pipeline"],
+        ["pipeline", "--b", "16", "--N", "2", "--T", "0"],
+        ["pipeline", "--b", "16", "--N", "2", "--dt", "0"],
+        ["pipeline", "--b", "16", "--N", "2", "--c", "nan"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_weierstrass_outside_its_domain_exits_2(self, argv, tmp_path, capsys):
+        assert run(["weierstrass"] + argv + ["--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "weierstrass_checks.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["imag-eq", "con1", "--const", "1.5", "--y0", "1e300"],
+        ["imag-eq", "con2", "--const", "1e-200", "--y0", "1"],
+        ["weierstrass", "check", "--b", "1e50", "--N", "8"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_floating_point_overflow_exits_1(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        assert "floating-point failure" in capsys.readouterr().err
+
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")
         assert run(["verify", "--only", "5"]) == 2
@@ -191,10 +252,6 @@ class TestSubcommands:
         assert m0 > 1.0
         assert "ratio1 in [1/M0, M0]: True" in out
 
-    def test_weierstrass_check_jobs(self, tmp_path):
-        assert run(["weierstrass", "check", "--b", "16", "--jobs", "2",
-                    "--out", str(tmp_path)]) == 0
-
     def test_sidecars_share_the_spec_hash(self, tmp_path):
         assert run(["trace", "--driving", ZERO, "--dt", "1e-2",
                     "--out", str(tmp_path)]) == 0
@@ -237,6 +294,23 @@ class TestSubcommands:
                     "--out", str(tmp_path)]) == 0
         assert "vanishing" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("action", ["con1", "con2"])
+    def test_con_horizon_is_the_flag(self, action, tmp_path, capsys):
+        # both flows decay from 0.5 under the constant gap 1.5, so the
+        # trend verdict fires at the first horizon
+        assert run(["imag-eq", action, "--const", "1.5", "--y0", "0.5", "--horizon", "25",
+                    "--out", str(tmp_path)]) == 0
+        assert "status: vanishing " in capsys.readouterr().out
+        rows = list(csv.DictReader(open(tmp_path / f"{action}.csv")))
+        assert float(rows[-1]["s"]) == 25.0
+
+    def test_operator_f_horizon_is_the_flag(self, tmp_path, capsys):
+        assert run(["real-eq", "operator-f", "--density", DENSITY, "--horizon", "3",
+                    "--out", str(tmp_path)]) == 0
+        assert "np.float64" not in capsys.readouterr().out
+        rows = list(csv.DictReader(open(tmp_path / "operator_f.csv")))
+        assert float(rows[-1]["s"]) == 3.0
+
 
 # --dt and --T: the invalid values and a range that keeps the zipper below
 # 1000 cells on ZERO's domain [0, 1]
@@ -277,4 +351,26 @@ class TestFuzz:
     def test_welding(self, dt, T, n, tmp_path):
         argv = ["welding", "--driving", ZERO, f"--dt={dt!r}", f"--n={n}",
                 "--out", str(tmp_path)]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(action=st.sampled_from(["con1", "con2"]),
+           horizon=st.none() | STEPS | st.floats(1.0, 100.0),
+           y0=st.sampled_from([float("nan"), float("inf"), float("-inf")]) | st.floats())
+    def test_con(self, action, horizon, y0, tmp_path):
+        argv = ["imag-eq", action, "--const", "1.5", f"--y0={y0!r}", "--out", str(tmp_path)]
+        assert run(argv + ([] if horizon is None else [f"--horizon={horizon!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(horizon=st.none() | STEPS | st.floats(1.0, 1e300))
+    def test_operator_f(self, horizon, tmp_path):
+        argv = ["real-eq", "operator-f", "--density", DENSITY, "--out", str(tmp_path)]
+        assert run(argv + ([] if horizon is None else [f"--horizon={horizon!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(b=st.sampled_from([float("nan"), float("inf"), 1.0]) | st.floats(),
+           N=st.integers(1, 8), c=st.none() | st.floats(), T=st.none() | STEPS | st.floats())
+    def test_weierstrass_check(self, b, N, c, T, tmp_path):
+        argv = ["weierstrass", "check", f"--b={b!r}", f"--N={N}", "--out", str(tmp_path)]
+        argv += [] if c is None else [f"--c={c!r}"]
         assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)

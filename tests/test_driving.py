@@ -19,6 +19,31 @@ def sqrt_spec(c, T=1.0):
     return DrivingSpec("sqrt_approach", {"c": c}, T)
 
 
+def all_pairs_norm(spec, grid):
+    """The Hölder quotient maximised over every pair of grid points."""
+    t = np.unique(np.asarray(grid, dtype=float))
+    v = np.asarray(spec(t))
+    later = np.tril(np.ones((t.size, t.size), dtype=bool), -1)
+    dt = np.subtract.outer(t, t)[later]
+    dv = np.subtract.outer(v, v)[later]
+    return float(np.max(np.abs(dv) / np.sqrt(dt)))
+
+
+UNIFORM = np.linspace(0.0, 1.0, 1001)
+# a unit rise over 500 points packed into [0.5, 0.5 + 1e-6], between two
+# sparse points: the largest quotient is the cluster's widest pair, at lag
+# 499, while every lag below it also has a step of about 0.5, so a stop
+# taken from the widest step of a lag would end the scan at lag 2
+RAMP_TIMES = np.concatenate([[0.0], 0.5 + np.linspace(0.0, 1e-6, 500), [1.0]])
+RAMP_VALUES = np.concatenate([[0.0], np.linspace(0.0, 1.0, 500), [1.0]])
+
+# criterion 11's (b, N) at c = 1, and the (b, N, c) of the six pipeline cases
+NORM_CHECK_SPECS = [(b, N, 1.0) for b in (9.0, 16.0, 25.0, 100.0) for N in (1, 2, 4, 8)] + [
+    (9.0, 2, 0.35), (9.0, 3, 0.284), (16.0, 2, 0.3), (16.0, 3, 0.45), (16.0, 4, 0.1),
+    (100.0, 4, 0.05),
+]
+
+
 class TestEval:
     def test_sqrt_approach_endpoints(self):
         s = sqrt_spec(4.0)
@@ -160,6 +185,34 @@ class TestHolderNorm:
         grid = np.linspace(0.0, 1.5, 3000)
         est = holder_half_norm(s, grid)
         assert est <= 16.0 / 3.0 + 2.0 / 0.75  # = 8.0
+
+    @pytest.mark.parametrize("b, N, c", NORM_CHECK_SPECS)
+    def test_scan_equals_all_pairs_on_the_norm_check_specs(self, b, N, c):
+        # norm_bound_check's window, on 1001 points instead of 4001
+        window = 2.0 * np.pi / b + 1.0
+        s = DrivingSpec("weierstrass_partial", {"c": c, "b": b, "N": N}, window + 1e-9)
+        grid = np.linspace(0.0, window, 1001)
+        assert holder_half_norm(s, grid) == all_pairs_norm(s, grid)
+
+    @pytest.mark.parametrize("spec, grid", [
+        (DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=100), UNIFORM),
+        (DrivingSpec("brownian", {"kappa": 6.0}, 1.0, seed=101), UNIFORM),
+        (DrivingSpec("sampled", {"times": UNIFORM.tolist(),
+                                 "values": np.sqrt(UNIFORM).tolist()}, 1.0), UNIFORM),
+        (DrivingSpec("sampled", {"times": RAMP_TIMES.tolist(),
+                                 "values": RAMP_VALUES.tolist()}, 1.0), RAMP_TIMES),
+    ], ids=["brownian2", "brownian6", "sqrt", "ramp"])
+    def test_scan_equals_all_pairs_on_sampled_drivings(self, spec, grid):
+        assert holder_half_norm(spec, grid) == all_pairs_norm(spec, grid)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60), st.integers(0, 30))
+    def test_scan_equals_all_pairs_on_unsorted_duplicated_grids(self, points, repeat):
+        s = DrivingSpec("weierstrass_partial", {"c": 0.5, "b": 9.0, "N": 3}, 1.0)
+        grid = points + points[:repeat][::-1]
+        if len(set(grid)) < 2:
+            return
+        assert holder_half_norm(s, grid) == all_pairs_norm(s, grid)
 
     def test_degenerate_grid(self):
         s = sqrt_spec(1.0)
