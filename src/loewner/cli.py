@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all, run_one
 from .driving import DrivingSpec, spec_from_json, spec_to_config
-from .errors import ConfigError, DomainError, LoewnerError, NumericalError
+from .errors import ConfigError, DomainError, LoewnerError, NumericalError, PreconditionError
 from .hull import trace as hull_trace
 from .hull import welding as hull_welding
 from .imaginary import (
@@ -96,6 +96,20 @@ def _positive(value, default: float, flag: str) -> float:
     return v
 
 
+def _floats(text: str) -> list[float]:
+    """A comma-separated list of numbers (argparse exits 2 on a bad entry)."""
+    return [float(x) for x in text.split(",")]
+
+
+@contextmanager
+def _from_flags():
+    """A DomainError raised on inputs that all come from flags is a usage error (exit 2)."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @contextmanager
 def _flag_domain():
     """Classify a run whose inputs all come from flags.
@@ -105,10 +119,8 @@ def _flag_domain():
     (exit 1), instead of carrying an inf or NaN into the printed result.
     """
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with _from_flags(), np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     except FloatingPointError as exc:
         raise NumericalError(f"floating-point failure: {exc}") from exc
 
@@ -130,16 +142,19 @@ def _parse_density(arg: str):
     return phi
 
 
+def _constant(v: float):
+    """The constant gap eta(s) = v."""
+    return lambda s: v + 0.0 * np.asarray(s, dtype=float)
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
 def _cmd_trace(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
-    try:
+    with _from_flags():  # T and dt come from flags
         curve = hull_trace(spec, T, args.dt)
-    except DomainError as exc:  # T and dt come from flags
-        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     curve.write_csv(out / "trace.csv")
     _write_meta(out / "trace.meta.json", "trace", spec, dt=curve.cell_step,
@@ -152,10 +167,8 @@ def _cmd_capture_scan(args) -> int:
     spec = _load_driving(args.driving)
     T = args.T if args.T is not None else spec.T
     tol = args.tol if args.tol is not None else 1e-4
-    try:
+    with _from_flags():  # T and tol come from flags
         scan = capture_scan(spec, T, refine_tol=tol)
-    except DomainError as exc:  # T and tol come from flags
-        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     scan.write_csv(out / "capture_scan.csv")
     _write_meta(out / "capture_scan.meta.json", "capture-scan", spec,
@@ -167,125 +180,124 @@ def _cmd_capture_scan(args) -> int:
     return 0
 
 
-def _cmd_real_eq(args) -> int:
+def _frame_driving(args) -> tuple[DrivingSpec, FrameDriving]:
+    """The driving of --driving and its frame driving at --T (default: its horizon)."""
+    spec = _load_driving(args.driving)
+    T = args.T if args.T is not None else spec.T
+    with _from_flags():
+        return spec, FrameDriving(spec, FrameMap(T=T, lambda_T=float(spec(T))))
+
+
+def _cmd_hrle(args) -> int:
+    spec, xi = _frame_driving(args)
+    horizon = _positive(args.horizon, 25.0, "--horizon")
+    with _from_flags():  # x0 comes from a flag
+        run = solve_frame_equation(xi, args.x0, horizon)
     out = _outdir(args)
-    if args.action == "hrle":
-        spec = _load_driving(args.driving)
-        T = args.T if args.T is not None else spec.T
-        horizon = _positive(args.horizon, 25.0, "--horizon")
-        if args.x0 is None:
-            raise ConfigError("hrle needs --x0")
-        try:
-            xi = FrameDriving(spec, FrameMap(T=T, lambda_T=float(spec(T))))
-            run = solve_frame_equation(xi, args.x0, horizon)
-        except DomainError as exc:  # T and x0 come from flags
-            raise ConfigError(str(exc)) from exc
-        _csv_rows(out / "hrle.csv", ["s", "x"],
-                  [[repr(float(s)), repr(float(v))] for s, v in
-                   zip(run.path.times, np.atleast_1d(run.path.values))])
-        _write_meta(out / "hrle.meta.json", "real-eq hrle", spec,
-                    classification=run.classification, exit_s=run.exit_s)
-        print(f"classification: {run.classification}")
-        return 0
-    if args.action == "g-test":
-        spec = _load_driving(args.driving)
-        T = args.T if args.T is not None else spec.T
-        xi = FrameDriving(spec, FrameMap(T=T, lambda_T=float(spec(T))))
+    _csv_rows(out / "hrle.csv", ["s", "x"],
+              [[repr(float(s)), repr(float(v))] for s, v in
+               zip(run.path.times, np.atleast_1d(run.path.values))])
+    _write_meta(out / "hrle.meta.json", "real-eq hrle", spec,
+                classification=run.classification, exit_s=run.exit_s)
+    print(f"classification: {run.classification}")
+    return 0
+
+
+def _cmd_g_test(args) -> int:
+    _, xi = _frame_driving(args)
+    with _from_flags():  # t1 and t2 come from flags
         cert = no_capture_certificate(xi, args.t1, args.t2)
-        print(f"holds: {cert.holds}  integral: {cert.integral!r}  threshold: {cert.threshold!r}")
-        return 0
-    if args.action == "operator-t":
-        phi = _parse_density(args.density)
-        ss = np.asarray([float(x) for x in args.s.split(",")])
+    print(f"holds: {cert.holds}  integral: {cert.integral!r}  threshold: {cert.threshold!r}")
+    return 0
+
+
+def _cmd_operator_t(args) -> int:
+    phi = _parse_density(args.density)
+    ss = np.asarray(args.s)
+    with _from_flags():  # the times come from a flag
         vals, err = profile_from_density(phi, ss)
-        for s, v in zip(ss, vals):
-            print(f"Phi({float(s)!r}) = {float(v)!r}")
-        print(f"quadrature error estimate: {float(err)!r}")
-        return 0
-    if args.action == "operator-f":
-        phi = _parse_density(args.density)
-        grid = np.linspace(0.0, _positive(args.horizon, 10.0, "--horizon"), 501)
+    for s, v in zip(ss, vals):
+        print(f"Phi({float(s)!r}) = {float(v)!r}")
+    print(f"quadrature error estimate: {float(err)!r}")
+    return 0
+
+
+def _cmd_operator_f(args) -> int:
+    phi = _parse_density(args.density)
+    grid = np.linspace(0.0, _positive(args.horizon, 10.0, "--horizon"), 501)
+    with _from_flags():  # the horizon comes from a flag
         Phi, _ = profile_from_density(phi, grid)
-        xi = driving_from_profile(Phi, grid)
-        _csv_rows(out / "operator_f.csv", ["s", "Phi", "xi"],
-                  [[repr(float(a)), repr(float(b)), repr(float(c))]
-                   for a, b, c in zip(grid, Phi, xi)])
-        print(f"xi(0) = {float(xi[0])!r} -> {out / 'operator_f.csv'}")
-        return 0
-    if args.action == "sharp-example":
+    xi = driving_from_profile(Phi, grid)
+    out = _outdir(args)
+    _csv_rows(out / "operator_f.csv", ["s", "Phi", "xi"],
+              [[repr(float(a)), repr(float(b)), repr(float(c))]
+               for a, b, c in zip(grid, Phi, xi)])
+    print(f"xi(0) = {float(xi[0])!r} -> {out / 'operator_f.csv'}")
+    return 0
+
+
+def _cmd_sharp_example(args) -> int:
+    with _from_flags():  # a and k_max come from flags
         osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
-        _csv_rows(out / "sharp_example.csv", ["s", "x", "xi"],
-                  [[repr(float(a)), repr(float(b)), repr(float(c))]
-                   for a, b, c in zip(ss, xs, xis)])
-        print(f"running_min: {rep['running_min']!r}  running_max: {rep['running_max']!r}")
-        return 0
-    raise ConfigError(f"unknown real-eq action {args.action!r}")
+    out = _outdir(args)
+    _csv_rows(out / "sharp_example.csv", ["s", "x", "xi"],
+              [[repr(float(a)), repr(float(b)), repr(float(c))]
+               for a, b, c in zip(ss, xs, xis)])
+    print(f"running_min: {rep['running_min']!r}  running_max: {rep['running_max']!r}")
+    return 0
 
 
-def _theta_from_args(args):
-    """The gap theta, its horizon T and its closed-form frame gap eta."""
+def _cmd_transition(args) -> int:
+    Cs = [args.C] if args.sweep is None else args.sweep
+    T = _positive(args.T, 1.0, "--T")
+    with _flag_domain():
+        results = [classify_sqrt_gap(C, T) for C in Cs]
+    for r in results:
+        print(f"C={r.C!r}: {r.status}" + (f"  witness_y0={r.witness_y0!r}" if r.witness_y0 else ""))
+    if args.out:
+        out = _outdir(args)
+        write_transition_csv(out / "transition.csv", results)
+        _write_meta(out / "transition.meta.json", "imag-eq transition", T=T)
+    return 0
+
+
+def _cmd_ile(args) -> int:
+    """The gap theta is C sqrt(T - t) (--C) or a constant (--const)."""
     T = _positive(args.T, 1.0, "--T")
     if args.C is not None:
         C = args.C
         if not C >= 0.0:
             raise ConfigError(f"--C must be a nonnegative gap constant, got {C!r}")
-        return (
-            lambda t: C * np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0)),
-            T,
-            lambda s: C + 0.0 * np.asarray(s, dtype=float),
-        )
-    if args.const is not None:
+        theta = lambda t: C * np.sqrt(np.maximum(T - np.asarray(t, dtype=float), 0.0))
+        eta = _constant(C)
+    else:
         v = args.const
-        return (
-            lambda t: v + 0.0 * np.asarray(t, dtype=float),
-            T,
-            lambda s: v * np.exp(s) / np.sqrt(T),
-        )
-    raise ConfigError("provide --C (square-root gap) or --const (constant gap)")
-
-
-def _cmd_imag_eq(args) -> int:
-    out = _outdir(args)
-    if args.action == "transition":
-        Cs = [args.C] if args.sweep is None else [float(x) for x in args.sweep.split(",")]
-        if Cs == [None]:
-            raise ConfigError("transition needs --C or --sweep")
-        T = args.T if args.T is not None else 1.0
-        results = [classify_sqrt_gap(C, T) for C in Cs]
-        for r in results:
-            print(f"C={r.C!r}: {r.status}" + (f"  witness_y0={r.witness_y0!r}" if r.witness_y0 else ""))
-        if args.out:
-            write_transition_csv(out / "transition.csv", results)
-            _write_meta(out / "transition.meta.json", "imag-eq transition", T=T)
-        return 0
-    if args.action == "ile":
-        theta, T, eta = _theta_from_args(args)
+        theta = _constant(v)
+        eta = lambda s: v * np.exp(s) / np.sqrt(T)
+    with _flag_domain():
         path, cls = solve_imaginary(theta, args.y0, T, frame_eta=eta)
-        print(f"status: {cls.status}  certificate: {cls.certificate}  witness: {cls.witness_time}")
-        return 0
-    if args.action in ("con1", "con2"):
-        if args.const is None:
-            raise ConfigError(f"{args.action} needs --const for the gap driving")
-        v = args.const
-        eta = lambda s: v + 0.0 * np.asarray(s, dtype=float)
-        horizon = _positive(args.horizon, 40.0, "--horizon")
-        solver = solve_frame_imaginary if args.action == "con1" else solve_frame_difference
-        with _flag_domain():
-            path, cls = solver(eta, args.y0, horizon)
-        _csv_rows(out / f"{args.action}.csv", ["s", "y"],
-                  [[repr(float(s)), repr(float(u))] for s, u in
-                   zip(path.times, np.atleast_1d(path.values))])
-        print(f"status: {cls.status}  certificate: {cls.certificate}")
-        return 0
-    if args.action == "lower-bound":
-        if args.const is None:
-            raise ConfigError("lower-bound needs --const")
-        v = args.const
-        eta = lambda s: v + 0.0 * np.asarray(s, dtype=float)
-        g = growth_floor(eta, args.t)
-        print(f"L({args.t!r}) = {g.value!r}  (error {g.error!r}, diverged {g.diverged})")
-        return 0
-    raise ConfigError(f"unknown imag-eq action {args.action!r}")
+    print(f"status: {cls.status}  certificate: {cls.certificate}  witness: {cls.witness_time}")
+    return 0
+
+
+def _cmd_con(args) -> int:
+    horizon = _positive(args.horizon, 40.0, "--horizon")
+    solver = solve_frame_imaginary if args.action == "con1" else solve_frame_difference
+    with _flag_domain():
+        path, cls = solver(_constant(args.const), args.y0, horizon)
+    out = _outdir(args)
+    _csv_rows(out / f"{args.action}.csv", ["s", "y"],
+              [[repr(float(s)), repr(float(u))] for s, u in
+               zip(path.times, np.atleast_1d(path.values))])
+    print(f"status: {cls.status}  certificate: {cls.certificate}")
+    return 0
+
+
+def _cmd_lower_bound(args) -> int:
+    with _flag_domain():
+        g = growth_floor(_constant(args.const), args.t)
+    print(f"L({args.t!r}) = {g.value!r}  (error {g.error!r}, diverged {g.diverged})")
+    return 0
 
 
 def _cmd_welding(args) -> int:
@@ -294,10 +306,8 @@ def _cmd_welding(args) -> int:
     if args.n < 3:
         raise ConfigError(f"--n must be at least 3, got {args.n}")
     s_grid = np.linspace(0.05 * T, 0.9 * T, args.n)
-    try:
+    with _from_flags():  # the grid, T and dt all come from flags
         table = hull_welding(spec, T, s_grid, dt=args.dt)
-    except DomainError as exc:  # the grid, T and dt all come from flags
-        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     table.write_csv(out / "welding.csv")
     _write_meta(out / "welding.meta.json", "welding", spec, dt=args.dt,
@@ -307,51 +317,56 @@ def _cmd_welding(args) -> int:
     return 0
 
 
-def _cmd_weierstrass(args) -> int:
-    out = _outdir(args)
+def _offset_check(p: WeierstrassParams, T: float):
+    """offset_ratio_check on the offsets of range(2, 9); one above T is a usage error."""
+    try:
+        return offset_ratio_check(p, T, range(2, 9))
+    except PreconditionError as exc:  # b and T come from flags
+        raise ConfigError(str(exc)) from exc
+
+
+def _cmd_weierstrass_check(args) -> int:
     T = _positive(args.T, 1.0, "--T")
-    if args.action == "check":
-        default_N = [1, 2, 4, 8, 16, 32] if args.paper_scale else [1, 2, 4, 8]
-        default_b = [9.0, 16.0, 25.0, 36.0, 64.0, 100.0] if args.paper_scale else [9.0, 16.0, 25.0, 100.0]
-        bs = [args.b] if args.b is not None else default_b
-        Ns = [args.N] if args.N is not None else default_N
-        # both bounds scale with c, and the offset bound is strict: c = 0 would fail it
-        c = _positive(args.c, 1.0, "--c")
-        rows = []
-        for b in bs:
-            for N in Ns:
-                with _flag_domain():
-                    p = WeierstrassParams(b=b, N=N, c=c)
-                    rn = norm_bound_check(p)
-                    ro = offset_ratio_check(p, T, range(2, 9))
-                rows += [
-                    {"b": b, "N": N, "c": c, "check": "norm",
-                     "margin": rn.bound - rn.estimate, "verdict": "pass" if rn.ok else "fail"},
-                    {"b": b, "N": N, "c": c, "check": "offset",
-                     "margin": ro.bound - ro.max_ratio, "verdict": "pass" if ro.ok else "fail"},
-                ]
-        write_sweep_csv(out / "weierstrass_checks.csv", rows)
-        bad = [r for r in rows if r["verdict"] != "pass"]
-        print(f"{len(rows)} checks, {len(bad)} failures -> {out / 'weierstrass_checks.csv'}")
-        return 0 if not bad else 1
-    if args.action == "pipeline":
-        if args.b is None:
-            raise ConfigError("pipeline needs --b")
-        dt = _positive(args.dt, 1e-3, "--dt")
-        with _flag_domain():
-            p = WeierstrassParams(b=args.b, N=4 if args.N is None else args.N,
-                                  c=0.05 if args.c is None else args.c)
-            v = quasislit_pipeline(p, T, dt=dt, compute_ratio_bound=True)
-        print(
-            f"margins: small {v.margin_small!r}, oscillation {v.margin_oscillation!r}; "
-            f"simple: {v.simple}; ratio1 range: "
-            f"{None if v.welding_table is None else v.welding_table.ratio1_range}; "
-            f"M0: {v.ratio_bound!r}; ratio1 in [1/M0, M0]: {v.ratio1_contained}"
-        )
-        if args.out and v.welding_table is not None:
-            v.welding_table.write_csv(out / "pipeline_welding.csv")
-        return 0 if v.simple else 1
-    raise ConfigError(f"unknown weierstrass action {args.action!r}")
+    default_N = [1, 2, 4, 8, 16, 32] if args.paper_scale else [1, 2, 4, 8]
+    default_b = [9.0, 16.0, 25.0, 36.0, 64.0, 100.0] if args.paper_scale else [9.0, 16.0, 25.0, 100.0]
+    bs = [args.b] if args.b is not None else default_b
+    Ns = [args.N] if args.N is not None else default_N
+    rows = []
+    for b in bs:
+        for N in Ns:
+            with _flag_domain():
+                p = WeierstrassParams(b=b, N=N, c=args.c)
+                rn = norm_bound_check(p)
+                ro = _offset_check(p, T)
+            rows += [
+                {"b": b, "N": N, "c": args.c, "check": "norm",
+                 "margin": rn.bound - rn.estimate, "verdict": "pass" if rn.ok else "fail"},
+                {"b": b, "N": N, "c": args.c, "check": "offset",
+                 "margin": ro.bound - ro.max_ratio, "verdict": "pass" if ro.ok else "fail"},
+            ]
+    out = _outdir(args)
+    write_sweep_csv(out / "weierstrass_checks.csv", rows)
+    bad = [r for r in rows if r["verdict"] != "pass"]
+    print(f"{len(rows)} checks, {len(bad)} failures -> {out / 'weierstrass_checks.csv'}")
+    return 0 if not bad else 1
+
+
+def _cmd_weierstrass_pipeline(args) -> int:
+    T = _positive(args.T, 1.0, "--T")
+    dt = _positive(args.dt, 1e-3, "--dt")
+    with _flag_domain():
+        p = WeierstrassParams(b=args.b, N=args.N, c=args.c)
+        _offset_check(p, T)
+        v = quasislit_pipeline(p, T, dt=dt, compute_ratio_bound=True)
+    print(
+        f"margins: small {v.margin_small!r}, oscillation {v.margin_oscillation!r}; "
+        f"simple: {v.simple}; ratio1 range: "
+        f"{None if v.welding_table is None else v.welding_table.ratio1_range}; "
+        f"M0: {v.ratio_bound!r}; ratio1 in [1/M0, M0]: {v.ratio1_contained}"
+    )
+    if args.out and v.welding_table is not None:
+        v.welding_table.write_csv(_outdir(args) / "pipeline_welding.csv")
+    return 0 if v.simple else 1
 
 
 def _cmd_verify(args) -> int:
@@ -367,7 +382,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
+    with _from_flags():  # a and k_max come from flags
+        osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
     a = args.a
     out = _outdir(args)
     _csv_rows(
@@ -390,73 +406,69 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, driving=False):
-        if driving:
-            p.add_argument("--driving", required=True, help="driving config JSON or path")
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
+    def command(parent, name, fn, *flags, help=None):
+        """A command or action that accepts exactly ``flags``, each a (name, keywords) pair."""
+        p = parent.add_parser(name, help=help)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("trace", help="reconstruct the trace curve")
-    common(p, driving=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.set_defaults(fn=_cmd_trace)
+    def actions(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    p = sub.add_parser("capture-scan", help="scan for points captured exactly at T")
-    common(p, driving=True)
-    p.add_argument("--tol", type=float, default=None, help="endpoint refinement tolerance")
-    p.set_defaults(fn=_cmd_capture_scan)
+    def number(flag, **kw):
+        return flag, dict(type=float, **kw)
 
-    p = sub.add_parser("real-eq", help="real-equation operations")
-    p.add_argument("action", choices=["hrle", "operator-t", "operator-f", "g-test", "sharp-example"])
-    common(p)
-    p.add_argument("--driving", required=False)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--t1", type=float, default=0.0)
-    p.add_argument("--t2", type=float, default=1.0)
-    p.add_argument("--density", type=str, default=None)
-    p.add_argument("--s", type=str, default="0.0")
-    p.add_argument("--a", type=float, default=1.5)
-    p.add_argument("--k-max", type=int, default=40)
-    p.set_defaults(fn=_cmd_real_eq)
+    driving = ("--driving", dict(required=True, help="driving config JSON or path"))
+    T, out, horizon = number("--T"), ("--out", {}), number("--horizon")
+    density = ("--density", dict(required=True, help='JSON {"A": [...], "beta": [...]}'))
+    sharp = (number("--a", default=1.5), ("--k-max", dict(type=int, default=40)))
+    const, y0 = number("--const", required=True), number("--y0", default=1.0)
 
-    p = sub.add_parser("imag-eq", help="imaginary-equation operations")
-    p.add_argument("action", choices=["ile", "con1", "con2", "transition", "lower-bound"])
-    common(p)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--const", type=float, default=None)
-    p.add_argument("--sweep", type=str, default=None)
-    p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--t", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_imag_eq)
+    command(sub, "trace", _cmd_trace, driving, T, out, number("--dt", required=True),
+            help="reconstruct the trace curve")
+    command(sub, "capture-scan", _cmd_capture_scan, driving, T, out,
+            number("--tol", help="endpoint refinement tolerance"),
+            help="scan for points captured exactly at T")
 
-    p = sub.add_parser("welding", help="conformal welding of a simple trace")
-    common(p, driving=True)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--n", type=int, default=16)
-    p.set_defaults(fn=_cmd_welding)
+    acts = actions("real-eq", "real-equation operations")
+    command(acts, "hrle", _cmd_hrle, driving, T, out, horizon, number("--x0", required=True))
+    command(acts, "g-test", _cmd_g_test, driving, T,
+            number("--t1", default=0.0), number("--t2", default=1.0))
+    command(acts, "operator-t", _cmd_operator_t, density,
+            ("--s", dict(type=_floats, default="0.0", help="comma-separated times")))
+    command(acts, "operator-f", _cmd_operator_f, density, out, horizon)
+    command(acts, "sharp-example", _cmd_sharp_example, *sharp, out)
 
-    p = sub.add_parser("weierstrass", help="Weierstrass bounds and pipeline")
-    p.add_argument("action", choices=["check", "pipeline"])
-    common(p)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="full sweep sizes (default is desk scale)")
-    p.set_defaults(fn=_cmd_weierstrass)
+    acts = actions("imag-eq", "imaginary-equation operations")
+    gap = command(acts, "ile", _cmd_ile, T, y0).add_mutually_exclusive_group(required=True)
+    gap.add_argument("--C", type=float, help="square-root gap C sqrt(T - t)")
+    gap.add_argument("--const", type=float, help="constant gap")
+    for name in ("con1", "con2"):
+        command(acts, name, _cmd_con, const, y0, out, horizon)
+    gap = command(acts, "transition", _cmd_transition, T, out).add_mutually_exclusive_group(
+        required=True)
+    gap.add_argument("--C", type=float)
+    gap.add_argument("--sweep", type=_floats, help="comma-separated values of C")
+    command(acts, "lower-bound", _cmd_lower_bound, const, number("--t", default=1.0))
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--only", type=int, default=None, help="run one criterion by number")
-    p.set_defaults(fn=_cmd_verify)
+    command(sub, "welding", _cmd_welding, driving, T, out, number("--dt", default=1e-3),
+            ("--n", dict(type=int, default=16)), help="conformal welding of a simple trace")
 
-    p = sub.add_parser("figure", help="oscillating-example data with reference lines")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--a", type=float, default=1.5)
-    p.add_argument("--k-max", type=int, default=40)
-    p.set_defaults(fn=_cmd_figure)
+    acts = actions("weierstrass", "Weierstrass bounds and pipeline")
+    command(acts, "check", _cmd_weierstrass_check, T, out, number("--b"),
+            ("--N", dict(type=int)), number("--c", default=1.0),
+            ("--paper-scale", dict(action="store_true",
+                                   help="full sweep sizes (default is desk scale)")))
+    command(acts, "pipeline", _cmd_weierstrass_pipeline, T, out, number("--b", required=True),
+            ("--N", dict(type=int, default=4)), number("--c", default=0.05), number("--dt"))
+
+    command(sub, "verify", _cmd_verify,
+            ("--only", dict(type=int, help="run one criterion by number")),
+            help="run the acceptance suite")
+    command(sub, "figure", _cmd_figure, *sharp, out,
+            help="oscillating-example data with reference lines")
     return ap
 
 

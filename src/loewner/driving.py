@@ -179,7 +179,9 @@ class DrivingSpec:
         if fam in ("brownian", "sampled"):
             return np.interp(t, self._grid_t, self._grid_v)
         if fam == "sharp_example":
-            return _sharp_driving(self._sharp, self.T, t)
+            # lambda_T = sqrt(T) xi(0) pins lambda(0) = 0
+            osc = self._sharp
+            return _inverse_frame(osc.xi, self.T, np.sqrt(self.T) * osc.xi(0.0), 1, t)
         if fam == "composite":
             r = float(p.get("t_offset", 0.0))
             scale = float(p.get("scale", 1.0))
@@ -236,20 +238,20 @@ def check_weierstrass_order(N) -> None:
         raise DomainError(f"weierstrass order N={N!r} must be an integer >= 1")
 
 
-def _sharp_driving(osc: SharpOscillation, T: float, t: np.ndarray) -> np.ndarray:
-    """Invert the sharp frame construction into an original-time driving.
+def _inverse_frame(xi, T: float, lambda_T: float, direction: int, t):
+    """lambda(t) = lambda_T - direction sqrt(T - t) xi(s(t)), s = -log((T - t)/T)/2.
 
-    lambda(t) = lambda_T - sqrt(T - t) * xi(s(t)) with s = -log((T-t)/T)/2
-    and lambda_T = sqrt(T) * xi(0), which pins lambda(0) = 0.
+    The inverse of the square-root frame transform of :mod:`loewner.real_line`,
+    with lambda(T) = lambda_T; scalar in, float out.
     """
-    lam_T = np.sqrt(T) * osc.xi(0.0)
+    t = np.asarray(t, dtype=float)
     rem = np.maximum(T - t, 0.0)
-    out = np.full_like(t, lam_T)
-    inside = rem > 0.0
+    out = np.full_like(t, lambda_T)
+    inside = rem > 0
     if np.any(inside):
         s = -0.5 * np.log(rem[inside] / T)
-        out[inside] = lam_T - np.sqrt(rem[inside]) * np.asarray(osc.xi(s))
-    return out
+        out[inside] = lambda_T - direction * np.sqrt(rem[inside]) * np.asarray(xi(s), dtype=float)
+    return out if out.shape else float(out)
 
 
 def shift(spec: DrivingSpec, r: float, normalize: Optional[bool] = None) -> DrivingSpec:

@@ -296,19 +296,16 @@ def simplicity_diagnostic(
     spec: DrivingSpec,
     T: float,
     dt: float,
-    index_gap: int = 5,
-    factor: float = 3.0,
-    return_factor: float = 10.0,
 ) -> SimplicityReport:
     """Flag self-touching traces.
 
-    A pair of non-adjacent points (index gap > ``index_gap``) is suspicious
-    when closer than ``factor`` times the local refinement displacement (the
-    windowed pointwise distance between the dt and dt/2 traces).  Genuine
-    touching also requires the curve to leave and come back: the arc between
-    the two indices must extend ``return_factor`` times farther than the
-    pair distance, which separates a slowing tip (points bunch while the
-    arc stays short) from an actual return.
+    A pair of non-adjacent points (index gap above 5) is suspicious when
+    closer than 3 times the local refinement displacement (the windowed
+    pointwise distance between the dt and dt/2 traces).  Genuine touching
+    also requires the curve to leave and come back: the arc between the two
+    indices must extend 10 times farther than the pair distance, which
+    separates a slowing tip (points bunch while the arc stays short) from
+    an actual return.
     """
     c1 = trace(spec, T, dt)
     c2 = trace(spec, T, dt / 2.0)
@@ -332,8 +329,8 @@ def simplicity_diagnostic(
         d = np.abs(pts[i0:i1, None] - pts[None, :])
         jj = np.arange(n)[None, :]
         ii = np.arange(i0, i1)[:, None]
-        d[np.abs(ii - jj) <= index_gap] = np.inf
-        thresh = factor * np.maximum(local[i0:i1, None], local[None, :])
+        d[np.abs(ii - jj) <= 5] = np.inf
+        thresh = 3.0 * np.maximum(local[i0:i1, None], local[None, :])
         k = int(np.argmin(d))
         if d.flat[k] < best:
             best = float(d.flat[k])
@@ -344,7 +341,7 @@ def simplicity_diagnostic(
                 i, j = i0 + int(ci), int(cj)
                 lo, hi = min(i, j), max(i, j)
                 arc = float(np.max(np.abs(pts[lo : hi + 1] - pts[lo])))
-                if arc > return_factor * float(d[ci, cj]):
+                if arc > 10.0 * float(d[ci, cj]):
                     touch_pair = (i, j)
                     break
     return SimplicityReport(
@@ -575,15 +572,12 @@ def endpoint_experiment(
     T: float,
     dt: float = 2e-3,
     halvings: int = 2,
-    a_min: float = 5.0,
-    burn_in: float = 5.0,
-    band_tol: float = 0.05,
     scales=None,
 ) -> EndpointExperiment:
     """Probe trace-endpoint behaviour for steep square-root approaches.
 
     Hypotheses (checked, error on failure): the scaling estimates at T
-    satisfy a_hat >= a_min and b_hat < a_hat + 4/a_hat.  The experiment
+    satisfy a_hat >= 5 and b_hat < a_hat + 4/a_hat.  The experiment
     refines the trace and tracks
 
         e(dt) = min(|Im gamma(T)|, distance from gamma(T) to the earlier
@@ -592,12 +586,12 @@ def endpoint_experiment(
     which should decrease under refinement when the endpoint returns to the
     real line or to the curve.  It also verifies the persistent-gap band:
     frame solutions started in ((b + sqrt(b^2-16))/2, a) stay there and keep
-    xi - x >= a - (b + sqrt(b^2-16))/2 - band_tol after burn-in.
+    xi - x >= a - (b + sqrt(b^2-16))/2 - 0.05 after a burn-in to s = 5.
     """
     rep = local_scaling_exponents(spec, T, scales)
     a_hat, b_hat = rep.a_hat, rep.b_hat
-    if a_hat < a_min:
-        raise PreconditionError(f"a_hat = {a_hat:.4f} < required {a_min}")
+    if a_hat < 5.0:
+        raise PreconditionError(f"a_hat = {a_hat:.4f} < required 5.0")
     if not b_hat < a_hat + 4.0 / a_hat:
         raise PreconditionError(f"b_hat = {b_hat:.4f} >= a_hat + 4/a_hat")
 
@@ -616,13 +610,13 @@ def endpoint_experiment(
     r_b = (b_hat + np.sqrt(max(b_hat**2 - 16.0, 0.0))) / 2.0
     frame = FrameMap(T=T, lambda_T=float(spec(T)))
     xi = FrameDriving(spec, frame)
-    floor = a_hat - r_b - band_tol
+    floor = a_hat - r_b - 0.05
     band_min = np.inf
     for x0 in np.linspace(r_b + 0.1 * (a_hat - r_b), a_hat - 0.1 * (a_hat - r_b), 5):
         run = solve_frame_equation(xi, float(x0), 25.0)
         ss = run.path.times
         xs = np.asarray(run.path.values, dtype=float)
-        late = ss >= burn_in
+        late = ss >= 5.0
         if not np.any(late):
             continue
         eta_min = float(np.min(np.asarray(xi(ss[late])) - xs[late]))

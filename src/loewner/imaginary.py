@@ -62,7 +62,10 @@ __all__ = [
 THRESHOLD_MARGIN = 1e-6     # strictness above the level-2 certificate
 VANISH_THRESHOLD = 1e-12    # e^{-s} y below this with the right trends
 TREND_WINDOW = 5.0
-S_CAP_DEFAULT = 2000.0
+S_CAP = 2000.0              # last horizon the trend classifiers extend to
+# the difference flow is certified non-vanishing once w clears its lower
+# comparison curve max(0, 4/eta - eta) by this much on the trailing window
+COMPARISON_MARGIN = 1e-3
 # the transformed flows cap the step so trailing trend windows always hold
 # enough samples (below abs_tol the error control would let steps explode)
 _FLOW_CONFIG = IntegratorConfig(max_step=0.5)
@@ -162,8 +165,6 @@ def _classify_flow(
     y0: float,
     kind: str,  # "height" or "difference"
     s_horizon: float,
-    s_cap: float = S_CAP_DEFAULT,
-    margin: float = 1e-3,
 ) -> tuple[SolutionPath, VanishClassification]:
     if not 0.0 < y0 < np.inf:
         raise DomainError(f"initial value must be positive and finite, got {y0!r}")
@@ -205,15 +206,15 @@ def _classify_flow(
             return _stitch(paths), VanishClassification("vanishing", "horizon", s)
         if s >= target:
             whole = _stitch(paths)
-            verdict = _window_verdict(whole, eta, kind, margin)
+            verdict = _window_verdict(whole, eta, kind)
             if verdict is not None:
                 return whole, verdict
-            if s >= s_cap:
+            if s >= S_CAP:
                 return whole, VanishClassification("undecided", "horizon", None)
-            target = min(s_cap, 2.0 * target)
+            target = min(S_CAP, 2.0 * target)
 
 
-def _window_verdict(path: SolutionPath, eta, kind, margin) -> Optional[VanishClassification]:
+def _window_verdict(path: SolutionPath, eta, kind) -> Optional[VanishClassification]:
     """Decide from the trailing window, or return None to keep extending."""
     s_end = path.terminal_time
     mask = path.times >= s_end - TREND_WINDOW
@@ -227,7 +228,7 @@ def _window_verdict(path: SolutionPath, eta, kind, margin) -> Optional[VanishCla
         ev = np.asarray(eta(ss), dtype=float)
         lower = np.maximum(0.0, 4.0 / np.maximum(ev, 1e-300) - ev)
         growing = yy[-1] > yy[0] * (1 + 1e-12)
-        if np.all(yy >= lower + margin) and growing:
+        if np.all(yy >= lower + COMPARISON_MARGIN) and growing:
             return VanishClassification("not_vanishing_certified", "comparison", float(ss[0]))
 
     decaying = scaled[-1] < VANISH_THRESHOLD and scaled[-1] <= scaled[0]
@@ -241,7 +242,6 @@ def solve_frame_imaginary(
     eta: Callable,
     y0: float,
     s_horizon: float = 40.0,
-    s_cap: float = S_CAP_DEFAULT,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Height flow dy/ds = y - 4y/(eta^2 + y^2) with trend classification.
 
@@ -249,30 +249,29 @@ def solve_frame_imaginary(
     exactly 2 with zero gap is not misread) certifies non-vanishing; a
     trailing window with e^{-s} y below threshold, decreasing, and y itself
     not growing is classified vanishing.  A growing subthreshold solution
-    extends the horizon until the threshold certificate can fire.
+    extends the horizon, up to ``S_CAP``, until the threshold certificate
+    can fire.
     """
-    return _classify_flow(eta, y0, "height", s_horizon, s_cap)
+    return _classify_flow(eta, y0, "height", s_horizon)
 
 
 def solve_frame_difference(
     eta: Callable,
     w0: float,
     s_horizon: float = 40.0,
-    s_cap: float = S_CAP_DEFAULT,
-    margin: float = 1e-3,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Difference flow dw/ds = w - 4w/(eta^2 + eta w).
 
     There is no level-2 certificate here (the flow admits unbounded
     vanishing solutions); non-vanishing is certified from the differential
     inequality dw/w >= 1 - 4/(eta(eta+w)) >= delta > 0, checked as
-    w >= max(0, 4/eta - eta) + margin uniformly on a growing trailing
-    window.
+    w >= max(0, 4/eta - eta) + COMPARISON_MARGIN uniformly on a growing
+    trailing window.
     """
     e_samples = np.asarray(eta(np.linspace(0.0, min(s_horizon, 50.0), 501)), dtype=float)
     if np.any(e_samples <= 0):
         raise DomainError("difference flow requires strictly positive gap driving")
-    return _classify_flow(eta, w0, "difference", s_horizon, s_cap, margin)
+    return _classify_flow(eta, w0, "difference", s_horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +444,18 @@ class GrowthFloor:
     diverged: bool  # gap touched zero: the floor is -infinity
 
 
-def growth_floor(eta: Callable, t: float, zero_tol: float = 1e-12) -> GrowthFloor:
-    """L(t) = integral_0^t (1 - 4/eta(s)^2) ds.
+def growth_floor(eta: Callable, t: float) -> GrowthFloor:
+    """L(t) = integral_0^t (1 - 4/eta(s)^2) ds for a finite t >= 0.
 
     Along any solution of the height flow, log y(t) - log y(0) >= L(t), so
-    L -> -infinity is necessary for vanishing.  A gap touching zero makes
-    the integrand -infinity; this is reported as ``diverged``.
+    L -> -infinity is necessary for vanishing.  A gap touching zero (at most
+    1e-12 on a 4097-point grid) makes the integrand -infinity; this is
+    reported as ``diverged``.
     """
+    if not 0.0 <= t < np.inf:
+        raise DomainError(f"growth floor time must be a finite number >= 0, got {t!r}")
     samples = np.asarray(eta(np.linspace(0.0, t, 4097)), dtype=float)
-    if np.any(samples <= zero_tol):
+    if np.any(samples <= 1e-12):
         return GrowthFloor(-np.inf, 0.0, True)
 
     def integrand(s):
@@ -473,20 +475,19 @@ def driving_from_gap(
     eta: Callable,
     t_grid,
     domain_end: Optional[float] = None,
-    quad_span: float = 50.0,
 ) -> np.ndarray:
     """Reconstruct the frame driving from a captured solution's gap:
 
         xi(t) = eta(t) + integral_0^inf 4 e^{-s} / eta(t + s) ds.
 
     The integrand decays at least like e^{-s}/min(eta); integration runs to
-    ``quad_span`` (or the represented domain) and the remainder uses a
-    log-linear decay fit on the last decade of the window.
+    s = 50 (or to the end of the represented domain) and the remainder uses
+    a log-linear decay fit on the last decade of the window.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     out = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):
-        span = quad_span if domain_end is None else min(quad_span, domain_end - t)
+        span = 50.0 if domain_end is None else min(50.0, domain_end - t)
         if span <= 1.0:
             raise DomainError(f"gap domain too short at t={t}")
 
@@ -563,9 +564,8 @@ def vanishing_spread(
     eta: Callable,
     y0s: Sequence[float],
     s_horizon: float = 40.0,
-    use_difference_flow: bool = False,
 ) -> SpreadReport:
-    """Run the height (or difference) flow from several initial values.
+    """Run the height flow from several initial values.
 
     Among the vanishing solutions, all but at most the largest collapse
     together: pairwise terminal differences excluding the largest initial
@@ -574,11 +574,10 @@ def vanishing_spread(
     y0s = sorted(float(v) for v in y0s)
     if len(y0s) < 2:
         raise DomainError("need at least two initial values")
-    solve = solve_frame_difference if use_difference_flow else solve_frame_imaginary
     rows = []
     terminals = {}
     for y0 in y0s:
-        path, cls = solve(eta, y0, s_horizon)
+        path, cls = solve_frame_imaginary(eta, y0, s_horizon)
         term = float(np.asarray(path.terminal_value))
         rows.append(SpreadRow(y0, cls.status, term, cls.certificate))
         if cls.status == "vanishing":

@@ -31,6 +31,7 @@ from scipy import integrate as sp_integrate
 
 from .driving import (
     DrivingSpec,
+    _inverse_frame,
     default_scale_ladder,
     local_scaling_exponents,
 )
@@ -64,6 +65,20 @@ __all__ = [
 # transformed-time horizon at which a bounded positive frame solution is
 # certified captured (original time then sits within e^{-2s} of T)
 CAPTURE_HORIZON_S = 25.0
+# a frame solution alive at its horizon counts as captured while it stays at
+# least this far inside (0, xi)
+CAPTURE_BAND_FLOOR = 1e-9
+# the batch frame classifier retires a start when x falls to the zero floor
+# (escape through zero) or xi - x to the singular floor (capture before T)
+FRAME_ZERO_FLOOR = 1e-10
+FRAME_SING_FLOOR = 1e-6
+# transformed-time horizon of the capture scan's batch run
+SCAN_HORIZON_S = 60.0
+# density quadratures run on [0, DENSITY_S_MAX]; an exponential fitted on
+# the last decade models the tail beyond it
+DENSITY_S_MAX = 45.0
+# slack of the finite-ladder estimates a_hat, b_hat against the oscillation bound
+SCALING_MARGIN = 0.25
 # a rescaled driving cannot be recovered from lambda once T - t is no
 # longer resolved against T; freeze beyond this.  The rescaling of
 # C sqrt(T - t) returns C within 3.5e-5 (relative) up to s = 14 and
@@ -215,19 +230,10 @@ def _rescaled(f: Callable, T: float) -> Callable:
 
 
 def from_frame_driving(xi: Callable, frame: FrameMap) -> Callable:
-    """Invert the frame transform: lambda(t) on [0, T) from xi(s)."""
+    """Invert the frame transform: lambda(t) on [0, T] from xi(s)."""
 
     def lam(t):
-        t = np.asarray(t, dtype=float)
-        rem = np.maximum(frame.T - t, 0.0)
-        out = np.full_like(t, frame.lambda_T)
-        inside = rem > 0
-        if np.any(inside):
-            s = -0.5 * np.log(rem[inside] / frame.T)
-            out[inside] = frame.lambda_T - frame.direction * np.sqrt(
-                rem[inside]
-            ) * np.asarray(xi(s), dtype=float)
-        return out if out.shape else float(out)
+        return _inverse_frame(xi, frame.T, frame.lambda_T, frame.direction, t)
 
     return lam
 
@@ -309,7 +315,6 @@ def solve_frame_equation(
     xi: Callable,
     x0: float,
     s_horizon: float = CAPTURE_HORIZON_S,
-    x_floor: float = 1e-9,
 ) -> FrameRun:
     """Integrate the frame equation and classify the exit.
 
@@ -317,8 +322,8 @@ def solve_frame_equation(
                       strictly before T and escapes);
     escaped-singular: xi - x reached the singularity floor (capture strictly
                       before T);
-    captured-candidate: x stayed inside (0, xi) to the horizon within the
-                      floor margins, certifying capture at T numerically.
+    captured-candidate: x stayed at least CAPTURE_BAND_FLOOR inside (0, xi)
+                      to the horizon, certifying capture at T numerically.
     """
     xi0 = float(np.asarray(xi(0.0)))
     if not (0.0 < x0 < xi0):
@@ -350,7 +355,7 @@ def solve_frame_equation(
         return FrameRun(path, "undecided", ev.time)
     x_end = float(np.asarray(path.terminal_value))
     xi_end = float(np.asarray(xi(path.terminal_time)))
-    if x_floor <= x_end <= xi_end - x_floor:
+    if CAPTURE_BAND_FLOOR <= x_end <= xi_end - CAPTURE_BAND_FLOOR:
         return FrameRun(path, "captured-candidate", None)
     return FrameRun(path, "undecided", None)
 
@@ -375,21 +380,22 @@ def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
     return float(vals[-1] / beta), float(beta)
 
 
-def tail_integral(phi: Callable, s_grid, s_max: float = 45.0, n: int = 20001):
+def tail_integral(phi: Callable, s_grid):
     """I(s) = integral_s^inf phi for each s in s_grid (vectorised).
 
-    Composite-Simpson on a fine grid plus an exponential tail model fitted
-    on the last decade.  Returns (values, error_estimate).
+    Composite-Simpson on a 20001-point grid of [0, DENSITY_S_MAX] plus an
+    exponential tail model fitted on the last decade.  Returns (values,
+    error_estimate).
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if np.any(s_grid < 0) or np.any(s_grid > s_max):
-        raise DomainError("tail integral grid outside [0, s_max]")
-    fine = np.linspace(0.0, s_max, n)
+    if not np.all((s_grid >= 0) & (s_grid <= DENSITY_S_MAX)):  # NaN fails too
+        raise DomainError(f"tail integral grid outside [0, {DENSITY_S_MAX}]")
+    fine = np.linspace(0.0, DENSITY_S_MAX, 20001)
     fv = np.asarray(phi(fine), dtype=float)
     if not np.all(np.isfinite(fv)):
-        raise DomainError("density not finite on [0, s_max]")
+        raise DomainError(f"density not finite on [0, {DENSITY_S_MAX}]")
     cum = sp_integrate.cumulative_simpson(fv, x=fine, initial=0.0)
-    tail, _ = _tail_fit(phi, s_max)
+    tail, _ = _tail_fit(phi, DENSITY_S_MAX)
     total = cum[-1] + tail
     I_fine = total - cum
     # error estimate: half-resolution comparison plus a tail-model allowance
@@ -402,18 +408,18 @@ def tail_integral(phi: Callable, s_grid, s_max: float = 45.0, n: int = 20001):
     return vals, err
 
 
-def density_flags(phi: Callable, s_max: float = 40.0, n: int = 2001) -> dict:
+def density_flags(phi: Callable) -> dict:
     """Membership flags for the admissible density class.
 
-    positive:           phi > 0 on the sample grid
+    positive:           phi > 0 on a 2001-point grid of [0, 40]
     integrable:         fitted tail decay rate > 0
     super_exponential:  e^{2s} phi(s) increasing over the last decade
                         (equivalently decay strictly slower than e^{-2s})
     """
-    ss = np.linspace(0.0, s_max, n)
+    ss = np.linspace(0.0, 40.0, 2001)
     vals = np.asarray(phi(ss), dtype=float)
     positive = bool(np.all(vals > 0.0) and np.all(np.isfinite(vals)))
-    _, beta = _tail_fit(phi, s_max) if positive else (0.0, np.inf)
+    _, beta = _tail_fit(phi, 40.0) if positive else (0.0, np.inf)
     integrable = bool(positive and beta > 1e-3)
     if positive:
         grow = np.exp(2.0 * ss[-64:]) * vals[-64:]
@@ -429,14 +435,14 @@ def density_flags(phi: Callable, s_max: float = 40.0, n: int = 2001) -> dict:
     }
 
 
-def profile_from_density(phi: Callable, s_grid, s_max: float = 45.0):
+def profile_from_density(phi: Callable, s_grid):
     """Phi(s) = e^s * integral_s^inf phi (the solution profile of a density).
 
     Returns (values, quadrature_error_estimate).  Flags of the density class
     are the caller's business via :func:`density_flags`.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    I, err = tail_integral(phi, s_grid, s_max=s_max)
+    I, err = tail_integral(phi, s_grid)
     return np.exp(s_grid) * I, err
 
 
@@ -500,13 +506,7 @@ class Reconstruction:
     quad_error: float
 
 
-def reconstruct_captured_pair(
-    phi: Callable,
-    frame: FrameMap,
-    n_grid: int = 1000,
-    residual_tol: float = 1e-6,
-    s_max: float = 45.0,
-) -> Reconstruction:
+def reconstruct_captured_pair(phi: Callable, frame: FrameMap) -> Reconstruction:
     """Rebuild the captured pair (lambda, X) generated by a decay density.
 
         X(t)      = lambda(T) - sqrt(T) * integral_{s(t)}^inf phi,
@@ -516,22 +516,23 @@ def reconstruct_captured_pair(
     residual is gap-scaled, |dX/dt * (X - lambda) / 2 - 1|, with dX/dt taken
     from small-interval Gauss quadrature of phi (exact differentiation of
     the defining integral); the raw residual degenerates near T where both
-    sides of the equation blow up.
+    sides of the equation blow up.  A residual above 1e-6 raises.
     """
-    flags = density_flags(phi, s_max=min(40.0, s_max))
+    flags = density_flags(phi)
     if not flags["ok"]:
         raise PreconditionError(f"density fails admissibility flags: {flags}")
     T, lam_T, d = frame.T, frame.lambda_T, frame.direction
 
     # the grid is carried as the exact remaining time rem = T - t: forming
-    # rem from a rounded t loses all digits in the corner at T
-    rem_bulk = T - np.linspace(0.0, 0.99 * T, max(64, n_grid - 128))
+    # rem from a rounded t loses all digits in the corner at T; 872 bulk and
+    # 128 corner points make a 1000-point grid
+    rem_bulk = T - np.linspace(0.0, 0.99 * T, 872)
     rem_corner = T * np.geomspace(0.01, 1e-16, 128)
     rem = np.unique(np.concatenate([rem_bulk, rem_corner]))[::-1]  # decreasing
     t = T - rem
     s = -0.5 * np.log(rem / T)
 
-    I, qerr = tail_integral(phi, s, s_max=s_max)
+    I, qerr = tail_integral(phi, s)
     gap = np.sqrt(T) * I  # lambda(T) - X(t), direction-free magnitude
     X = lam_T - d * gap
     phis = np.asarray(phi(s), dtype=float)
@@ -548,14 +549,14 @@ def reconstruct_captured_pair(
     ok = (t > 1e-6 * T) & (rem > 1e-9 * T)
     residual = float(np.max(resid[ok]))
     argmax = float(t[ok][int(np.argmax(resid[ok]))])
-    if residual > residual_tol:
+    if residual > 1e-6:
         raise ReconstructionError(
-            f"Loewner residual {residual:.3e} exceeds {residual_tol:.1e} at t={argmax}"
+            f"Loewner residual {residual:.3e} exceeds 1.0e-06 at t={argmax}"
         )
 
     # profile/derivative identity cross-check: Phi - dPhi = e^s phi
     s_chk = np.linspace(0.0, 12.0, 481)
-    Phi_chk, _ = profile_from_density(phi, s_chk, s_max=s_max)
+    Phi_chk, _ = profile_from_density(phi, s_chk)
     dPhi_chk = np.gradient(Phi_chk, s_chk, edge_order=2)
     ident = np.exp(s_chk) * np.asarray(phi(s_chk), dtype=float)
     deriv_dev = float(np.max(np.abs((Phi_chk - dPhi_chk) - ident) / np.maximum(ident, 1e-30)))
@@ -630,15 +631,13 @@ def _classify_frame_batch(
     x0s: np.ndarray,
     s_horizon: float,
     rel_tol: float = 1e-8,
-    zero_floor: float = 1e-10,
-    sing_floor: float = 1e-6,
     stationary_tol: float = 1e-12,
 ):
     """Vectorised frame-equation classification with component freezing.
 
     Returns (status codes, exit times, terminal values).  Codes: 0 survived
-    to the horizon, 1 escaped through zero, 2 exited at the singular floor,
-    3 stalled undecided.  Components parked at an attracting
+    to the horizon, 1 escaped through zero (``FRAME_ZERO_FLOOR``), 2 exited
+    at the singular floor (``FRAME_SING_FLOOR``), 3 stalled undecided.  Components parked at an attracting
     fixed point (drift below ``stationary_tol`` inside the band) are
     certified early: explicit stepping is stability-capped there, so waiting
     out a long horizon step by step would dominate the cost for nothing.
@@ -663,7 +662,7 @@ def _classify_frame_batch(
             # a stall with no live component at the floor leaves them all
             # undecided rather than mislabelled
             gap = float(xi(st.t)) - st.y
-            if gap.min() > 10 * sing_floor:
+            if gap.min() > 10 * FRAME_SING_FLOOR:
                 code[live] = 3
                 s_exit[live] = st.t
                 break
@@ -678,7 +677,7 @@ def _classify_frame_batch(
         nsteps += 1
         y[live] = st.y
         xiv = float(xi(st.t))
-        out = np.where(st.y <= zero_floor, 1, np.where(xiv - st.y <= sing_floor, 2, 0))
+        out = np.where(st.y <= FRAME_ZERO_FLOOR, 1, np.where(xiv - st.y <= FRAME_SING_FLOOR, 2, 0))
         if np.any(out):
             code[live] = out
             s_exit[live[out > 0]] = st.t
@@ -692,8 +691,8 @@ def _classify_frame_batch(
         if nsteps % 8 == 0:
             parked = (
                 (np.abs(st.k1) <= stationary_tol * np.maximum(1.0, np.abs(st.y)))
-                & (st.y >= 1e-9)
-                & (xiv - st.y >= 10 * sing_floor)
+                & (st.y >= CAPTURE_BAND_FLOOR)
+                & (xiv - st.y >= 10 * FRAME_SING_FLOOR)
             )
             if np.all(parked):
                 break
@@ -727,12 +726,11 @@ def _scan_one_side(
     spec: DrivingSpec,
     T: float,
     grid: Optional[np.ndarray],
-    s_horizon: float,
-    member_tol: float,
     refine: bool,
     refine_tol: float,
 ):
     lam_T = float(spec(T))
+    member_tol = 1e-4 * T  # a capture this close to T counts as one at T
     lam_0 = float(spec(0.0))
     # record precheck: capture from above requires lambda(T) to be a record
     probe = np.linspace(0.0, T, 4097)
@@ -766,33 +764,33 @@ def _scan_one_side(
     x_end = np.full(grid.size, np.nan)
     if np.any(runnable):
         code[runnable], s_exit[runnable], x_end[runnable] = _classify_frame_batch(
-            xi, x_frame[runnable], s_horizon
+            xi, x_frame[runnable], SCAN_HORIZON_S
         )
 
     for i, X0 in enumerate(grid):
         if not runnable[i]:
-            reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", s_horizon))
+            reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", SCAN_HORIZON_S))
             continue
         if code[i] == 0:
-            xi_end = float(xi(s_horizon))
-            if 1e-9 <= x_end[i] <= xi_end - 1e-9:
+            xi_end = float(xi(SCAN_HORIZON_S))
+            if CAPTURE_BAND_FLOOR <= x_end[i] <= xi_end - CAPTURE_BAND_FLOOR:
                 reports.append(
-                    CaptureReport(float(X0), "captured", T, "fixed_point_band", s_horizon)
+                    CaptureReport(float(X0), "captured", T, "fixed_point_band", SCAN_HORIZON_S)
                 )
                 member_mask[i] = True
             else:
-                reports.append(CaptureReport(float(X0), "undecided", None, "horizon_exhausted", s_horizon))
+                reports.append(CaptureReport(float(X0), "undecided", None, "horizon_exhausted", SCAN_HORIZON_S))
                 undecided.append(X0)
         elif code[i] == 1:
-            reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", s_horizon))
+            reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", SCAN_HORIZON_S))
         elif code[i] == 3:
-            reports.append(CaptureReport(float(X0), "undecided", None, "horizon_exhausted", s_horizon))
+            reports.append(CaptureReport(float(X0), "undecided", None, "horizon_exhausted", SCAN_HORIZON_S))
             undecided.append(X0)
         else:
             t_cap = frame.t_of_s(float(s_exit[i]))
             member = abs(t_cap - T) <= member_tol
             reports.append(
-                CaptureReport(float(X0), "captured", float(t_cap), "singular_floor", s_horizon)
+                CaptureReport(float(X0), "captured", float(t_cap), "singular_floor", SCAN_HORIZON_S)
             )
             member_mask[i] = member
 
@@ -801,7 +799,7 @@ def _scan_one_side(
     if members.size:
         lo, hi = float(members[0]), float(members[-1])
         if refine:
-            s_ext = max(s_horizon, 4.0 / refine_tol)
+            s_ext = max(SCAN_HORIZON_S, 4.0 / refine_tol)
 
             def captured_at(X0: float) -> bool:
                 xf = (lam_T - X0) / np.sqrt(T)
@@ -814,7 +812,7 @@ def _scan_one_side(
                 )
                 if c[0] == 2:  # capture strictly before T: member only within tol
                     return abs(FrameMap(T, lam_T).t_of_s(float(se[0])) - T) <= member_tol
-                return c[0] == 0 and xe[0] >= 1e-9
+                return c[0] == 0 and xe[0] >= CAPTURE_BAND_FLOOR
 
             # the base-scan endpoint may over-include by a parked-escape
             # misread; walk inward to a certified member before bisecting
@@ -853,8 +851,6 @@ def capture_scan(
     spec: DrivingSpec,
     T: float,
     grid=None,
-    s_horizon: float = 60.0,
-    member_tol: Optional[float] = None,
     refine: bool = True,
     refine_tol: float = 1e-4,
     mirrored: bool = True,
@@ -862,8 +858,8 @@ def capture_scan(
     """Interval estimate of {X0 : capture time of X0 equals T}.
 
     Grid points are classified through the frame equation (one vectorised
-    integration), members are those captured exactly at T within
-    ``member_tol`` (default 1e-4 T), and the interval endpoints are refined
+    integration to ``SCAN_HORIZON_S``), members are those captured exactly
+    at T within 1e-4 T, and the interval endpoints are refined
     by bisection at an extended horizon: near a parabolic frame fixed point
     the boundary resolves only like 1/s, so the refinement horizon scales
     with 1/refine_tol.  Endpoints inherit a one-cell uncertainty; whether
@@ -875,16 +871,15 @@ def capture_scan(
         raise DomainError(
             f"refine_tol must be a finite number >= {REFINE_TOL_MIN}, got {refine_tol!r}"
         )
-    member_tol = 1e-4 * T if member_tol is None else member_tol
     members, interval, reports, undecided, cell, note = _scan_one_side(
-        spec, T, grid, s_horizon, member_tol, refine, refine_tol
+        spec, T, grid, refine, refine_tol
     )
     mirrored_interval = None
     if mirrored:
         # the mirrored side always scans its own default grid: user grids
         # describe the upper side only
         m_members, m_interval, m_reports, m_und, _, m_note = _scan_one_side(
-            spec.reflected(), T, None, s_horizon, member_tol, refine, refine_tol
+            spec.reflected(), T, None, refine, refine_tol
         )
         if m_interval is not None:
             mirrored_interval = (-m_interval[1], -m_interval[0])
@@ -929,17 +924,16 @@ def scaling_bound_diagnostic(
     spec: DrivingSpec,
     T: float,
     scan: Optional[ScanResult] = None,
-    margin: float = 0.25,
-    scales=None,
 ) -> ScalingBoundReport:
     """Check the oscillation bound forced on drivings captured at T.
 
     With a = liminf and b = limsup of |lambda(T)-lambda(t)|/sqrt(T-t), a
     captured driving must oscillate: when |a| < 4, |b| >= max(4, |a|+4/|a|)
-    is asserted (within the ladder margin).  The sharp attainable bound,
-    which drops to 4 for 2 < |a| < 4, is reported alongside; the piecewise
-    construction of :func:`sharp_oscillation` attains it, so violations of
-    the primary bound in that regime indicate sharpness rather than error.
+    is asserted (within ``SCALING_MARGIN``, on the default scale ladder).
+    The sharp attainable bound, which drops to 4 for 2 < |a| < 4, is
+    reported alongside; the piecewise construction of
+    :func:`sharp_oscillation` attains it, so violations of the primary bound
+    in that regime indicate sharpness rather than error.
     """
     if scan is None:
         scan = capture_scan(spec, T, refine=False, mirrored=True)
@@ -948,28 +942,28 @@ def scaling_bound_diagnostic(
         return ScalingBoundReport(
             applicable=False, same_sign=None, a_hat=None, b_hat=None,
             bound_value=None, bound_holds=None, attainable_bound_value=None,
-            attainable_bound_holds=None, margin=margin,
+            attainable_bound_holds=None, margin=SCALING_MARGIN,
             note="no capture at T: diagnostic vacuous",
         )
-    rep = local_scaling_exponents(spec, T, scales)
+    rep = local_scaling_exponents(spec, T)
     q = rep.signed_quotients
     same_sign = bool(np.min(q) >= -1e-9 or np.max(q) <= 1e-9)
     a, b = rep.a_hat, rep.b_hat
-    if a < 4.0 - margin:
+    if a < 4.0 - SCALING_MARGIN:
         bound = max(4.0, a + 4.0 / a) if a > 0 else np.inf
         attain = (a + 4.0 / a) if a <= 2.0 else 4.0
         return ScalingBoundReport(
             applicable=True, same_sign=same_sign, a_hat=a, b_hat=b,
-            bound_value=bound, bound_holds=bool(b >= bound - margin),
+            bound_value=bound, bound_holds=bool(b >= bound - SCALING_MARGIN),
             attainable_bound_value=attain,
-            attainable_bound_holds=bool(b >= attain - margin),
-            margin=margin,
+            attainable_bound_holds=bool(b >= attain - SCALING_MARGIN),
+            margin=SCALING_MARGIN,
         )
     return ScalingBoundReport(
         applicable=True, same_sign=same_sign, a_hat=a, b_hat=b,
         bound_value=None, bound_holds=None,
         attainable_bound_value=None, attainable_bound_holds=None,
-        margin=margin, note="|a_hat| >= 4: bound vacuous",
+        margin=SCALING_MARGIN, note="|a_hat| >= 4: bound vacuous",
     )
 
 
@@ -978,14 +972,15 @@ def scaling_bound_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def sharp_oscillation(a: float, branch: Optional[int] = None, k_max: int = 40, n_dense: int = 20000):
+def sharp_oscillation(a: float, k_max: int = 40, n_dense: int = 20000):
     """Explicit captured pair whose driving attains the oscillation bound.
 
-    Returns (osc, report, s_dense, x_dense, xi_dense); see
-    :class:`loewner.sharp.SharpOscillation` for the construction and
+    Returns (osc, report, s_dense, x_dense, xi_dense); the branch follows
+    from ``a``.  See :class:`loewner.sharp.SharpOscillation` for the
+    construction and
     ``report`` for the band estimates at the distinguished sampling points.
     """
-    osc = SharpOscillation(a=a, branch=branch, k_max=k_max)
+    osc = SharpOscillation(a=a, k_max=k_max)
     report = osc.band_report()
     s = np.linspace(0.0, osc.horizon * (1 - 1e-9), n_dense)
     return osc, report, s, np.asarray(osc.x(s)), np.asarray(osc.xi(s))

@@ -41,14 +41,15 @@ __all__ = [
 class WeierstrassParams:
     b: float  # frequency ratio > 1
     N: int    # partial-sum order >= 1
-    c: float = 1.0  # amplitude >= 0
+    c: float = 1.0  # amplitude > 0
 
     def __post_init__(self):
         if not 1.0 < self.b < np.inf:
             raise DomainError(f"frequency ratio b must be a finite number above 1, got {self.b!r}")
         check_weierstrass_order(self.N)
-        if not 0.0 <= self.c < np.inf:
-            raise DomainError(f"amplitude c must be a nonnegative finite number, got {self.c!r}")
+        # both bounds scale with c and the offset bound is strict: c = 0 fails it
+        if not 0.0 < self.c < np.inf:
+            raise DomainError(f"amplitude c must be a positive finite number, got {self.c!r}")
 
     @property
     def tail_bound(self) -> float:
@@ -94,19 +95,14 @@ class NormBoundReport:
     ok: bool
 
 
-def norm_bound_check(
-    p: WeierstrassParams,
-    grid: Optional[np.ndarray] = None,
-) -> NormBoundReport:
+def norm_bound_check(p: WeierstrassParams) -> NormBoundReport:
     """Grid estimate of ||c W_b^N||_{1/2} checked against c C(b).
 
     The estimate is a lower bound (pair maximum over the grid), so a
     violation indicates an implementation bug, never under-resolution.  The
-    default grid spans one slow-mode period.
+    grid has 4001 points on [0, 2 pi / b + 1], one slow-mode period.
     """
-    if grid is None:
-        window = 2.0 * np.pi / p.b + 1.0
-        grid = np.linspace(0.0, window, 4001)
+    grid = np.linspace(0.0, 2.0 * np.pi / p.b + 1.0, 4001)
     spec = p.spec(T=float(np.max(grid)) + 1e-9, normalize=False)
     est = holder_half_norm(spec, grid)
     bound = p.c * norm_constant(p.b)
@@ -160,19 +156,16 @@ def offset_ratio_check(
     )
 
 
-def comparison_constant(
-    K: float,
-    n_ladder: int = 6,
-) -> float:
+def comparison_constant(K: float) -> float:
     """Lower barrier constant from the comparison flow.
 
-    Integrates dX/du = 2/(X + K sqrt(1 - u)) on [0, 1] from a ladder of
-    initial values l > 0 and returns the infimum of X(1): by scaling, a
+    Integrates dX/du = 2/(X + K sqrt(1 - u)) on [0, 1] from six initial
+    values l in [1e-6, 1] and returns the infimum of X(1): by scaling, a
     solution separated from a driving with Hölder bound K at time t keeps a
     gap of at least this constant times sqrt(T - t) at time T.
     """
     best = np.inf
-    for l in np.geomspace(1e-6, 1.0, n_ladder):
+    for l in np.geomspace(1e-6, 1.0, 6):
         def fieldf(u, x):
             return 2.0 / (x + K * np.sqrt(max(1.0 - u, 0.0)))
 

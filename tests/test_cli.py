@@ -52,13 +52,30 @@ class TestStrictness:
     def test_unknown_subcommand_exits_2(self):
         assert run(["frobnicate"]) == 2
 
+    # each input but the last flag runs and exits 0
     @pytest.mark.parametrize("argv", [
         ["trace", "--driving", ZERO, "--dt", "1e-3", "--seed", "1"],
         ["capture-scan", "--driving", ZERO, "--jobs", "2"],
         ["weierstrass", "check", "--b", "16", "--jobs", "2"],
+        ["real-eq", "operator-t", "--density", DENSITY, "--x0", "1"],
+        ["imag-eq", "transition", "--C", "1.9", "--y0", "2"],
+        ["weierstrass", "check", "--b", "16", "--N", "2", "--dt", "1e-3"],
+        ["weierstrass", "pipeline", "--b", "16", "--N", "2", "--c", "0.3", "--dt", "5e-3",
+         "--paper-scale"],
     ])
-    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, tmp_path):
-        assert run(argv + ["--out", str(tmp_path)]) == 2
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["real-eq", "hrle", "--x0", "2"],
+        ["real-eq", "g-test"],
+    ])
+    def test_driving_is_required_where_it_is_read(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert "--driving" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg", [
         '{"family":"brownian","params":{},"T":1,"seed":1.5}',
@@ -182,12 +199,38 @@ class TestStrictness:
         ["pipeline", "--b", "16", "--N", "2", "--T", "0"],
         ["pipeline", "--b", "16", "--N", "2", "--dt", "0"],
         ["pipeline", "--b", "16", "--N", "2", "--c", "nan"],
+        ["check", "--b", "2"],
+        ["pipeline", "--b", "2", "--N", "2"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_weierstrass_outside_its_domain_exits_2(self, argv, tmp_path, capsys):
         assert run(["weierstrass"] + argv + ["--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "weierstrass_checks.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["real-eq", "operator-t", "--density", DENSITY, "--s", "x"],
+        ["real-eq", "operator-t", "--density", DENSITY, "--s", "1,nan"],
+        ["real-eq", "operator-t", "--density", DENSITY, "--s", "-1"],
+        ["imag-eq", "transition", "--sweep", "a,b"],
+        ["real-eq", "sharp-example", "--a", "5"],
+        ["real-eq", "sharp-example", "--k-max", "2"],
+        ["figure", "--a", "7"],
+        ["imag-eq", "transition", "--C", "-1"],
+        ["imag-eq", "transition", "--C", "1", "--T", "0"],
+        ["real-eq", "g-test", "--driving", SQRT5, "--t1", "0.5", "--t2", "0.2"],
+        ["real-eq", "g-test", "--driving", SQRT5, "--T", "2"],
+        ["imag-eq", "lower-bound", "--const", "1", "--t", "-1"],
+        ["imag-eq", "lower-bound", "--const", "1", "--t", "nan"],
+        ["imag-eq", "ile", "--C", "1.5", "--const", "1"],
+        ["imag-eq", "ile", "--C", "1.5", "--y0", "-1"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_flag_input_outside_its_domain_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["imag-eq", "con1", "--const", "1.5", "--y0", "1e300"],
@@ -372,5 +415,50 @@ class TestFuzz:
            N=st.integers(1, 8), c=st.none() | st.floats(), T=st.none() | STEPS | st.floats())
     def test_weierstrass_check(self, b, N, c, T, tmp_path):
         argv = ["weierstrass", "check", f"--b={b!r}", f"--N={N}", "--out", str(tmp_path)]
+        argv += [] if c is None else [f"--c={c!r}"]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(Cs=st.lists(st.floats(), min_size=1, max_size=3), T=st.none() | STEPS)
+    def test_transition(self, Cs, T, tmp_path):
+        argv = ["imag-eq", "transition", "--sweep=" + ",".join(map(repr, Cs)),
+                "--out", str(tmp_path)]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(v=st.floats(), t=st.floats())
+    def test_lower_bound(self, v, t):
+        assert run(["imag-eq", "lower-bound", f"--const={v!r}", f"--t={t!r}"]) in (0, 1, 2)
+
+    @FUZZ
+    @given(t1=st.floats(), t2=st.floats(), T=st.none() | STEPS)
+    def test_g_test(self, t1, t2, T):
+        argv = ["real-eq", "g-test", "--driving", SQRT5, f"--t1={t1!r}", f"--t2={t2!r}"]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(s=st.lists(st.floats(), min_size=1, max_size=4))
+    def test_operator_t(self, s):
+        argv = ["real-eq", "operator-t", "--density", DENSITY, "--s=" + ",".join(map(repr, s))]
+        assert run(argv) in (0, 1, 2)
+
+    @FUZZ
+    @given(a=st.sampled_from([float("nan"), float("inf"), 0.0, 2.0, 4.0]) | st.floats(),
+           k_max=st.integers(-2, 40))
+    def test_sharp_example(self, a, k_max, tmp_path):
+        argv = ["real-eq", "sharp-example", f"--a={a!r}", f"--k-max={k_max}",
+                "--out", str(tmp_path)]
+        assert run(argv) in (0, 1, 2)
+
+    # at most 100 zipper cells: T <= 1 and dt >= 1e-2
+    @FUZZ
+    @given(b=st.sampled_from([float("nan"), float("inf"), 1.0, 2.0]) | st.floats(1.0, 200.0)
+           | st.floats(),
+           N=st.integers(-1, 4), c=st.none() | st.floats(0.0, 0.5) | st.floats(),
+           T=st.none() | st.sampled_from([float("nan"), 0.0]) | st.floats(0.5, 1.0),
+           dt=st.sampled_from([float("nan"), float("inf"), 0.0, -1.0]) | st.floats(1e-2, 1.0))
+    def test_weierstrass_pipeline(self, b, N, c, T, dt, tmp_path):
+        argv = ["weierstrass", "pipeline", f"--b={b!r}", f"--N={N}", f"--dt={dt!r}",
+                "--out", str(tmp_path)]
         argv += [] if c is None else [f"--c={c!r}"]
         assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)

@@ -256,6 +256,16 @@ class TestGrowthFloor:
         g = growth_floor(lambda s: np.maximum(1.0 - np.asarray(s), 0.0), 2.0)
         assert g.diverged and g.value == -np.inf
 
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, np.nan, np.inf])
+    def test_time_outside_its_domain_raises(self, t):
+        # the integral runs over [0, t]: a negative t was integrated backwards
+        with pytest.raises(DomainError):
+            growth_floor(const(1.0), t)
+
+    def test_zero_time_is_zero(self):
+        g = growth_floor(const(1.0), 0.0)
+        assert g.value == 0.0 and not g.diverged
+
     @pytest.mark.parametrize("v", [0.5, 1.0, 1.5, np.sqrt(2.0)])
     def test_divergence_necessary_for_vanishing(self, v):
         _, cls = solve_frame_imaginary(const(v), min(0.5, v))

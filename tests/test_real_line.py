@@ -108,6 +108,17 @@ class TestFrame:
         t = np.linspace(0.0, spec.T - 1e-6, 400)
         assert np.max(np.abs(lam_back(t) - spec(t))) < 1e-8
 
+    @pytest.mark.parametrize("a, T", [(1.5, 1.0), (3.0, 2.5)])
+    def test_sharp_driving_is_the_inverse_frame_transform(self, a, T):
+        # the sharp_example family is lambda = from_frame_driving(xi) with
+        # lambda(T) = sqrt(T) xi(0), which pins lambda(0) = 0
+        spec = DrivingSpec("sharp_example", {"a": a, "k_max": 14}, T)
+        osc = spec._sharp
+        lam = from_frame_driving(osc.xi, FrameMap(T, np.sqrt(T) * osc.xi(0.0)))
+        t = np.concatenate([np.linspace(0.0, T, 257), T - T * np.geomspace(1e-3, 1e-15, 13)])
+        assert np.array_equal(spec(t), lam(t))
+        assert spec(T) == lam(T) and spec(0.0) == lam(0.0) == 0.0
+
 
 class TestRealEquation:
     def test_escape_closed_form(self):

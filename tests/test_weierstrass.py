@@ -51,6 +51,10 @@ class TestPartialSum:
             WeierstrassParams(b=4.0, N=0)
         with pytest.raises(DomainError):
             WeierstrassParams(b=4.0, N=2.5)
+        # c = 0 made the norm ratio 0/0 and failed the strict offset bound
+        for c in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                WeierstrassParams(b=4.0, N=2, c=c)
 
 
 class TestNormBound:
