@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .driving import DrivingSpec, local_scaling_exponents
 from .errors import DomainError, NumericalError, PreconditionError
@@ -215,7 +216,9 @@ def _inverse_slit_map(x, y, u: float, h: float, work) -> int:
     return int(np.count_nonzero((y == 0.0) & ~at_zero))
 
 
-def _compose(u: np.ndarray, hs: np.ndarray, y: float) -> tuple[np.ndarray, int]:
+def _compose(
+    u: np.ndarray, hs: np.ndarray, y: float, seeds: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, int]:
     """w_k = h_1 o ... o h_k(u_k + iy) for every cell k, and the nudge count.
 
     Each seed passes through its own cell map first; at y = 0 that map
@@ -223,15 +226,25 @@ def _compose(u: np.ndarray, hs: np.ndarray, y: float) -> tuple[np.ndarray, int]:
     as two float arrays and swept backwards map by map through
     :func:`_inverse_slit_map`, which reuses one set of work buffers; the
     nudge count is the number of on-axis roots met on the way.
+
+    ``seeds``, a sorted array of cell indices, composes only those cells'
+    points: map k acts on the seeds with index >= k, a suffix of the
+    sweep's arrays.  Every operation is element-wise and correctly rounded,
+    so each returned point equals the full sweep's bit for bit (the nudge
+    count covers the seeds only).
     """
     n = u.size
-    x = np.array(u, dtype=float)
-    ys = np.full(n, float(y))
-    work = [np.empty(n) for _ in range(4)] + [np.empty(n, dtype=bool)]
+    seeds = np.arange(n) if seeds is None else np.asarray(seeds)
+    first = np.searchsorted(seeds, np.arange(n)).tolist()  # first seed >= k
+    x = np.asarray(u[seeds], dtype=float)  # fancy indexing copies u
+    ys = np.full(seeds.size, float(y))
+    work = [np.empty(seeds.size) for _ in range(4)] + [np.empty(seeds.size, dtype=bool)]
     nudges = 0
     with np.errstate(invalid="ignore"):
         for k in range(n - 1, -1, -1):
-            nudges += _inverse_slit_map(x[k:], ys[k:], u[k], hs[k], [b[k:] for b in work])
+            m = first[k]
+            if m < seeds.size:
+                nudges += _inverse_slit_map(x[m:], ys[m:], u[k], hs[k], [b[m:] for b in work])
     w = x.astype(complex)
     w.imag = ys
     return w, nudges
@@ -300,50 +313,88 @@ def simplicity_diagnostic(
     """Flag self-touching traces.
 
     A pair of non-adjacent points (index gap above 5) is suspicious when
-    closer than 3 times the local refinement displacement (the windowed
-    pointwise distance between the dt and dt/2 traces).  Genuine touching
-    also requires the curve to leave and come back: the arc between the two
-    indices must extend 10 times farther than the pair distance, which
-    separates a slowing tip (points bunch while the arc stays short) from
-    an actual return.
+    closer than 3 times the local refinement displacement (the pointwise
+    distance between the dt and dt/2 traces, maximised over a 32-point
+    window).  Genuine touching also requires the curve to leave and come
+    back: the arc between the two indices must extend 10 times farther
+    than the pair distance, which separates a slowing tip (points bunch
+    while the arc stays short) from an actual return.
+
+    The dt/2 trace is read only at the times of the dt grid, so only those
+    of its cells are composed (:func:`_compose` with ``seeds``), about half
+    the refinement's map evaluations.  The pair scan runs over row chunks
+    in row-major order on squared distances of the real and imaginary
+    parts; the pairs within a relative 1e-12 of the chunk minimum or of
+    the squared threshold are re-measured as |p_i - p_j|, so the minimum,
+    its pair and the candidate order (the first 200 per chunk are tested
+    for a return) are those of the exact distances.
     """
     c1 = trace(spec, T, dt)
-    c2 = trace(spec, T, dt / 2.0)
     pts = c1.points
+    n = pts.size
     # pair points by time: every edge of the dt grid is an edge of the dt/2
     # grid, and when dt does not divide T the short last cells end both at T
-    disp = np.abs(pts - c2.points[np.searchsorted(c2.times, c1.times)])
+    edges, hs, u = _cells(spec, T, dt / 2.0)
+    w, _ = _compose(u, hs, 0.0, np.searchsorted(edges, c1.times[1:]) - 1)
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("trace composition produced non-finite points")
+    disp = np.concatenate([[0.0], np.abs(pts[1:] - w)])
     scale = float(np.maximum(np.max(disp), 1e-12))
-    # windowed local refinement scale
-    n = pts.size
+    # local refinement scale: max of disp[i - 16 : i + 16]
     win = 16
-    local = np.array([np.max(disp[max(0, i - win) : i + win]) for i in range(n)])
-    local = np.maximum(local, 1e-12)
+    padded = np.concatenate([np.full(win, -np.inf), disp, np.full(win - 1, -np.inf)])
+    local = np.maximum(sliding_window_view(padded, 2 * win).max(axis=1), 1e-12)
+    # d^2 < max(lim_i, lim_j) holds for every pair with d < thresh
+    lim = (3.0 * local) ** 2 * (1.0 + 1e-12)
 
+    X, Y = pts.real.copy(), pts.imag.copy()
     best = np.inf
     pair = None
     touch_pair = None
-    chunk = max(1, int(2e6) // max(n, 1))
+    # rows go in chunks of about 2e6 pairs, and the first 200 candidates of a
+    # chunk are tested for a return; each chunk is formed in blocks of about
+    # 65k pairs, which stay in cache
+    chunk = min(n, max(1, 2_000_000 // n))
+    block = min(chunk, max(1, 65_536 // n))
+    d2_buf, dy_buf = np.empty((block, n)), np.empty((block, n))
+    rows = np.arange(block)
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
-        d = np.abs(pts[i0:i1, None] - pts[None, :])
-        jj = np.arange(n)[None, :]
-        ii = np.arange(i0, i1)[:, None]
-        d[np.abs(ii - jj) <= 5] = np.inf
-        thresh = 3.0 * np.maximum(local[i0:i1, None], local[None, :])
-        k = int(np.argmin(d))
-        if d.flat[k] < best:
-            best = float(d.flat[k])
-            pair = (i0 + k // n, k % n)
-        if touch_pair is None:
-            cand = np.argwhere(d < thresh)
-            for ci, cj in cand[:200]:
-                i, j = i0 + int(ci), int(cj)
-                lo, hi = min(i, j), max(i, j)
-                arc = float(np.max(np.abs(pts[lo : hi + 1] - pts[lo])))
-                if arc > 10.0 * float(d[ci, cj]):
-                    touch_pair = (i, j)
-                    break
+        tested = 0
+        for b0 in range(i0, i1, block):
+            b1 = min(b0 + block, i1)
+            r = rows[: b1 - b0]
+            d2 = np.subtract(X[b0:b1, None], X[None, :], out=d2_buf[: b1 - b0])
+            dy = np.subtract(Y[b0:b1, None], Y[None, :], out=dy_buf[: b1 - b0])
+            np.multiply(d2, d2, out=d2)
+            np.multiply(dy, dy, out=dy)
+            np.add(d2, dy, out=d2)
+            for off in range(-5, 6):  # the band |i - j| <= 5
+                j = r + (b0 + off)
+                inside = (j >= 0) & (j < n)
+                d2[r[inside], j[inside]] = np.inf
+            m2 = float(d2.min())
+            # a pair at exact distance below best has d^2 below this bound;
+            # the absolute slack covers squares that underflow to subnormals
+            if m2 < best * best * (1.0 + 1e-12) + 1e-300:
+                ci, cj = np.divmod(np.flatnonzero(d2 <= m2 * (1.0 + 1e-12) + 1e-300), n)
+                d = np.abs(pts[b0 + ci] - pts[cj])
+                k = int(np.argmin(d))
+                if d[k] < best:
+                    best = float(d[k])
+                    pair = (b0 + int(ci[k]), int(cj[k]))
+            if touch_pair is None and tested < 200:
+                ci, cj = np.nonzero(d2 < np.maximum(lim[b0:b1, None], lim[None, :], out=dy))
+                ci += b0
+                d = np.abs(pts[ci] - pts[cj])
+                cand = np.flatnonzero(d < 3.0 * np.maximum(local[ci], local[cj]))[: 200 - tested]
+                tested += cand.size
+                for i, j, dij in zip(ci[cand].tolist(), cj[cand].tolist(), d[cand].tolist()):
+                    lo, hi = min(i, j), max(i, j)
+                    arc = float(np.max(np.abs(pts[lo : hi + 1] - pts[lo])))
+                    if arc > 10.0 * dij:
+                        touch_pair = (i, j)
+                        break
     return SimplicityReport(
         simple=touch_pair is None,
         min_separation=best,

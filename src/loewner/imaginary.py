@@ -40,7 +40,7 @@ from scipy import optimize as sp_optimize
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
 from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, integrate, integrate_until
-from .real_line import FRAME_FREEZE_S, _rescaled
+from .real_line import FRAME_FREEZE_S, _quad, _rescaled
 
 __all__ = [
     "VanishClassification",
@@ -450,11 +450,14 @@ def growth_floor(eta: Callable, t: float) -> GrowthFloor:
     Along any solution of the height flow, log y(t) - log y(0) >= L(t), so
     L -> -infinity is necessary for vanishing.  A gap touching zero (at most
     1e-12 on a 4097-point grid) makes the integrand -infinity; this is
-    reported as ``diverged``.
+    reported as ``diverged``.  A NaN gap raises DomainError, and a
+    quadrature that scipy flags as doubtful raises NumericalError.
     """
     if not 0.0 <= t < np.inf:
         raise DomainError(f"growth floor time must be a finite number >= 0, got {t!r}")
     samples = np.asarray(eta(np.linspace(0.0, t, 4097)), dtype=float)
+    if np.any(np.isnan(samples)):
+        raise DomainError("growth floor gap is NaN")
     if np.any(samples <= 1e-12):
         return GrowthFloor(-np.inf, 0.0, True)
 
@@ -462,7 +465,7 @@ def growth_floor(eta: Callable, t: float) -> GrowthFloor:
         e = float(np.asarray(eta(s)))
         return 1.0 - 4.0 / (e * e)
 
-    val, err = sp_integrate.quad(integrand, 0.0, t, limit=400)
+    val, err = _quad(integrand, 0.0, t, 400)
     return GrowthFloor(float(val), float(err), False)
 
 

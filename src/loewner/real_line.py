@@ -37,6 +37,7 @@ from .driving import (
 )
 from .errors import (
     DomainError,
+    NumericalError,
     PreconditionError,
     ReconstructionError,
 )
@@ -211,6 +212,22 @@ class FrameDriving:
         if self._mode == "sharp":
             return np.asarray(self._osc.xi(s), dtype=float)
         return self._generic(s)
+
+
+def _quad(f: Callable, a: float, b: float, limit: int) -> tuple[float, float]:
+    """scipy's adaptive quadrature of f over [a, b]: (value, error estimate).
+
+    scipy reports a doubtful result (roundoff, a badly behaved or divergent
+    integrand, the subdivision limit) by an IntegrationWarning and returns
+    the value anyway; here that report raises NumericalError instead, and
+    so does a value or error estimate that overflowed.
+    """
+    out = sp_integrate.quad(f, a, b, limit=limit, full_output=1)
+    if len(out) > 3:  # full_output appends scipy's message when the result is doubtful
+        raise NumericalError(f"quadrature over [{a!r}, {b!r}] failed: {' '.join(out[3].split())}")
+    if not (math.isfinite(out[0]) and math.isfinite(out[1])):
+        raise NumericalError(f"quadrature over [{a!r}, {b!r}] overflowed: {out[0]!r} +- {out[1]!r}")
+    return out[0], out[1]
 
 
 def _rescaled(f: Callable, T: float) -> Callable:
@@ -605,7 +622,8 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
     Holds when integral_{t1}^{t2} G(xi) >= xi(t1) with G(x) = 4 - x for
     x >= 2 and 4/x for 0 <= x <= 2: any positive solution would be driven
     to zero over [t1, t2].  The quadrature error is folded into the
-    comparison so exact-equality cases are not lost to roundoff.
+    comparison so exact-equality cases are not lost to roundoff; a
+    quadrature that scipy flags as doubtful raises NumericalError.
     """
     if not t2 > t1 >= 0:
         raise DomainError("need t2 > t1 >= 0")
@@ -616,7 +634,7 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
             raise DomainError(f"driving negative at s={s}")
         return float(_descent_floor(v))
 
-    integral, err = sp_integrate.quad(integrand, t1, t2, limit=400)
+    integral, err = _quad(integrand, t1, t2, 400)
     threshold = float(np.asarray(xi(t1)))
     holds = bool(integral >= threshold - err - 1e-12)
     return NoCaptureCertificate(holds, integral, err, threshold, t1, t2)

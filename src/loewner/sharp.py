@@ -18,6 +18,8 @@ The construction is analytic piecewise, so derivatives are exact.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +103,8 @@ class SharpOscillation:
         self.origin = alpha[k0]
         self._alpha = alpha
         self._beta = beta
+        self._alpha_list = alpha.tolist()
+        self._beta_list = beta.tolist()
 
     # -- raw (unshifted) evaluation -------------------------------------
 
@@ -111,10 +115,26 @@ class SharpOscillation:
         in_first = t < self._beta[k]
         return k, in_first
 
-    def _x_raw(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k, first = self._pieces(t)
-        env = 1.0 / np.log(t) if self.branch == 1 else 1.0 / t
-        denv = -1.0 / (t * np.log(t) ** 2) if self.branch == 1 else -1.0 / t**2
+    def _x_raw(self, t):
+        """(x, dx/ds) at absolute times t.
+
+        A float t takes a scalar lane (bisect on the knot lists, math.cos and
+        math.sin, np.log kept) in the same operations as the array path, so
+        it returns what the 1-element array call returns.
+        """
+        scalar = isinstance(t, float)
+        if scalar:
+            k = min(max(bisect_right(self._alpha_list, t) - 1, self.k_start), self.k_max)
+            first = t < self._beta_list[k]
+            alpha, beta, cos, sin = self._alpha_list, self._beta_list, math.cos, math.sin
+        else:
+            k, first = self._pieces(t)
+            alpha, beta, cos, sin = self._alpha, self._beta, np.cos, np.sin
+        if self.branch == 1:
+            lg = float(np.log(t)) if scalar else np.log(t)  # math.log can differ in the last bit
+            env, denv = 1.0 / lg, -1.0 / (t * (lg * lg))
+        else:
+            env, denv = 1.0 / t, -1.0 / (t * t)
         center = self.a if self.branch == 1 else 2.0
         if self.branch == 1:
             w_fast = (k + 1.0) * (k + 2.0)
@@ -122,15 +142,15 @@ class SharpOscillation:
             w_fast = (4.0 - self.a) / (self.a - 2.0) * (k + 1.0) * (k + 2.0)
         w_slow = 1.0 / (k + 1.0)
 
-        th1 = w_fast * (t - self._alpha[k])
-        th2 = w_slow * (t - self._beta[k])
-        x1 = center + env * np.cos(th1)
-        d1 = -env * w_fast * np.sin(th1) + denv * np.cos(th1)
-        x2 = center - env * np.cos(th2)
-        d2 = env * w_slow * np.sin(th2) - denv * np.cos(th2)
-        x = np.where(first, x1, x2)
-        dx = np.where(first, d1, d2)
-        return x, dx
+        th1 = w_fast * (t - alpha[k])
+        th2 = w_slow * (t - beta[k])
+        x1 = center + env * cos(th1)
+        d1 = -env * w_fast * sin(th1) + denv * cos(th1)
+        x2 = center - env * cos(th2)
+        d2 = env * w_slow * sin(th2) - denv * cos(th2)
+        if scalar:
+            return (x1, d1) if first else (x2, d2)
+        return np.where(first, x1, x2), np.where(first, d1, d2)
 
     # -- public API (times relative to the start knot) -------------------
 
@@ -139,32 +159,33 @@ class SharpOscillation:
         """Length of transformed time covered by the partition."""
         return float(self._alpha[self.k_max + 1] - self.origin)
 
-    def x(self, s):
+    def _eval(self, s, clamp: bool) -> tuple:
+        """_x_raw at relative times s, clamped to the horizon when asked."""
+        if isinstance(s, float):
+            return self._x_raw(float((min(s, self.horizon) if clamp else s) + self.origin))
         s = np.asarray(s, dtype=float)
-        val, _ = self._x_raw(s + self.origin)
-        return val if val.shape else float(val)
+        return self._x_raw((np.minimum(s, self.horizon) if clamp else s) + self.origin)
+
+    def x(self, s):
+        val, _ = self._eval(s, clamp=False)
+        return val if getattr(val, "shape", ()) else float(val)
 
     def x_dot(self, s):
-        s = np.asarray(s, dtype=float)
-        _, dx = self._x_raw(s + self.origin)
-        return dx if dx.shape else float(dx)
+        _, dx = self._eval(s, clamp=False)
+        return dx if getattr(dx, "shape", ()) else float(dx)
 
     def xi(self, s):
         """Driving xi = x + 4/(x - dx/ds); clamped to the last knot value
         beyond the partition horizon."""
-        s = np.asarray(s, dtype=float)
-        sc = np.minimum(s, self.horizon)
-        x, dx = self._x_raw(sc + self.origin)
+        x, dx = self._eval(s, clamp=True)
         val = x + 4.0 / (x - dx)
-        return val if val.shape else float(val)
+        return val if getattr(val, "shape", ()) else float(val)
 
     def eta(self, s):
         """Gap between driving and solution, xi - x = 4/(x - dx/ds)."""
-        s = np.asarray(s, dtype=float)
-        sc = np.minimum(s, self.horizon)
-        x, dx = self._x_raw(sc + self.origin)
+        x, dx = self._eval(s, clamp=True)
         val = 4.0 / (x - dx)
-        return val if val.shape else float(val)
+        return val if getattr(val, "shape", ()) else float(val)
 
     # -- distinguished sampling points ------------------------------------
 

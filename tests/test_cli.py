@@ -222,6 +222,7 @@ class TestStrictness:
         ["real-eq", "g-test", "--driving", SQRT5, "--T", "2"],
         ["imag-eq", "lower-bound", "--const", "1", "--t", "-1"],
         ["imag-eq", "lower-bound", "--const", "1", "--t", "nan"],
+        ["imag-eq", "lower-bound", "--const", "nan"],
         ["imag-eq", "ile", "--C", "1.5", "--const", "1"],
         ["imag-eq", "ile", "--C", "1.5", "--y0", "-1"],
     ])
@@ -241,6 +242,29 @@ class TestStrictness:
     def test_floating_point_overflow_exits_1(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 1
         assert "floating-point failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["imag-eq", "lower-bound", "--const", "0.002", "--t", "2.2250738585e-313"],
+        ["real-eq", "g-test", "--driving", SQRT5, "--T", "0.5", "--t2", "100"],
+        ["imag-eq", "lower-bound", "--const", "1e-11", "--t", "1e300"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_doubtful_quadrature_exits_1(self, argv, capsys):
+        # scipy flags the first two integrals (bad integrand behaviour,
+        # roundoff) and the third overflows to -inf; each run fails as
+        # numerical instead of printing a doubtful value
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "quadrature over" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["imag-eq", "lower-bound", "--const", "1.5", "--t", "1e300"],
+        ["real-eq", "g-test", "--driving", SQRT5, "--t2", "1e300"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_long_span_quadrature_is_classified(self, argv, capsys):
+        assert run(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")

@@ -24,6 +24,7 @@ from loewner.real_line import (
     speed_condition_report,
     _refine_edge,
 )
+from loewner.sharp import SharpOscillation
 
 
 def sqrt_spec(c, T=1.0):
@@ -404,6 +405,24 @@ class TestSharpOscillation:
     def test_high_branch_reaches_four(self):
         _, rep, _, _, _ = sharp_oscillation(3.0, k_max=40)
         assert 3.9 <= rep["running_max"] <= 4.1
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    def test_float_time_equals_the_array_call(self, a):
+        # a float time takes the scalar lane; it must return the 1-element
+        # array call bit for bit, on both pieces, at the knots and past the horizon
+        osc = SharpOscillation(a, k_max=20)
+        knots = np.concatenate([osc._alpha, osc._beta]) - osc.origin
+        knots = knots[knots >= 0.0]
+        ss = np.concatenate([
+            np.random.default_rng(3).uniform(0.0, 1.2 * osc.horizon, 400),
+            knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+            [0.0, osc.horizon, 2.0 * osc.horizon],
+        ])
+        for f in (osc.x, osc.x_dot, osc.xi, osc.eta):
+            lane = [f(float(s)) for s in ss]
+            assert all(type(v) is float for v in lane)
+            assert np.array_equal(lane, [f(np.array([s]))[0] for s in ss])
+            assert np.array_equal(lane, f(ss))
 
     def test_boundary_arithmetic(self):
         # at a = 2 the two bound formulas coincide: a + 4/a = 4 = max(4, a+4/a)
