@@ -97,9 +97,14 @@ def forward_map_grid(
 
     All points must stay away from the hull over the whole time range
     (use :func:`forward_map` for potentially captured points); a collapsing
-    gap raises rather than returning poisoned values.
+    gap raises rather than returning poisoned values.  Every checkpoint
+    must be a finite time in [0, spec.T]; the rows at t = 0 are ``zs``.
     """
-    ts = np.sort(np.asarray(t_checkpoints, dtype=float))
+    ts = np.asarray(t_checkpoints, dtype=float)
+    for t in ts:
+        if not 0.0 <= t <= spec.T:
+            raise DomainError(f"checkpoint t={float(t)!r} outside the driving domain [0, {spec.T!r}]")
+    ts = np.sort(ts)
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag < 0):
         raise DomainError("points must lie in the closed upper half-plane")
@@ -112,11 +117,12 @@ def forward_map_grid(
             )
         return 2.0 / dz
 
-    path = integrate(fieldf, zs, (0.0, float(ts[-1])), t_stops=ts)
-    out = np.empty((ts.size, zs.size), dtype=complex)
-    for i, t in enumerate(ts):
-        k = int(np.argmin(np.abs(path.times - t)))
-        out[i] = path.values[k]
+    out = np.tile(zs, (ts.size, 1))
+    if ts.size and ts[-1] > 0.0:
+        path = integrate(fieldf, zs, (0.0, float(ts[-1])), t_stops=ts)
+        for i, t in enumerate(ts):
+            k = int(np.argmin(np.abs(path.times - t)))
+            out[i] = path.values[k]
     return out
 
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as sp_integrate
-from scipy import optimize as sp_optimize
+import scipy
 
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
@@ -382,7 +381,7 @@ def ramp_ode_terminal(
     else:
         raise NumericalError(f"no bracket found for the ramp solution (c={c})")
     try:
-        y = float(sp_optimize.brentq(lambda u: t_of_y(u) - T, y_lo, y_hi, xtol=1e-14, rtol=1e-15))
+        y = float(scipy.optimize.brentq(lambda u: t_of_y(u) - T, y_lo, y_hi, xtol=1e-14, rtol=1e-15))
     except ValueError as exc:
         raise NumericalError(f"ramp root finding failed for c={c}, eps={eps}: {exc}") from exc
 
@@ -500,7 +499,7 @@ def driving_from_gap(
                 raise DomainError(f"gap not positive at s={t + s}")
             return 4.0 * np.exp(-s) / e
 
-        val, _ = sp_integrate.quad(integrand, 0.0, span, limit=800)
+        val, _ = scipy.integrate.quad(integrand, 0.0, span, limit=800)
         # tail continuation from a decay fit over the last decade
         ss = np.linspace(0.9 * span, span, 17)
         gs = np.array([integrand(x) for x in ss])

@@ -95,24 +95,45 @@ _AM[np.tril_indices(7, -1)] = (
     9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
     35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
 )
-_A_ROWS = tuple(_AM[i, :i] for i in range(7))
 _B5 = _AM[6]  # the 5th-order weights are the last stage's input row (FSAL)
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
+# the stage and error weights as floats for the float lane, as columns for the array lane
+_FLOAT_WEIGHTS = (tuple(tuple(_AM[i, :i].tolist()) for i in range(7)), tuple(_ERR.tolist()))
+_ARRAY_WEIGHTS = (tuple(_AM[i, :i, None] for i in range(7)), _ERR[:, None])
 
 # the smallest step, relative to |t|, that still moves t in double precision
 _TIME_RESOLUTION = 8 * np.finfo(float).eps
 
 
+def _float_sum(weights, K):
+    """sum_j weights[j] * K[j], added in tableau order."""
+    acc = weights[0] * K[0]
+    for j in range(1, len(weights)):
+        acc = acc + weights[j] * K[j]
+    return acc
+
+
+def _array_sum(weights, K):
+    """The same sum over the rows of K: numpy adds the (at most 7) rows of an axis-0 sum in order."""
+    return (weights * K[: len(weights)]).sum(axis=0)
+
+
 class _Stepper:
     """One integration run; owns the adaptive loop state.
 
-    Scalar states run as 1-element arrays through the same code as batch
-    states.  The stage derivatives of an attempt fill the rows of one
-    array ``K`` whose row 0 is the FSAL derivative at the current point;
-    ``nfev`` counts every field evaluation, failed ones included.
+    A real scalar state whose field is real runs on the float lane: the
+    state and the stage derivatives are numpy float64 scalars, which (unlike
+    Python floats) honour ``np.errstate``, and the stages are a list.  Any
+    other state runs as a 1-d array whose stage derivatives fill the rows of
+    one array.  In both lanes ``K[0]`` is the FSAL derivative at the current
+    point, and each stage input and the error estimate add the tableau
+    products in tableau order (numpy adds the at most 7 rows of an axis-0
+    sum in order), so a float-lane run equals a batch of copies of its
+    start bit for bit.  ``nfev`` counts every field evaluation, failed ones
+    included.
     """
 
     def __init__(self, field, t0, y0, t1, cfg: IntegratorConfig):
@@ -120,27 +141,42 @@ class _Stepper:
         self.t = float(t0)
         self.t1 = float(t1)
         self.cfg = cfg
-        y = np.atleast_1d(np.asarray(y0))
+        y = np.array(y0)
         if y.dtype.kind not in "fc":
             y = y.astype(float)
-        self.scalar = np.ndim(y0) == 0
-        self.y = y.copy()
-        self.scale0 = max(1.0, float(np.max(np.abs(y))))
-        self.nfev = 0
-        k1 = self._eval(self.t, self.y)
-        if k1 is None:
+        self.scalar = y.ndim == 0
+        k1 = np.asarray(field(self.t, y[()]))
+        self.nfev = 1
+        if not np.isfinite(k1).all():
             raise DomainError(f"field not finite at the initial point t={t0}")
-        self.K = np.empty((7, y.size), dtype=np.result_type(y, k1, np.float64))
-        self.K[0] = k1
-        self.k1 = self.K[0]
+        self.float_lane = self.scalar and y.dtype.kind == "f" and k1.size == 1 and k1.dtype.kind != "c"
+        if self.float_lane:
+            self.y = np.float64(y)
+            self.K = [np.float64(k1.reshape(()))] + [None] * 6
+            self._weights, self._sum = _FLOAT_WEIGHTS, _float_sum
+        else:
+            self.y = np.atleast_1d(y)
+            self.K = np.empty((7, self.y.size), dtype=np.result_type(y, k1, np.float64))
+            self.K[0] = k1
+            self._weights, self._sum = _ARRAY_WEIGHTS, _array_sum
+        self.scale0 = max(1.0, float(np.max(np.abs(y))))
         self.err_prev = 1.0
         self.h = self._initial_step()
         self.nsteps = 0
         self.nrejected = 0
 
+    @property
+    def k1(self):
+        return self.K[0]
+
     def _eval(self, t, y):
-        out = self.f(t, y[0] if self.scalar else y)
         self.nfev += 1
+        if self.float_lane:
+            out = self.f(t, y)
+            if type(out) is not np.float64:
+                out = np.float64(np.reshape(out, ()))
+            return out if math.isfinite(out) else None
+        out = self.f(t, y[0] if self.scalar else y)
         if type(out) is not np.ndarray or out.ndim != 1:
             out = np.atleast_1d(np.asarray(out))
         if not np.isfinite(out).all():
@@ -148,7 +184,11 @@ class _Stepper:
         return out
 
     def _norm(self, err, y_old, y_new):
-        r = err / (self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new)))
+        cfg = self.cfg
+        if self.float_lane:
+            r = float(err / (cfg.abs_tol + cfg.rel_tol * max(abs(y_old), abs(y_new))))
+            return math.sqrt(r * r)
+        r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new)))
         return math.sqrt(np.vdot(r, r).real / r.size)
 
     def _initial_step(self):
@@ -171,20 +211,21 @@ class _Stepper:
             self.t = self.t1
             return "ok"
         K, t, y = self.K, self.t, self.y
+        (rows, err_weights), wsum = self._weights, self._sum
         while True:
             h_free = min(self.h, self.t1 - t, cfg.max_step)
             if h_free <= self._min_step_at(t):
                 return "underflow"
             h = min(h_free, h_cap)
             for i in range(1, 7):
-                yi = y + h * (_A_ROWS[i] @ K[:i])
+                yi = y + h * wsum(rows[i], K)
                 ki = self._eval(t + _C[i] * h, yi)
                 if ki is None:
                     break
                 K[i] = ki
             else:
                 # stage 7 input is the 5th-order solution
-                enorm = self._norm(h * (_ERR @ K), y, yi)
+                enorm = self._norm(h * wsum(err_weights, K), y, yi)
                 if enorm <= 1.0:
                     # PI controller (accepted)
                     fac = 0.9 * (enorm + 1e-16) ** -0.14 * (self.err_prev + 1e-16) ** 0.04
@@ -192,7 +233,7 @@ class _Stepper:
                     self.err_prev = max(enorm, 1e-16)
                     self.t = t + h
                     self.y = yi
-                    K[0] = K[6]  # FSAL: self.k1 is this row
+                    K[0] = K[6]  # FSAL
                     self.nsteps += 1
                     if self.nsteps + self.nrejected > cfg.max_steps:
                         raise NumericalError("max_steps exceeded")
@@ -206,6 +247,8 @@ class _Stepper:
             self.nrejected += 1
 
     def state(self):
+        if self.float_lane:
+            return self.t, self.y
         return self.t, (self.y[0] if self.scalar else self.y.copy())
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as sp_integrate
+import scipy
 
 from .driving import (
     DrivingSpec,
@@ -222,7 +222,7 @@ def _quad(f: Callable, a: float, b: float, limit: int) -> tuple[float, float]:
     the value anyway; here that report raises NumericalError instead, and
     so does a value or error estimate that overflowed.
     """
-    out = sp_integrate.quad(f, a, b, limit=limit, full_output=1)
+    out = scipy.integrate.quad(f, a, b, limit=limit, full_output=1)
     if len(out) > 3:  # full_output appends scipy's message when the result is doubtful
         raise NumericalError(f"quadrature over [{a!r}, {b!r}] failed: {' '.join(out[3].split())}")
     if not (math.isfinite(out[0]) and math.isfinite(out[1])):
@@ -392,7 +392,7 @@ def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
     coef = np.polyfit(ss, np.log(vals), 1)
     beta = -coef[0]
     if beta < 1e-3:  # no usable decay; integrate the tail explicitly
-        tail, _ = sp_integrate.quad(phi, s_max, np.inf, limit=200)
+        tail, _ = scipy.integrate.quad(phi, s_max, np.inf, limit=200)
         return tail, beta
     return float(vals[-1] / beta), float(beta)
 
@@ -411,12 +411,12 @@ def tail_integral(phi: Callable, s_grid):
     fv = np.asarray(phi(fine), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise DomainError(f"density not finite on [0, {DENSITY_S_MAX}]")
-    cum = sp_integrate.cumulative_simpson(fv, x=fine, initial=0.0)
+    cum = scipy.integrate.cumulative_simpson(fv, x=fine, initial=0.0)
     tail, _ = _tail_fit(phi, DENSITY_S_MAX)
     total = cum[-1] + tail
     I_fine = total - cum
     # error estimate: half-resolution comparison plus a tail-model allowance
-    cum_half = sp_integrate.cumulative_simpson(fv[::2], x=fine[::2], initial=0.0)
+    cum_half = scipy.integrate.cumulative_simpson(fv[::2], x=fine[::2], initial=0.0)
     err = float(abs(cum[-1] - cum_half[-1])) + abs(tail) * 1e-6 + 1e-15
     # snap to the nearest node and correct with an exact short panel: plain
     # linear interpolation of the cumulative loses ~h^2 accuracy
@@ -653,21 +653,28 @@ def _classify_frame_batch(
 ):
     """Vectorised frame-equation classification with component freezing.
 
-    Returns (status codes, exit times, terminal values).  Codes: 0 survived
-    to the horizon, 1 escaped through zero (``FRAME_ZERO_FLOOR``), 2 exited
-    at the singular floor (``FRAME_SING_FLOOR``), 3 stalled undecided.  Components parked at an attracting
-    fixed point (drift below ``stationary_tol`` inside the band) are
-    certified early: explicit stepping is stability-capped there, so waiting
-    out a long horizon step by step would dominate the cost for nothing.
+    Returns (status codes, exit times, terminal values, accepted steps).
+    Codes: 0 survived to the horizon, 1 escaped through zero
+    (``FRAME_ZERO_FLOOR``), 2 exited at the singular floor
+    (``FRAME_SING_FLOOR``), 3 stalled undecided.  Components parked at an
+    attracting fixed point (drift below ``stationary_tol`` inside the band)
+    are certified early: explicit stepping is stability-capped there, so
+    waiting out a long horizon step by step would dominate the cost for
+    nothing.  A one-start batch runs on the stepper's float lane with
+    scalar tests, and equals the same start run in a wider batch.
     """
     y = np.asarray(x0s, dtype=float).copy()
-    code = np.zeros(y.size, dtype=int)
-    s_exit = np.full(y.size, np.nan)
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-12, min_step=1e-13, max_steps=2_000_000)
 
     def field(s, x):
         return x - 4.0 / (float(xi(s)) - x)
 
+    if y.size == 1:
+        code, s_exit, y_end, nsteps = _classify_frame_one(xi, field, y[0], s_horizon, cfg, stationary_tol)
+        return np.array([code]), np.array([s_exit]), np.array([y_end]), nsteps
+
+    code = np.zeros(y.size, dtype=int)
+    s_exit = np.full(y.size, np.nan)
     # the stepper carries the live components only; an exit rebuilds it on
     # the survivors with the current step size
     live = np.arange(y.size)
@@ -714,7 +721,31 @@ def _classify_frame_batch(
             )
             if np.all(parked):
                 break
-    return code, s_exit, y
+    return code, s_exit, y, nsteps
+
+
+def _classify_frame_one(xi, field, x0, s_horizon, cfg, stationary_tol):
+    """``_classify_frame_batch`` on one start: (code, exit time, terminal value, steps)."""
+    st = _Stepper(field, 0.0, x0, s_horizon, cfg)
+    nsteps = 0
+    while st.t < s_horizon:
+        if st.step() == "underflow":
+            code = 3 if float(xi(st.t)) - st.y > 10 * FRAME_SING_FLOOR else 2
+            return code, st.t, st.y, nsteps
+        nsteps += 1
+        xiv = float(xi(st.t))
+        if st.y <= FRAME_ZERO_FLOOR:
+            return 1, st.t, st.y, nsteps
+        if xiv - st.y <= FRAME_SING_FLOOR:
+            return 2, st.t, st.y, nsteps
+        if (
+            nsteps % 8 == 0
+            and abs(st.k1) <= stationary_tol * max(1.0, abs(st.y))
+            and st.y >= CAPTURE_BAND_FLOOR
+            and xiv - st.y >= 10 * FRAME_SING_FLOOR
+        ):
+            break
+    return 0, np.nan, st.y, nsteps
 
 
 @dataclass
@@ -730,6 +761,8 @@ class ScanResult:
     cell: float
     endpoint_refined: bool
     notes: str = ""
+    nsteps: int = 0  # accepted frame steps, base batch and refinement probes
+    nprobes: int = 0  # one-start refinement runs
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -746,7 +779,12 @@ def _scan_one_side(
     grid: Optional[np.ndarray],
     refine: bool,
     refine_tol: float,
-):
+) -> ScanResult:
+    """The scan of the upper side; ``capture_scan`` adds the mirrored one."""
+
+    def nothing(note):
+        return ScanResult(T, np.array([]), None, None, [], np.array([]), 0.0, refine, note)
+
     lam_T = float(spec(T))
     member_tol = 1e-4 * T  # a capture this close to T counts as one at T
     lam_0 = float(spec(0.0))
@@ -755,13 +793,13 @@ def _scan_one_side(
     lam_max = float(np.max(spec(probe[:-1])))
     scale = max(1.0, abs(lam_T))
     if lam_T < lam_max - 1e-7 * scale:
-        return np.array([]), None, [], np.array([]), 0.0, "lambda(T) is not a running maximum; no capture at T from above"
+        return nothing("lambda(T) is not a running maximum; no capture at T from above")
 
     frame = FrameMap(T=T, lambda_T=lam_T, direction=1)
     xi = FrameDriving(spec, frame)
     xi0 = float(xi(0.0))
     if xi0 <= 0:
-        return np.array([]), None, [], np.array([]), 0.0, "degenerate frame driving"
+        return nothing("degenerate frame driving")
 
     if grid is None:
         n = 129
@@ -780,8 +818,10 @@ def _scan_one_side(
     code = np.full(grid.size, -1)
     s_exit = np.full(grid.size, np.nan)
     x_end = np.full(grid.size, np.nan)
+    nsteps = 0
+    probe_steps = []  # one entry per refinement probe
     if np.any(runnable):
-        code[runnable], s_exit[runnable], x_end[runnable] = _classify_frame_batch(
+        code[runnable], s_exit[runnable], x_end[runnable], nsteps = _classify_frame_batch(
             xi, x_frame[runnable], SCAN_HORIZON_S
         )
 
@@ -825,9 +865,10 @@ def _scan_one_side(
                     return False
                 # tight tolerance so the parked-at-fixed-point exit can
                 # distinguish genuine capture from a slow parabolic escape
-                c, se, xe = _classify_frame_batch(
+                c, se, xe, n = _classify_frame_batch(
                     xi, np.array([xf]), s_ext, rel_tol=1e-11, stationary_tol=1e-9
                 )
+                probe_steps.append(n)
                 if c[0] == 2:  # capture strictly before T: member only within tol
                     return abs(FrameMap(T, lam_T).t_of_s(float(se[0])) - T) <= member_tol
                 return c[0] == 0 and xe[0] >= CAPTURE_BAND_FLOOR
@@ -844,15 +885,20 @@ def _scan_one_side(
                 lo_out = max(lam_0 + 1e-6 * (lam_T - lam_0), lo - cell - lo_tol)
                 lo = -_refine_edge(lambda v: captured_at(-v), -inside_lo, -lo_out, lo_tol)
         interval = (lo, hi)
-    return members, interval, reports, np.asarray(undecided), cell, ""
+    return ScanResult(
+        T, members, interval, None, reports, np.asarray(undecided), cell, refine,
+        nsteps=nsteps + sum(probe_steps), nprobes=len(probe_steps),
+    )
 
 
 def _refine_edge(pred, inside: float, outside: float, tol: float) -> float:
-    """Bisect the boundary of {pred} between a point inside and one outside."""
+    """Bisect the boundary of {pred} between a point inside and one outside.
+
+    ``inside`` must satisfy ``pred``: the caller has certified it, and
+    ``pred`` is deterministic, so it is not probed again.
+    """
     if pred(outside):
         return outside
-    if not pred(inside):
-        return inside
     lo, hi = inside, outside
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
@@ -889,34 +935,21 @@ def capture_scan(
         raise DomainError(
             f"refine_tol must be a finite number >= {REFINE_TOL_MIN}, got {refine_tol!r}"
         )
-    members, interval, reports, undecided, cell, note = _scan_one_side(
-        spec, T, grid, refine, refine_tol
-    )
-    mirrored_interval = None
+    scan = _scan_one_side(spec, T, grid, refine, refine_tol)
     if mirrored:
         # the mirrored side always scans its own default grid: user grids
         # describe the upper side only
-        m_members, m_interval, m_reports, m_und, _, m_note = _scan_one_side(
-            spec.reflected(), T, None, refine, refine_tol
-        )
-        if m_interval is not None:
-            mirrored_interval = (-m_interval[1], -m_interval[0])
-        for r in m_reports:
+        m = _scan_one_side(spec.reflected(), T, None, refine, refine_tol)
+        if m.interval is not None:
+            scan.mirrored_interval = (-m.interval[1], -m.interval[0])
+        for r in m.reports:
             r.initial = -r.initial
-        reports = reports + m_reports
-        if m_note and not note:
-            note = f"mirrored side: {m_note}"
-    return ScanResult(
-        T=T,
-        members=members,
-        interval=interval,
-        mirrored_interval=mirrored_interval,
-        reports=reports,
-        undecided=undecided,
-        cell=cell,
-        endpoint_refined=refine,
-        notes=note,
-    )
+        scan.reports = scan.reports + m.reports
+        if m.notes and not scan.notes:
+            scan.notes = f"mirrored side: {m.notes}"
+        scan.nsteps += m.nsteps
+        scan.nprobes += m.nprobes
+    return scan
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import loewner
 from loewner.cli import main
 
 ZERO = '{"family":"constant","params":{"value":0},"T":1}'
@@ -37,6 +42,25 @@ class TestTrace:
                         "--out", str(tmp_path / d)]) == 0
         assert (tmp_path / "a" / "trace.csv").read_bytes() == \
                (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+class TestStartup:
+    def test_import_and_trace_leave_scipy_integrate_unloaded(self, tmp_path):
+        # scipy loads a submodule on first use, and only the quadratures and
+        # the density transforms use scipy.integrate
+        code = (
+            "import sys\n"
+            "from loewner.cli import main\n"
+            f"assert main(['trace', '--driving', {ZERO!r}, '--dt', '1e-2', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(loewner.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-2:] == ["False", "False"]
 
 
 class TestStrictness:
@@ -303,6 +327,8 @@ class TestSubcommands:
         assert "capture interval" in out
         header = (tmp_path / "capture_scan.csv").read_text().splitlines()[0]
         assert header == "x0,status,capture_time,certificate"
+        meta = json.loads((tmp_path / "capture_scan.meta.json").read_text())
+        assert meta["nprobes"] > 0 and meta["nsteps"] > meta["nprobes"]
 
     def test_weierstrass_check_single(self, tmp_path, capsys):
         assert run(["weierstrass", "check", "--b", "16", "--N", "8",

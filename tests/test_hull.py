@@ -54,6 +54,22 @@ class TestForwardMap:
             ref = np.where(ref.imag < 0, -ref, ref)
             assert np.max(np.abs(g[i] - ref)) < 1e-8
 
+    @pytest.mark.parametrize("ts, bad", [
+        ([-0.5, 0.5], "-0.5"),  # returned the points as g at t = -0.5
+        ([0.5, 2.5], "2.5"),  # raised about an internal stage time
+        ([0.5, np.nan], "nan"),
+    ])
+    def test_checkpoint_outside_the_domain_named(self, ts, bad):
+        with pytest.raises(DomainError, match=f"checkpoint t={bad} outside"):
+            forward_map_grid(ZERO, ts, [1 + 1j])
+
+    def test_checkpoints_at_zero_are_the_points(self):
+        zs = np.array([1 + 0.5j, -2 + 1j])
+        assert np.array_equal(forward_map_grid(ZERO, [0.0], zs), [zs])
+        g = forward_map_grid(ZERO, [0.0, 0.25], zs)
+        assert np.array_equal(g[0], zs)
+        assert np.array_equal(g[1], forward_map_grid(ZERO, [0.25], zs)[0])
+
 
 class TestCapacity:
     def test_trivial_driving(self):

@@ -162,6 +162,65 @@ class TestStepper:
         assert p.nfev > 1 + 6 * (p.nsteps + p.nrejected)
 
 
+def weierstrass_field(b, N, c):
+    spec = DrivingSpec("weierstrass_partial", {"c": c, "b": b, "N": N}, 1.0, normalize=True)
+    return lambda t, x: 2.0 / (x - spec(t))
+
+
+def assert_same_run(solo, pair):
+    """A float-lane run equals each lane of its two-lane batch bit for bit."""
+    assert np.array_equal(solo.times, pair.times)
+    assert np.array_equal(solo.values, pair.values[:, 0])
+    assert np.array_equal(solo.values, pair.values[:, 1])
+    assert (solo.nsteps, solo.nrejected, solo.nfev) == (pair.nsteps, pair.nrejected, pair.nfev)
+
+
+class TestFloatLane:
+    @pytest.mark.parametrize("field, x0, span", [
+        pytest.param(weierstrass_field(9.0, 3, 0.3), 0.7, (0.0, 1.0), id="weierstrass-9-3"),
+        pytest.param(weierstrass_field(16.0, 2, 0.3), 0.4, (0.0, 1.0), id="weierstrass-16-2"),
+        pytest.param(lambda t, y: np.sin(3.0 * t) - 2.0 * y * y, 0.8, (0.0, 20.0), id="logistic"),
+        pytest.param(lambda t, y: -2.0 / y, 2.0, (0.0, 2.0), id="vanishing"),
+    ])
+    def test_integrate_equals_the_two_lane_batch(self, field, x0, span):
+        solo = integrate(field, x0, span)
+        assert_same_run(solo, integrate(field, np.array([x0, x0]), span))
+        assert solo.nsteps > 10
+        stops = [span[0] + 0.3 * (span[1] - span[0]), span[0] + 0.7 * (span[1] - span[0])]
+        assert_same_run(
+            integrate(field, x0, span, t_stops=stops),
+            integrate(field, np.array([x0, x0]), span, t_stops=stops),
+        )
+
+    def test_integrate_until_equals_the_two_lane_batch(self):
+        field = lambda t, y: 2.0 / y  # noqa: E731
+        guard = lambda t, y: np.max(y) - 3.0  # noqa: E731
+        solo = integrate_until(field, 1.0, (0.0, 5.0), guard)
+        pair = integrate_until(field, np.array([1.0, 1.0]), (0.0, 5.0), guard)
+        assert solo.event == pair.event and solo.event.kind == "threshold"
+        assert_same_run(solo, pair)
+
+    def test_scalar_state_takes_the_float_lane(self):
+        st = _Stepper(lambda t, y: -y, 0.0, 1.0, 1.0, DEFAULT_CONFIG)
+        assert st.float_lane and type(st.y) is np.float64
+        st.step()
+        assert type(st.state()[1]) is np.float64
+        # a complex scalar, or a real scalar with a complex field, runs as an array
+        assert not _Stepper(lambda t, y: -y, 0.0, 1.0 + 1j, 1.0, DEFAULT_CONFIG).float_lane
+        st = _Stepper(lambda t, y: 1j * y, 0.0, 1.0, 1.0, DEFAULT_CONFIG)
+        assert not st.float_lane
+        st.step()
+        assert st.state()[1].imag > 0
+
+    @pytest.mark.parametrize("y0", [1.0, np.array([1.0, 1.0])], ids=["float", "array"])
+    def test_overflow_raises_under_errstate(self, y0):
+        # the first stage input is about 2e291, whose square overflows; a
+        # Python float would carry the inf on silently
+        field = lambda t, y: y * y * 1e300  # noqa: E731
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            integrate(field, y0, (0.0, 1.0))
+
+
 class TestConfigValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ConfigError):

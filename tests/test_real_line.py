@@ -7,6 +7,7 @@ from loewner import DomainError, DrivingSpec, PreconditionError
 from loewner.real_line import (
     FRAME_FREEZE_S,
     REFINE_TOL_MIN,
+    SCAN_HORIZON_S,
     FrameDriving,
     FrameMap,
     capture_scan,
@@ -22,6 +23,7 @@ from loewner.real_line import (
     solve_frame_equation,
     solve_real_loewner,
     speed_condition_report,
+    _classify_frame_batch,
     _refine_edge,
 )
 from loewner.sharp import SharpOscillation
@@ -366,6 +368,48 @@ class TestCaptureScan:
         # the spacing of doubles near 4e4 is 7.3e-12, above the tolerance
         edge = _refine_edge(lambda x: x <= 4e4 + 0.3, 3e4, 5e4, REFINE_TOL_MIN)
         assert edge == pytest.approx(4e4 + 0.3, abs=1e-11)
+
+    # (interval, mirrored interval), computed before the stage sums were put in tableau order
+    FROZEN = {
+        3.0: (None, None),
+        4.3: ((4.2999999999999995e-06, 2.938975048828125), None),
+        5.0: ((4.9999999999999996e-06, 3.9999560607910154), None),
+        5.5: ((5.5e-06, 4.637431405639649), None),
+        6.2: ((6.2e-06, 5.468506793212891), None),
+    }
+
+    @pytest.mark.parametrize("c", sorted(FROZEN))
+    def test_intervals_are_frozen(self, c):
+        scan = capture_scan(sqrt_spec(c), 1.0)
+        assert (scan.interval, scan.mirrored_interval) == self.FROZEN[c]
+
+    def test_scan_reports_its_cost(self):
+        # the base batch plus 13 one-start refinement probes
+        scan = capture_scan(sqrt_spec(5.0), 1.0, mirrored=False)
+        assert scan.nprobes == 13
+        assert scan.nsteps > 13 * 100
+        bare = capture_scan(sqrt_spec(5.0), 1.0, refine=False, mirrored=False)
+        assert bare.nprobes == 0 and 0 < bare.nsteps < scan.nsteps
+
+    @pytest.mark.parametrize("c", [4.3, 5.0, 6.2])
+    @pytest.mark.parametrize("tols", [
+        pytest.param((SCAN_HORIZON_S, 1e-8, 1e-12), id="scan"),
+        pytest.param((4e4, 1e-11, 1e-9), id="refinement"),
+    ])
+    def test_one_start_equals_its_two_lane_batch(self, c, tols):
+        # a one-start batch runs on the stepper's float lane with scalar
+        # exit tests; starts below the repelling fixed point escape through
+        # zero, the others park at the attracting one, and the last one
+        # stalls at the singular floor at s = 0
+        s_horizon, rel_tol, stationary_tol = tols
+        xi = FrameDriving(sqrt_spec(c), frame_for(sqrt_spec(c)))
+        low = (c - np.sqrt(c * c - 16.0)) / 2.0
+        for x0 in (0.5 * low, 0.999 * low, 1.001 * low, 0.5 * c, c - 1e-3, c - 1e-12):
+            one = _classify_frame_batch(xi, np.array([x0]), s_horizon, rel_tol, stationary_tol)
+            two = _classify_frame_batch(xi, np.array([x0, x0]), s_horizon, rel_tol, stationary_tol)
+            for a, b in zip(one[:3], two[:3]):
+                assert np.array_equal(np.repeat(a, 2), b, equal_nan=True)
+            assert one[3] == two[3]
 
     def test_csv_export(self, tmp_path):
         scan = capture_scan(sqrt_spec(4.0), 1.0, refine=False, mirrored=False)
