@@ -173,7 +173,7 @@ def _cmd_capture_scan(args) -> int:
     scan.write_csv(out / "capture_scan.csv")
     _write_meta(out / "capture_scan.meta.json", "capture-scan", spec,
                 T=T, interval=scan.interval, mirrored=scan.mirrored_interval,
-                nsteps=scan.nsteps, nprobes=scan.nprobes, tolerances={"refine_tol": tol})
+                nsteps=scan.nsteps, nprobes=scan.nprobes, nfev=scan.nfev, tolerances={"refine_tol": tol})
     print(f"capture interval: {scan.interval}  mirrored: {scan.mirrored_interval}")
     if scan.notes:
         print(f"note: {scan.notes}")

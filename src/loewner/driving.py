@@ -55,6 +55,8 @@ _PARAM_KEYS = {
     "composite": ({"base"}, {"t_offset", "scale"}),
 }
 _NON_SCALAR_KEYS = {"times", "values", "branch", "base"}
+# the families whose value is linear in all of their parameters
+_NEGATABLE = ("constant", "linear", "sqrt_approach")
 
 DEFAULT_BROWNIAN_STEP_FRACTION = 2.0**-16
 
@@ -219,7 +221,19 @@ class DrivingSpec:
         return shift(self, r, normalize=normalize)
 
     def reflected(self) -> "DrivingSpec":
-        """The driving t -> -lambda(t)."""
+        """The driving t -> -lambda(t).
+
+        A family that is linear in its parameters stays in its family with
+        the parameters negated, so that the analytic frame forms of
+        ``real_line.FrameDriving`` still apply; any other family becomes a
+        composite with scale -1.  Negation is exact, so the values equal the
+        composite's: bit for bit for ``constant`` and ``sqrt_approach``, and
+        for ``linear`` up to the sign of a zero value (a sum that cancels
+        rounds to +0.0 whatever the signs of its terms).
+        """
+        if self.family in _NEGATABLE:
+            params = {k: -v for k, v in self.params.items()}
+            return DrivingSpec(self.family, params, self.T, self.normalize, self.seed)
         return DrivingSpec(
             family="composite",
             params={"base": self, "t_offset": 0.0, "scale": -1.0},

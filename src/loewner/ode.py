@@ -18,7 +18,10 @@ vanishing gaps) should be passed in squared form, e.g. ``gap**2 - floor**2``;
 the squared gap has an O(1) time derivative at the crossing, which is what
 makes the residual and bracket guarantees attainable in double precision.
 
-States may be scalars or 1-d arrays, real or complex.
+States may be scalars or 1-d arrays, real or complex.  A real scalar runs
+on the stepper's float lane: ``np.float64`` scalars and an unrolled step,
+which equals the array lane's step on a batch of copies of the start bit
+for bit at a fraction of its per-step overhead.
 """
 
 from __future__ import annotations
@@ -100,25 +103,33 @@ _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
-# the stage and error weights as floats for the float lane, as columns for the array lane
-_FLOAT_WEIGHTS = (tuple(tuple(_AM[i, :i].tolist()) for i in range(7)), tuple(_ERR.tolist()))
+# the array lane's stage and error weights as columns
 _ARRAY_WEIGHTS = (tuple(_AM[i, :i, None] for i in range(7)), _ERR[:, None])
+# the float lane's tableau as named floats: _Aij weighs stage j in stage i's input
+(
+    (),
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = (tuple(_AM[i, :i].tolist()) for i in range(7))
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR.tolist()
+_C2, _C3, _C4, _C5, _C6, _C7 = _C[1:]
 
 # the smallest step, relative to |t|, that still moves t in double precision
 _TIME_RESOLUTION = 8 * np.finfo(float).eps
 
-
-def _float_sum(weights, K):
-    """sum_j weights[j] * K[j], added in tableau order."""
-    acc = weights[0] * K[0]
-    for j in range(1, len(weights)):
-        acc = acc + weights[j] * K[j]
-    return acc
+# the float lane tests each stage with these, one global lookup each
+_F64, _isfinite = np.float64, math.isfinite
 
 
-def _array_sum(weights, K):
-    """The same sum over the rows of K: numpy adds the (at most 7) rows of an axis-0 sum in order."""
-    return (weights * K[: len(weights)]).sum(axis=0)
+def _float_stage(k):
+    """A float-lane stage that failed the quick test: k as an np.float64, or None if not finite."""
+    if type(k) is not np.float64:
+        k = np.float64(np.reshape(k, ()))
+    return k if math.isfinite(k) else None
 
 
 class _Stepper:
@@ -126,14 +137,15 @@ class _Stepper:
 
     A real scalar state whose field is real runs on the float lane: the
     state and the stage derivatives are numpy float64 scalars, which (unlike
-    Python floats) honour ``np.errstate``, and the stages are a list.  Any
-    other state runs as a 1-d array whose stage derivatives fill the rows of
-    one array.  In both lanes ``K[0]`` is the FSAL derivative at the current
-    point, and each stage input and the error estimate add the tableau
-    products in tableau order (numpy adds the at most 7 rows of an axis-0
-    sum in order), so a float-lane run equals a batch of copies of its
-    start bit for bit.  ``nfev`` counts every field evaluation, failed ones
-    included.
+    Python floats) honour ``np.errstate``, and an attempt is straight-line
+    code over the named stages k1..k7.  Any other state runs as a 1-d array
+    whose stage derivatives fill the rows of one array ``K``.  Each stage
+    input and the error estimate add the tableau products in tableau order,
+    zero weights included (dropping one can flip the sign of a zero), and
+    numpy adds the at most 7 rows of an axis-0 sum in order, so a float-lane
+    run equals a batch of copies of its start bit for bit.  Both lanes share
+    the step loop, the PI controller and ``_norm``.  ``nfev`` counts every
+    field evaluation, failed ones included.
     """
 
     def __init__(self, field, t0, y0, t1, cfg: IntegratorConfig):
@@ -152,13 +164,11 @@ class _Stepper:
         self.float_lane = self.scalar and y.dtype.kind == "f" and k1.size == 1 and k1.dtype.kind != "c"
         if self.float_lane:
             self.y = np.float64(y)
-            self.K = [np.float64(k1.reshape(()))] + [None] * 6
-            self._weights, self._sum = _FLOAT_WEIGHTS, _float_sum
+            self.K = [np.float64(k1.reshape(()))]
         else:
             self.y = np.atleast_1d(y)
             self.K = np.empty((7, self.y.size), dtype=np.result_type(y, k1, np.float64))
             self.K[0] = k1
-            self._weights, self._sum = _ARRAY_WEIGHTS, _array_sum
         self.scale0 = max(1.0, float(np.max(np.abs(y))))
         self.err_prev = 1.0
         self.h = self._initial_step()
@@ -169,19 +179,68 @@ class _Stepper:
     def k1(self):
         return self.K[0]
 
-    def _eval(self, t, y):
-        self.nfev += 1
-        if self.float_lane:
-            out = self.f(t, y)
-            if type(out) is not np.float64:
-                out = np.float64(np.reshape(out, ()))
-            return out if math.isfinite(out) else None
-        out = self.f(t, y[0] if self.scalar else y)
-        if type(out) is not np.ndarray or out.ndim != 1:
-            out = np.atleast_1d(np.asarray(out))
-        if not np.isfinite(out).all():
-            return None
-        return out
+    def _float_attempt(self, t, y, h):
+        """One attempt on the float lane: (5th-order solution, error estimate, k7), or None.
+
+        None means a stage is not finite; the stages after it are not evaluated.
+        """
+        f, k1 = self.f, self.K[0]
+        k2 = f(t + _C2 * h, y + h * (_A21 * k1))
+        if type(k2) is not _F64 or not _isfinite(k2):
+            k2 = _float_stage(k2)
+            if k2 is None:
+                self.nfev += 1
+                return None
+        k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+        if type(k3) is not _F64 or not _isfinite(k3):
+            k3 = _float_stage(k3)
+            if k3 is None:
+                self.nfev += 2
+                return None
+        k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        if type(k4) is not _F64 or not _isfinite(k4):
+            k4 = _float_stage(k4)
+            if k4 is None:
+                self.nfev += 3
+                return None
+        k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        if type(k5) is not _F64 or not _isfinite(k5):
+            k5 = _float_stage(k5)
+            if k5 is None:
+                self.nfev += 4
+                return None
+        k6 = f(t + _C6 * h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        if type(k6) is not _F64 or not _isfinite(k6):
+            k6 = _float_stage(k6)
+            if k6 is None:
+                self.nfev += 5
+                return None
+        # stage 7's input is the 5th-order solution (FSAL)
+        y5 = y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+        k7 = f(t + _C7 * h, y5)
+        self.nfev += 6
+        if type(k7) is not _F64 or not _isfinite(k7):
+            k7 = _float_stage(k7)
+            if k7 is None:
+                return None
+        err = h * (_E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        return y5, err, k7
+
+    def _array_attempt(self, t, y, h):
+        """One attempt on the array lane, filling the rows of K; as ``_float_attempt``."""
+        K = self.K
+        rows, err_weights = _ARRAY_WEIGHTS
+        for i in range(1, 7):
+            # numpy adds the rows of an axis-0 sum in order
+            yi = y + h * (rows[i] * K[:i]).sum(axis=0)
+            self.nfev += 1
+            ki = self.f(t + _C[i] * h, yi[0] if self.scalar else yi)
+            if type(ki) is not np.ndarray or ki.ndim != 1:
+                ki = np.atleast_1d(np.asarray(ki))
+            if not np.isfinite(ki).all():
+                return None
+            K[i] = ki
+        return yi, h * (err_weights * K).sum(axis=0), K[6]
 
     def _norm(self, err, y_old, y_new):
         cfg = self.cfg
@@ -205,35 +264,32 @@ class _Stepper:
     def step(self, h_cap=np.inf):
         """Advance one accepted step; returns "ok" or "underflow"."""
         cfg = self.cfg
-        if self.t1 - self.t <= self._min_step_at(self.t):
+        t, y = self.t, self.y
+        min_step = self._min_step_at(t)
+        if self.t1 - t <= min_step:
             # the remaining sliver of the span is below time resolution:
             # snap to the endpoint rather than reporting an underflow
             self.t = self.t1
             return "ok"
-        K, t, y = self.K, self.t, self.y
-        (rows, err_weights), wsum = self._weights, self._sum
         while True:
             h_free = min(self.h, self.t1 - t, cfg.max_step)
-            if h_free <= self._min_step_at(t):
+            if h_free <= min_step:
                 return "underflow"
             h = min(h_free, h_cap)
-            for i in range(1, 7):
-                yi = y + h * wsum(rows[i], K)
-                ki = self._eval(t + _C[i] * h, yi)
-                if ki is None:
-                    break
-                K[i] = ki
-            else:
-                # stage 7 input is the 5th-order solution
-                enorm = self._norm(h * wsum(err_weights, K), y, yi)
+            # (a bound method kept on the instance would make every stepper a
+            # reference cycle, freed only by the cyclic garbage collector)
+            stages = self._float_attempt(t, y, h) if self.float_lane else self._array_attempt(t, y, h)
+            if stages is not None:
+                y5, err, k7 = stages
+                enorm = self._norm(err, y, y5)
                 if enorm <= 1.0:
                     # PI controller (accepted)
                     fac = 0.9 * (enorm + 1e-16) ** -0.14 * (self.err_prev + 1e-16) ** 0.04
                     self.h = h * min(max(fac, 0.2), 10.0)
                     self.err_prev = max(enorm, 1e-16)
                     self.t = t + h
-                    self.y = yi
-                    K[0] = K[6]  # FSAL
+                    self.y = y5
+                    self.K[0] = k7  # FSAL
                     self.nsteps += 1
                     if self.nsteps + self.nrejected > cfg.max_steps:
                         raise NumericalError("max_steps exceeded")

@@ -142,6 +142,8 @@ class FrameDriving:
     Exact closed forms are used for families where the transform is
     analytic; otherwise the generic quotient is evaluated and frozen beyond
     ``FRAME_FREEZE_S`` where T - t is no longer resolvable in doubles.
+    ``at`` is the float evaluator, chosen once at construction: xi at one
+    float time, which is what a call with a float returns.
     """
 
     def __init__(self, spec: DrivingSpec, frame: FrameMap):
@@ -181,20 +183,35 @@ class FrameDriving:
                 self._mode = "sharp"
         if self._mode == "generic":
             self._generic = _rescaled(lambda t: d * (lam_T - spec(t)), T)
+        self.at = self._float_evaluator()
+
+    def _float_evaluator(self) -> Callable[[float], float]:
+        """The closed forms at a float time; the array path elsewhere.
+
+        math.exp raises where np.exp overflows to inf, so the array path
+        keeps the range beyond ``_EXP_MAX``.
+        """
+        mode = self._mode
+
+        def array_at(s):
+            return float(self._eval(np.array([s]))[0])
+
+        if mode == "zero":
+            return lambda s: 0.0
+        if mode == "const":
+            c = self._const
+            return lambda s: c
+        if mode == "decay":
+            amp = self._amp
+            return lambda s: amp * math.exp(-s) if s > -_EXP_MAX else array_at(s)
+        if mode == "exp":
+            amp = self._amp
+            return lambda s: amp * math.exp(s) if s < _EXP_MAX else array_at(s)
+        return array_at
 
     def __call__(self, s):
         if isinstance(s, float):
-            # the float lane of the closed forms; math.exp raises where
-            # np.exp overflows to inf, so the array path keeps that range
-            mode = self._mode
-            if mode == "zero":
-                return 0.0
-            if mode == "const":
-                return self._const
-            if mode == "decay" and s > -_EXP_MAX:
-                return self._amp * math.exp(-s)
-            if mode == "exp" and s < _EXP_MAX:
-                return self._amp * math.exp(s)
+            return self.at(s)
         s = np.asarray(s, dtype=float)
         scalar = not s.shape
         out = self._eval(np.atleast_1d(s))
@@ -645,7 +662,7 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
 # ---------------------------------------------------------------------------
 
 def _classify_frame_batch(
-    xi: Callable,
+    xi: FrameDriving,
     x0s: np.ndarray,
     s_horizon: float,
     rel_tol: float = 1e-8,
@@ -653,25 +670,34 @@ def _classify_frame_batch(
 ):
     """Vectorised frame-equation classification with component freezing.
 
-    Returns (status codes, exit times, terminal values, accepted steps).
-    Codes: 0 survived to the horizon, 1 escaped through zero
-    (``FRAME_ZERO_FLOOR``), 2 exited at the singular floor
+    Returns (status codes, exit times, terminal values, accepted steps,
+    field evaluations).  Codes: 0 survived to the horizon, 1 escaped
+    through zero (``FRAME_ZERO_FLOOR``), 2 exited at the singular floor
     (``FRAME_SING_FLOOR``), 3 stalled undecided.  Components parked at an
     attracting fixed point (drift below ``stationary_tol`` inside the band)
     are certified early: explicit stepping is stability-capped there, so
     waiting out a long horizon step by step would dominate the cost for
-    nothing.  A one-start batch runs on the stepper's float lane with
-    scalar tests, and equals the same start run in a wider batch.
+    nothing.  The field reads xi through its float evaluator, and a
+    constant xi makes it autonomous.  A one-start batch runs on the
+    stepper's float lane with scalar tests, and equals the same start run
+    in a wider batch.
     """
     y = np.asarray(x0s, dtype=float).copy()
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-12, min_step=1e-13, max_steps=2_000_000)
+    at = xi.at
+    if xi._mode == "const":
+        c = xi._const
 
-    def field(s, x):
-        return x - 4.0 / (float(xi(s)) - x)
+        def field(s, x):
+            return x - 4.0 / (c - x)
+    else:
+
+        def field(s, x):
+            return x - 4.0 / (at(s) - x)
 
     if y.size == 1:
-        code, s_exit, y_end, nsteps = _classify_frame_one(xi, field, y[0], s_horizon, cfg, stationary_tol)
-        return np.array([code]), np.array([s_exit]), np.array([y_end]), nsteps
+        code, s_exit, y_end, nsteps, nfev = _classify_frame_one(at, field, y[0], s_horizon, cfg, stationary_tol)
+        return np.array([code]), np.array([s_exit]), np.array([y_end]), nsteps, nfev
 
     code = np.zeros(y.size, dtype=int)
     s_exit = np.full(y.size, np.nan)
@@ -679,14 +705,14 @@ def _classify_frame_batch(
     # the survivors with the current step size
     live = np.arange(y.size)
     st = _Stepper(field, 0.0, y, s_horizon, cfg)
-    nsteps = 0
+    nsteps = nfev = 0
     while st.t < s_horizon:
         if st.step() == "underflow":
             # stalled: the stiffest components (smallest gap) exit singular
             # when at the floor and the others go on with a fresh stepper;
             # a stall with no live component at the floor leaves them all
             # undecided rather than mislabelled
-            gap = float(xi(st.t)) - st.y
+            gap = at(st.t) - st.y
             if gap.min() > 10 * FRAME_SING_FLOOR:
                 code[live] = 3
                 s_exit[live] = st.t
@@ -697,11 +723,12 @@ def _classify_frame_batch(
             live = live[~stiff]
             if not live.size:
                 break
+            nfev += st.nfev
             st = _Stepper(field, st.t, st.y[~stiff], s_horizon, cfg)
             continue
         nsteps += 1
         y[live] = st.y
-        xiv = float(xi(st.t))
+        xiv = at(st.t)
         out = np.where(st.y <= FRAME_ZERO_FLOOR, 1, np.where(xiv - st.y <= FRAME_SING_FLOOR, 2, 0))
         if np.any(out):
             code[live] = out
@@ -711,6 +738,7 @@ def _classify_frame_batch(
             if not live.size:
                 break
             h = st.h
+            nfev += st.nfev
             st = _Stepper(field, st.t, st.y[keep], s_horizon, cfg)
             st.h = h
         if nsteps % 8 == 0:
@@ -721,23 +749,24 @@ def _classify_frame_batch(
             )
             if np.all(parked):
                 break
-    return code, s_exit, y, nsteps
+    return code, s_exit, y, nsteps, nfev + st.nfev
 
 
-def _classify_frame_one(xi, field, x0, s_horizon, cfg, stationary_tol):
-    """``_classify_frame_batch`` on one start: (code, exit time, terminal value, steps)."""
+def _classify_frame_one(at, field, x0, s_horizon, cfg, stationary_tol):
+    """``_classify_frame_batch`` on one start, with xi's float evaluator ``at``:
+    (code, exit time, terminal value, steps, field evaluations)."""
     st = _Stepper(field, 0.0, x0, s_horizon, cfg)
     nsteps = 0
     while st.t < s_horizon:
         if st.step() == "underflow":
-            code = 3 if float(xi(st.t)) - st.y > 10 * FRAME_SING_FLOOR else 2
-            return code, st.t, st.y, nsteps
+            code = 3 if at(st.t) - st.y > 10 * FRAME_SING_FLOOR else 2
+            return code, st.t, st.y, nsteps, st.nfev
         nsteps += 1
-        xiv = float(xi(st.t))
+        xiv = at(st.t)
         if st.y <= FRAME_ZERO_FLOOR:
-            return 1, st.t, st.y, nsteps
+            return 1, st.t, st.y, nsteps, st.nfev
         if xiv - st.y <= FRAME_SING_FLOOR:
-            return 2, st.t, st.y, nsteps
+            return 2, st.t, st.y, nsteps, st.nfev
         if (
             nsteps % 8 == 0
             and abs(st.k1) <= stationary_tol * max(1.0, abs(st.y))
@@ -745,7 +774,7 @@ def _classify_frame_one(xi, field, x0, s_horizon, cfg, stationary_tol):
             and xiv - st.y >= 10 * FRAME_SING_FLOOR
         ):
             break
-    return 0, np.nan, st.y, nsteps
+    return 0, np.nan, st.y, nsteps, st.nfev
 
 
 @dataclass
@@ -763,6 +792,7 @@ class ScanResult:
     notes: str = ""
     nsteps: int = 0  # accepted frame steps, base batch and refinement probes
     nprobes: int = 0  # one-start refinement runs
+    nfev: int = 0  # frame field evaluations, base batch and refinement probes
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -818,10 +848,10 @@ def _scan_one_side(
     code = np.full(grid.size, -1)
     s_exit = np.full(grid.size, np.nan)
     x_end = np.full(grid.size, np.nan)
-    nsteps = 0
-    probe_steps = []  # one entry per refinement probe
+    nsteps = nfev = 0
+    probe_cost = []  # (steps, field evaluations) of each refinement probe
     if np.any(runnable):
-        code[runnable], s_exit[runnable], x_end[runnable], nsteps = _classify_frame_batch(
+        code[runnable], s_exit[runnable], x_end[runnable], nsteps, nfev = _classify_frame_batch(
             xi, x_frame[runnable], SCAN_HORIZON_S
         )
 
@@ -865,10 +895,10 @@ def _scan_one_side(
                     return False
                 # tight tolerance so the parked-at-fixed-point exit can
                 # distinguish genuine capture from a slow parabolic escape
-                c, se, xe, n = _classify_frame_batch(
+                c, se, xe, n, nf = _classify_frame_batch(
                     xi, np.array([xf]), s_ext, rel_tol=1e-11, stationary_tol=1e-9
                 )
-                probe_steps.append(n)
+                probe_cost.append((n, nf))
                 if c[0] == 2:  # capture strictly before T: member only within tol
                     return abs(FrameMap(T, lam_T).t_of_s(float(se[0])) - T) <= member_tol
                 return c[0] == 0 and xe[0] >= CAPTURE_BAND_FLOOR
@@ -887,7 +917,8 @@ def _scan_one_side(
         interval = (lo, hi)
     return ScanResult(
         T, members, interval, None, reports, np.asarray(undecided), cell, refine,
-        nsteps=nsteps + sum(probe_steps), nprobes=len(probe_steps),
+        nsteps=nsteps + sum(n for n, _ in probe_cost), nprobes=len(probe_cost),
+        nfev=nfev + sum(nf for _, nf in probe_cost),
     )
 
 
@@ -949,6 +980,7 @@ def capture_scan(
             scan.notes = f"mirrored side: {m.notes}"
         scan.nsteps += m.nsteps
         scan.nprobes += m.nprobes
+        scan.nfev += m.nfev
     return scan
 
 

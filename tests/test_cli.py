@@ -329,6 +329,22 @@ class TestSubcommands:
         assert header == "x0,status,capture_time,certificate"
         meta = json.loads((tmp_path / "capture_scan.meta.json").read_text())
         assert meta["nprobes"] > 0 and meta["nsteps"] > meta["nprobes"]
+        assert meta["nfev"] > 6 * meta["nsteps"]
+
+    def test_capture_scan_of_a_falling_sqrt_driving(self, tmp_path):
+        # the captured set lies on the mirrored side, which scans the
+        # reflection sqrt_approach(5) through its closed frame form; as a
+        # composite it took minutes
+        falling = '{"family":"sqrt_approach","params":{"c":-5},"T":1}'
+        src = str(Path(loewner.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "loewner.cli", "capture-scan", "--driving", falling,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "mirrored: (-3.99995" in done.stdout
 
     def test_weierstrass_check_single(self, tmp_path, capsys):
         assert run(["weierstrass", "check", "--b", "16", "--N", "8",

@@ -293,6 +293,41 @@ class TestShift:
             shift(sqrt_spec(4.0), 1.0)
 
 
+def negated(spec):
+    """-lambda as the composite that reflected() builds for every other family."""
+    return DrivingSpec("composite", {"base": spec, "scale": -1.0}, spec.T, normalize=spec.normalize)
+
+
+class TestReflection:
+    @pytest.mark.parametrize("spec", [
+        DrivingSpec("constant", {"value": 0.7}, 1.0),
+        DrivingSpec("constant", {"value": 0.0}, 2.0, normalize=True),
+        sqrt_spec(5.0),
+        sqrt_spec(-4.3, 0.37),
+        DrivingSpec("sqrt_approach", {"c": 3}, 3.0, normalize=True),
+        DrivingSpec("linear", {"slope": 2.0, "intercept": 0.1}, 1.0),
+        DrivingSpec("linear", {"slope": -3.3}, 2.5, normalize=True),
+    ], ids=lambda s: f"{s.family}-{s.params}-{s.normalize}")
+    def test_linear_families_negate_their_parameters(self, spec):
+        r = spec.reflected()
+        assert r.family == spec.family and r.normalize == spec.normalize
+        assert r.params == {k: -v for k, v in spec.params.items()}
+        t = np.concatenate([np.linspace(0.0, spec.T, 513), spec.T * (1 - np.geomspace(1e-3, 1e-16, 14))])
+        want = negated(spec)(t)
+        assert np.array_equal(r(t), want)
+        assert [r(x) for x in t.tolist()] == [negated(spec)(x) for x in t.tolist()]
+        if spec.family != "linear":
+            # a cancelling sum rounds to +0.0 whatever its signs, so only
+            # linear may turn a zero's sign
+            assert np.array_equal(np.signbit(r(t)), np.signbit(want))
+
+    def test_other_families_stay_composite(self):
+        r = WEIER.reflected()
+        assert r.family == "composite" and r.params["base"] is WEIER
+        t = np.linspace(0.0, 1.0, 257)
+        assert np.array_equal(r(t), -WEIER(t))
+
+
 class TestSerialization:
     def test_roundtrip(self):
         s = DrivingSpec("brownian", {"kappa": 6.0, "grid_step": 1e-3}, 1.0,

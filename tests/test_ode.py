@@ -200,6 +200,30 @@ class TestFloatLane:
         assert solo.event == pair.event and solo.event.kind == "threshold"
         assert_same_run(solo, pair)
 
+    def test_rejected_steps_equal_the_two_lane_batch(self):
+        # relaxation towards a square wave: each jump of the wave makes the
+        # controller reject steps until h has shrunk past it
+        field = lambda t, y: (int(5.0 * t) % 2) - y  # noqa: E731
+        solo = integrate(field, 2.0, (0.0, 3.0))
+        assert solo.nrejected > 10
+        assert_same_run(solo, integrate(field, np.array([2.0, 2.0]), (0.0, 3.0)))
+
+    def test_a_non_finite_stage_halves_the_step(self):
+        # the field is infinite past t = 0.3: from h = 0.5 the 4th stage
+        # (t + 0.8 h = 0.4) fails, so the attempt stops after 3 evaluations
+        # and the retry at h = 0.25 meets the loose tolerance
+        field = lambda t, y: y + (np.inf if t > 0.3 else 0.0)  # noqa: E731
+        loose = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
+        for y0 in (1.0, np.array([1.0, 1.0])):
+            st = _Stepper(field, 0.0, y0, 1.0, loose)
+            st.h = 0.5
+            assert st.step() == "ok"
+            assert (st.t, st.nrejected, st.nsteps, st.nfev) == (0.25, 1, 1, 1 + 3 + 6)
+        # run to the end, both lanes stall against the barrier alike
+        solo = integrate(field, 1.0, (0.0, 1.0))
+        assert solo.event.kind == "blow_up" and solo.nrejected > 10
+        assert_same_run(solo, integrate(field, np.array([1.0, 1.0]), (0.0, 1.0)))
+
     def test_scalar_state_takes_the_float_lane(self):
         st = _Stepper(lambda t, y: -y, 0.0, 1.0, 1.0, DEFAULT_CONFIG)
         assert st.float_lane and type(st.y) is np.float64

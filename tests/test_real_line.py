@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,12 @@ from loewner.real_line import (
     solve_frame_equation,
     solve_real_loewner,
     speed_condition_report,
+    _EXP_MAX,
     _classify_frame_batch,
     _refine_edge,
 )
+from loewner.ode import _Stepper
+from loewner.weierstrass import comparison_constant
 from loewner.sharp import SharpOscillation
 
 
@@ -70,29 +75,46 @@ class TestFrame:
 
     @pytest.mark.parametrize("C, T", [(2.0, 1.0), (2.0, 3.0), (1.0, 0.37)])
     def test_generic_rescaling_resolves_up_to_the_freeze(self, C, T):
-        # a twice-reflected copy is a composite driving, so the generic
-        # quotient runs; rescaling C sqrt(T - t) must give back C
-        spec = sqrt_spec(C, T).reflected().reflected()
+        # a composite driving has no closed form, so the generic quotient
+        # runs; rescaling C sqrt(T - t) must give back C
+        spec = DrivingSpec("composite", {"base": sqrt_spec(C, T)}, T)
         xi = FrameDriving(spec, frame_for(spec))
         assert xi._mode == "generic"
         s = np.linspace(0.0, FRAME_FREEZE_S, 281)
         assert np.max(np.abs(xi(s) - C)) <= 1e-4 * C
 
-    @pytest.mark.parametrize("mode, spec, frame", [
-        pytest.param("zero", ZOO[0], None, id="zero"),
-        pytest.param("const", sqrt_spec(4.0), None, id="const"),
-        pytest.param("decay", ZOO[1], None, id="decay"),
-        pytest.param("exp", ZOO[0], FrameMap(T=1.0, lambda_T=0.5), id="exp"),
-        pytest.param("sharp", DrivingSpec("sharp_example", {"a": 1.5}, 1.0), None, id="sharp"),
-        pytest.param("generic", ZOO[3], None, id="generic"),
+    @pytest.mark.parametrize("mode, spec, frame, closed_form", [
+        pytest.param("zero", ZOO[0], None, lambda s: 0.0, id="zero"),
+        pytest.param("const", sqrt_spec(4.0), None, lambda s: 4.0, id="const"),
+        pytest.param("decay", ZOO[1], None,
+                     lambda s: math.exp(-s) if s > -_EXP_MAX else None, id="decay"),
+        pytest.param("exp", ZOO[0], FrameMap(T=1.0, lambda_T=0.5),
+                     lambda s: 0.5 * math.exp(s) if s < _EXP_MAX else None, id="exp"),
+        pytest.param("sharp", DrivingSpec("sharp_example", {"a": 1.5}, 1.0), None, None, id="sharp"),
+        pytest.param("generic", ZOO[3], None, None, id="generic"),
     ])
-    def test_float_lane_matches_the_array_path(self, mode, spec, frame):
+    def test_float_lane_matches_the_array_path(self, mode, spec, frame, closed_form):
         xi = FrameDriving(spec, frame or frame_for(spec))
         assert xi._mode == mode
         for s in np.linspace(0.0, 30.0, 301).tolist():
             v = xi(s)
             assert type(v) is float
             assert abs(v - xi(np.array([s]))[0]) <= 4 * np.finfo(float).eps * max(1.0, abs(v))
+        # the float evaluator is the float lane: the closed forms with
+        # math.exp inside +-_EXP_MAX (closed_form gives None beyond), and
+        # the array path elsewhere, where np.exp overflows to inf instead
+        # of raising
+        ss = [0.0, 0.5, 13.9, 14.1, 30.0, 700.0, _EXP_MAX - 1e-9, _EXP_MAX, _EXP_MAX + 0.5, 800.0]
+        if closed_form is not None:
+            ss += [-s for s in ss[1:]]
+        with np.errstate(over="ignore"):
+            for s in ss:
+                want = None if closed_form is None else closed_form(s)
+                if want is None:
+                    want = float(xi(np.array([s]))[0])
+                assert type(xi.at(s)) is float
+                for got in (xi.at(s), xi(s), xi(np.float64(s))):
+                    assert np.array_equal(got, want) and np.signbit(got) == np.signbit(want)
 
     def test_numpy_float_takes_the_float_lane(self, monkeypatch):
         spec = sqrt_spec(4.0)
@@ -386,10 +408,22 @@ class TestCaptureScan:
     def test_scan_reports_its_cost(self):
         # the base batch plus 13 one-start refinement probes
         scan = capture_scan(sqrt_spec(5.0), 1.0, mirrored=False)
-        assert scan.nprobes == 13
-        assert scan.nsteps > 13 * 100
+        # the counts are those of the stepper before its float lane was
+        # unrolled: the same steps and field evaluations
+        assert (scan.nprobes, scan.nsteps, scan.nfev) == (13, 3905, 23782)
         bare = capture_scan(sqrt_spec(5.0), 1.0, refine=False, mirrored=False)
         assert bare.nprobes == 0 and 0 < bare.nsteps < scan.nsteps
+        assert 6 * bare.nsteps < bare.nfev < scan.nfev
+
+    def test_mirrored_side_keeps_the_closed_form(self):
+        # the reflection of sqrt_approach(-5) is sqrt_approach(5), whose
+        # frame driving is the constant 5; as a composite it took the
+        # generic quotient and minutes of refinement
+        scan = capture_scan(sqrt_spec(-5.0), 1.0)
+        up = capture_scan(sqrt_spec(5.0), 1.0, mirrored=False)
+        assert scan.interval is None
+        assert scan.mirrored_interval == (-up.interval[1], -up.interval[0])
+        assert (scan.nsteps, scan.nprobes, scan.nfev) == (up.nsteps, up.nprobes, up.nfev)
 
     @pytest.mark.parametrize("c", [4.3, 5.0, 6.2])
     @pytest.mark.parametrize("tols", [
@@ -409,7 +443,28 @@ class TestCaptureScan:
             two = _classify_frame_batch(xi, np.array([x0, x0]), s_horizon, rel_tol, stationary_tol)
             for a, b in zip(one[:3], two[:3]):
                 assert np.array_equal(np.repeat(a, 2), b, equal_nan=True)
-            assert one[3] == two[3]
+            assert one[3:] == two[3:]
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda xi: _classify_frame_batch(xi, np.array([2.0]), SCAN_HORIZON_S),
+                     id="frame-one-start"),
+        pytest.param(lambda xi: solve_frame_equation(xi, 2.0), id="solve_frame_equation"),
+        pytest.param(lambda xi: solve_real_loewner(ZOO[3], 0.7, 1.0), id="solve_real_loewner"),
+        pytest.param(lambda xi: comparison_constant(2.0), id="comparison_constant"),
+    ])
+    def test_scalar_integrations_take_the_float_lane(self, run, monkeypatch):
+        # a fall-back to the 1-element array lane gives the same numbers at
+        # about ten times the cost per step, so only the lane shows it
+        lanes = []
+        init = _Stepper.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            lanes.append(self.float_lane)
+
+        monkeypatch.setattr(_Stepper, "__init__", recording)
+        run(FrameDriving(sqrt_spec(5.0), frame_for(sqrt_spec(5.0))))
+        assert lanes and all(lanes)
 
     def test_csv_export(self, tmp_path):
         scan = capture_scan(sqrt_spec(4.0), 1.0, refine=False, mirrored=False)
