@@ -197,8 +197,8 @@ def _cmd_hrle(args) -> int:
     _csv_rows(out / "hrle.csv", ["s", "x"],
               [[repr(float(s)), repr(float(v))] for s, v in
                zip(run.path.times, np.atleast_1d(run.path.values))])
-    _write_meta(out / "hrle.meta.json", "real-eq hrle", spec,
-                classification=run.classification, exit_s=run.exit_s)
+    _write_meta(out / "hrle.meta.json", "real-eq hrle", spec, classification=run.classification,
+                exit_s=run.exit_s, nsteps=run.path.nsteps, nfev=run.path.nfev)
     print(f"classification: {run.classification}")
     return 0
 

@@ -180,14 +180,12 @@ def _classify_flow(
     def g_threshold(s, y):
         return y - (2.0 + THRESHOLD_MARGIN)
 
-    guards = [(g_threshold, "threshold")] if kind == "height" else None
+    guard = g_threshold if kind == "height" else None
     paths = []
     s, y = 0.0, float(y0)
     target = max(s_horizon, 10.0)
     while True:
-        seg = integrate_until(
-            field, y, (s, min(s + 10.0, target)), None, _FLOW_CONFIG, guards=guards
-        )
+        seg = integrate_until(field, y, (s, min(s + 10.0, target)), guard, _FLOW_CONFIG)
         paths.append(seg)
         ev = seg.event
         if ev is not None and ev.kind == "threshold":

@@ -5,11 +5,11 @@ The fields integrated in this package are smooth away from a singular set
 engine is a Dormand-Prince 5(4) pair with PI step control and first-same-
 as-last reuse.  What is bespoke is the exit discipline:
 
-* guards are evaluated at every accepted step and crossings are refined by
+* a guard is evaluated at every accepted step and a crossing is refined by
   bisection (re-integrating over the shrinking bracket) until the time
   bracket is below ``abs_tol``;
 * a step-size underflow next to a singular denominator is never allowed to
-  produce NaNs: with a guard armed and nearly crossed it is promoted to the
+  produce NaNs: with the guard armed and nearly crossed it is promoted to the
   guard's event, with the state near zero it becomes a ``vanish`` event,
   otherwise a ``blow_up`` event.
 
@@ -317,11 +317,11 @@ def _advance(field, t0, y0, t1, cfg) -> _Stepper:
     return st
 
 
-def _classify_underflow(t, y, guards, guard_vals, scale0, cfg):
-    if guards:
-        j = int(np.argmin(np.abs(guard_vals)))
-        if abs(guard_vals[j]) <= max(100 * cfg.abs_tol, 1e-8):
-            return Event(guards[j][1], t, float(abs(guard_vals[j])), 0.0)
+def _classify_underflow(t, y, guard, guard_kind, scale0, cfg):
+    if guard is not None:
+        g = abs(guard(t, y))
+        if g <= max(100 * cfg.abs_tol, 1e-8):
+            return Event(guard_kind, t, float(g), 0.0)
     ymin = float(np.min(np.abs(np.atleast_1d(y))))
     if ymin <= 1e-4 * scale0:
         return Event("vanish", t, ymin, 0.0)
@@ -375,41 +375,37 @@ def integrate_until(
     cfg: Optional[IntegratorConfig] = None,
     *,
     guard_kind: str = "threshold",
-    guards: Optional[Sequence[tuple]] = None,
     t_stops: Optional[Sequence[float]] = None,
 ) -> SolutionPath:
     """Integrate until the first sign change of a guard.
 
     ``guard(t, y)`` is continuous along trajectories; its first sign change
     is refined by bisection to a time bracket of width <= abs_tol and
-    reported as an Event of kind ``guard_kind``.  Several guards may be
-    passed as ``guards=[(fn, kind), ...]``; the earliest crossing wins.
-    Without a crossing the path runs to the end of the span and carries a
-    ``horizon`` event.
+    reported as an Event of kind ``guard_kind``.  Without a crossing the
+    path runs to the end of the span and carries a ``horizon`` event; with
+    no guard (None) it carries none.
     """
     cfg = cfg or DEFAULT_CONFIG
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
         raise DomainError(f"empty span {span}")
-    glist = list(guards) if guards else []
-    if guard is not None:
-        glist.insert(0, (guard, guard_kind))
-    for _, kind in glist:
-        if kind not in EVENT_KINDS:
-            raise ConfigError(f"unknown event kind {kind!r}")
+    if guard is not None and guard_kind not in EVENT_KINDS:
+        raise ConfigError(f"unknown event kind {guard_kind!r}")
 
     stops = sorted(float(s) for s in (t_stops if t_stops is not None else []) if t0 < s <= t1)
     st = _Stepper(field, t0, y0, t1, cfg)
-    try:
-        g_prev = [g(t0, y0) for g, _ in glist]
-    except Exception as exc:
-        raise ConfigError(f"guard not evaluable at the initial point: {exc}") from exc
-    if any(not np.isfinite(g) for g in g_prev):
-        raise ConfigError("guard not finite at the initial point")
+    g_prev = None
+    if guard is not None:
+        try:
+            g_prev = guard(t0, y0)
+        except Exception as exc:
+            raise ConfigError(f"guard not evaluable at the initial point: {exc}") from exc
+        if not np.isfinite(g_prev):
+            raise ConfigError("guard not finite at the initial point")
 
     times = [t0]
     values = [st.state()[1]]
-    h_cap = (t1 - t0) / 50.0 if glist else np.inf
+    h_cap = (t1 - t0) / 50.0 if guard is not None else np.inf
     event = None
     bisect_nfev = 0
     stop_i = 0
@@ -428,10 +424,7 @@ def integrate_until(
         t_prev, y_prev = st.state()
         status = st.step(h_cap=cap)
         if status == "underflow":
-            g_now = [g(*st.state()) for g, _ in glist]
-            event = _classify_underflow(
-                st.t, st.state()[1], glist, g_now, st.scale0, cfg
-            )
+            event = _classify_underflow(*st.state(), guard, guard_kind, st.scale0, cfg)
             if times[-1] != st.t:
                 times.append(st.t)
                 values.append(st.state()[1])
@@ -439,31 +432,25 @@ def integrate_until(
         t_now, y_now = st.state()
         if stop_i < len(stops) and abs(t_now - stops[stop_i]) <= land_tol(t_now):
             stop_i += 1
-        fired = None
-        for j, (g, kind) in enumerate(glist):
-            g_now = g(t_now, y_now)
-            if g_now == 0.0 or (np.sign(g_now) != np.sign(g_prev[j]) and g_prev[j] != 0.0):
-                fired = (j, g, kind)
+        if guard is not None:
+            g_now = guard(t_now, y_now)
+            if g_now == 0.0 or (np.sign(g_now) != np.sign(g_prev) and g_prev != 0.0):
+                t_ev, resid, width, y_ev, bisect_nfev = _bisect_event(
+                    field, t_prev, y_prev, g_prev, t_now, guard, cfg
+                )
+                event = Event(guard_kind, t_ev, resid, width)
+                times.append(t_ev)
+                values.append(y_ev)
                 break
-            g_prev[j] = g_now
-        if fired is not None:
-            j, g, kind = fired
-            t_ev, resid, width, y_ev, bisect_nfev = _bisect_event(
-                field, t_prev, y_prev, g_prev[j], t_now, g, cfg
-            )
-            event = Event(kind, t_ev, resid, width)
-            times.append(t_ev)
-            values.append(y_ev)
-            break
+            g_prev = g_now
         times.append(t_now)
         values.append(y_now)
 
     if times[-1] != st.t and event is None:
         times.append(st.t)
         values.append(st.state()[1])
-    if event is None and glist:
-        g_end = glist[0][0](*st.state())
-        event = Event("horizon", st.t, float(abs(g_end)), 0.0)
+    if event is None and guard is not None:
+        event = Event("horizon", st.t, float(abs(guard(*st.state()))), 0.0)
 
     return SolutionPath(
         times=np.asarray(times),

@@ -350,46 +350,24 @@ def solve_frame_equation(
     x0: float,
     s_horizon: float = CAPTURE_HORIZON_S,
 ) -> FrameRun:
-    """Integrate the frame equation and classify the exit.
+    """Classify one start by the capture scan's one-start run and name the exit.
 
-    escaped-zero:     x reached 0 (the original solution passed lambda(T)
-                      strictly before T and escapes);
-    escaped-singular: xi - x reached the singularity floor (capture strictly
-                      before T);
-    captured-candidate: x stayed at least CAPTURE_BAND_FLOOR inside (0, xi)
-                      to the horizon, certifying capture at T numerically.
+    escaped-zero:     x fell to FRAME_ZERO_FLOOR (the original solution
+                      passed lambda(T) strictly before T and escapes);
+    escaped-singular: xi - x fell to FRAME_SING_FLOOR (capture before T);
+    captured-candidate: the run reached the horizon or parked, ending at
+                      least CAPTURE_BAND_FLOOR inside (0, xi): capture at T.
+    Anything else is undecided.  ``xi`` is a FrameDriving or any callable
+    of s, and ``exit_s`` is the first accepted step past a floor.
     """
     xi0 = float(np.asarray(xi(0.0)))
     if not (0.0 < x0 < xi0):
         raise DomainError(f"x0={x0} outside (0, xi(0))=(0, {xi0})")
-    floor2 = SINGULARITY_FLOOR**2
-
-    def fieldf(s, x):
-        return x - 4.0 / (xi(s) - x)
-
-    def g_zero(s, x):
-        return x
-
-    def g_sing(s, x):
-        return (float(np.asarray(xi(s))) - x) ** 2 - floor2
-
-    path = integrate_until(
-        fieldf,
-        float(x0),
-        (0.0, s_horizon),
-        None,
-        guards=[(g_zero, "vanish"), (g_sing, "capture")],
-    )
-    ev = path.event
-    if ev is not None and ev.kind == "vanish":
-        return FrameRun(path, "escaped-zero", ev.time)
-    if ev is not None and ev.kind == "capture":
-        return FrameRun(path, "escaped-singular", ev.time)
-    if ev is not None and ev.kind == "blow_up":
-        return FrameRun(path, "undecided", ev.time)
-    x_end = float(np.asarray(path.terminal_value))
+    code, s_exit, path = _classify_frame_one(xi, x0, s_horizon)
+    if code != 0:
+        return FrameRun(path, {1: "escaped-zero", 2: "escaped-singular", 3: "undecided"}[code], s_exit)
     xi_end = float(np.asarray(xi(path.terminal_time)))
-    if CAPTURE_BAND_FLOOR <= x_end <= xi_end - CAPTURE_BAND_FLOOR:
+    if CAPTURE_BAND_FLOOR <= path.terminal_value <= xi_end - CAPTURE_BAND_FLOOR:
         return FrameRun(path, "captured-candidate", None)
     return FrameRun(path, "undecided", None)
 
@@ -661,8 +639,27 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
 # capture scan
 # ---------------------------------------------------------------------------
 
+def _frame_field(xi: Callable, rel_tol: float):
+    """The frame classifiers' integrator config, xi's float evaluator and field:
+    a FrameDriving is read through ``at`` (a constant one makes the field
+    autonomous), and any other callable of s is its own evaluator."""
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-12, min_step=1e-13, max_steps=2_000_000)
+    at = getattr(xi, "at", xi)
+    if isinstance(xi, FrameDriving) and xi._mode == "const":
+        c = xi._const
+
+        def field(s, x):
+            return x - 4.0 / (c - x)
+    else:
+
+        def field(s, x):
+            return x - 4.0 / (at(s) - x)
+
+    return cfg, at, field
+
+
 def _classify_frame_batch(
-    xi: FrameDriving,
+    xi: Callable,
     x0s: np.ndarray,
     s_horizon: float,
     rel_tol: float = 1e-8,
@@ -677,28 +674,15 @@ def _classify_frame_batch(
     attracting fixed point (drift below ``stationary_tol`` inside the band)
     are certified early: explicit stepping is stability-capped there, so
     waiting out a long horizon step by step would dominate the cost for
-    nothing.  The field reads xi through its float evaluator, and a
-    constant xi makes it autonomous.  A one-start batch runs on the
-    stepper's float lane with scalar tests, and equals the same start run
-    in a wider batch.
+    nothing.  A one-start batch is ``_classify_frame_one``, and equals the
+    same start run in a wider batch.
     """
     y = np.asarray(x0s, dtype=float).copy()
-    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-12, min_step=1e-13, max_steps=2_000_000)
-    at = xi.at
-    if xi._mode == "const":
-        c = xi._const
-
-        def field(s, x):
-            return x - 4.0 / (c - x)
-    else:
-
-        def field(s, x):
-            return x - 4.0 / (at(s) - x)
-
     if y.size == 1:
-        code, s_exit, y_end, nsteps, nfev = _classify_frame_one(at, field, y[0], s_horizon, cfg, stationary_tol)
-        return np.array([code]), np.array([s_exit]), np.array([y_end]), nsteps, nfev
+        code, s_exit, path = _classify_frame_one(xi, y[0], s_horizon, rel_tol, stationary_tol)
+        return np.array([code]), np.array([s_exit]), np.array([path.terminal_value]), path.nsteps, path.nfev
 
+    cfg, at, field = _frame_field(xi, rel_tol)
     code = np.zeros(y.size, dtype=int)
     s_exit = np.full(y.size, np.nan)
     # the stepper carries the live components only; an exit rebuilds it on
@@ -752,21 +736,32 @@ def _classify_frame_batch(
     return code, s_exit, y, nsteps, nfev + st.nfev
 
 
-def _classify_frame_one(at, field, x0, s_horizon, cfg, stationary_tol):
-    """``_classify_frame_batch`` on one start, with xi's float evaluator ``at``:
-    (code, exit time, terminal value, steps, field evaluations)."""
+def _classify_frame_one(
+    xi: Callable, x0, s_horizon: float, rel_tol: float = 1e-8, stationary_tol: float = 1e-12
+):
+    """``_classify_frame_batch`` on one start: (code, exit time, path).
+
+    The run takes the stepper's float lane with scalar exit and park tests;
+    the path holds its accepted steps and counts.
+    """
+    cfg, at, field = _frame_field(xi, rel_tol)
     st = _Stepper(field, 0.0, x0, s_horizon, cfg)
-    nsteps = 0
+    times, values = [st.t], [st.y]
+    code, s_exit, nsteps = 0, np.nan, 0
     while st.t < s_horizon:
         if st.step() == "underflow":
-            code = 3 if at(st.t) - st.y > 10 * FRAME_SING_FLOOR else 2
-            return code, st.t, st.y, nsteps, st.nfev
+            code, s_exit = (3 if at(st.t) - st.y > 10 * FRAME_SING_FLOOR else 2), st.t
+            break
         nsteps += 1
+        times.append(st.t)
+        values.append(st.y)
         xiv = at(st.t)
         if st.y <= FRAME_ZERO_FLOOR:
-            return 1, st.t, st.y, nsteps, st.nfev
+            code, s_exit = 1, st.t
+            break
         if xiv - st.y <= FRAME_SING_FLOOR:
-            return 2, st.t, st.y, nsteps, st.nfev
+            code, s_exit = 2, st.t
+            break
         if (
             nsteps % 8 == 0
             and abs(st.k1) <= stationary_tol * max(1.0, abs(st.y))
@@ -774,7 +769,8 @@ def _classify_frame_one(at, field, x0, s_horizon, cfg, stationary_tol):
             and xiv - st.y >= 10 * FRAME_SING_FLOOR
         ):
             break
-    return 0, np.nan, st.y, nsteps, st.nfev
+    times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+    return code, s_exit, SolutionPath(times, values, None, nsteps, st.nrejected, st.nfev)
 
 
 @dataclass
@@ -855,12 +851,12 @@ def _scan_one_side(
             xi, x_frame[runnable], SCAN_HORIZON_S
         )
 
+    xi_end = xi.at(SCAN_HORIZON_S)
     for i, X0 in enumerate(grid):
         if not runnable[i]:
             reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", SCAN_HORIZON_S))
             continue
         if code[i] == 0:
-            xi_end = float(xi(SCAN_HORIZON_S))
             if CAPTURE_BAND_FLOOR <= x_end[i] <= xi_end - CAPTURE_BAND_FLOOR:
                 reports.append(
                     CaptureReport(float(X0), "captured", T, "fixed_point_band", SCAN_HORIZON_S)
@@ -895,13 +891,11 @@ def _scan_one_side(
                     return False
                 # tight tolerance so the parked-at-fixed-point exit can
                 # distinguish genuine capture from a slow parabolic escape
-                c, se, xe, n, nf = _classify_frame_batch(
-                    xi, np.array([xf]), s_ext, rel_tol=1e-11, stationary_tol=1e-9
-                )
-                probe_cost.append((n, nf))
-                if c[0] == 2:  # capture strictly before T: member only within tol
-                    return abs(FrameMap(T, lam_T).t_of_s(float(se[0])) - T) <= member_tol
-                return c[0] == 0 and xe[0] >= CAPTURE_BAND_FLOOR
+                c, se, path = _classify_frame_one(xi, xf, s_ext, rel_tol=1e-11, stationary_tol=1e-9)
+                probe_cost.append((path.nsteps, path.nfev))
+                if c == 2:  # capture strictly before T: member only within tol
+                    return abs(frame.t_of_s(se) - T) <= member_tol
+                return c == 0 and path.terminal_value >= CAPTURE_BAND_FLOOR
 
             # the base-scan endpoint may over-include by a parked-escape
             # misread; walk inward to a certified member before bisecting

@@ -386,6 +386,10 @@ class TestSubcommands:
         assert "captured-candidate" in capsys.readouterr().out
         rows = list(csv.DictReader(open(tmp_path / "hrle.csv")))
         assert float(rows[-1]["s"]) == 3.0
+        # one csv row per accepted step, after the start
+        meta = json.loads((tmp_path / "hrle.meta.json").read_text())
+        assert meta["classification"] == "captured-candidate" and meta["exit_s"] is None
+        assert len(rows) == meta["nsteps"] + 1 and meta["nfev"] > 6 * meta["nsteps"]
 
     def test_figure_reference_lines(self, tmp_path):
         assert run(["figure", "--a", "1.5", "--k-max", "10",

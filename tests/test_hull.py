@@ -501,6 +501,9 @@ class TestEndpointExperiment:
         ee = endpoint_experiment(sqrt_spec(5.5), 1.0, dt=2e-3, halvings=2)
         assert ee.decreasing
         assert ee.band_ok and ee.band_min_observed >= ee.band_floor
+        # criterion 12's figure: the frame runs keep steps in the s >= 5
+        # window, so parking or path recording has not emptied it
+        assert f"{ee.band_min_observed:.4f}" == "0.8625"
 
     def test_perturbed_steep_approach(self):
         # small smooth perturbation keeps the hypotheses and the verdict

@@ -438,12 +438,24 @@ class TestCaptureScan:
         s_horizon, rel_tol, stationary_tol = tols
         xi = FrameDriving(sqrt_spec(c), frame_for(sqrt_spec(c)))
         low = (c - np.sqrt(c * c - 16.0)) / 2.0
+        named = {0: "captured-candidate", 1: "escaped-zero", 2: "escaped-singular", 3: "undecided"}
         for x0 in (0.5 * low, 0.999 * low, 1.001 * low, 0.5 * c, c - 1e-3, c - 1e-12):
             one = _classify_frame_batch(xi, np.array([x0]), s_horizon, rel_tol, stationary_tol)
             two = _classify_frame_batch(xi, np.array([x0, x0]), s_horizon, rel_tol, stationary_tol)
             for a, b in zip(one[:3], two[:3]):
                 assert np.array_equal(np.repeat(a, 2), b, equal_nan=True)
             assert one[3:] == two[3:]
+            if (rel_tol, stationary_tol) == (1e-8, 1e-12):
+                # solve_frame_equation is the same run at these base
+                # tolerances, named (the surviving starts park inside the
+                # band), with its accepted steps recorded
+                run = solve_frame_equation(xi, x0, s_horizon)
+                code, s_exit = int(one[0][0]), float(one[1][0])
+                assert run.classification == named[code]
+                assert run.exit_s == (None if code == 0 else s_exit)
+                assert run.path.terminal_value == one[2][0]
+                assert (run.path.nsteps, run.path.nfev) == one[3:]
+                assert run.path.times.size == run.path.nsteps + 1
 
     @pytest.mark.parametrize("run", [
         pytest.param(lambda xi: _classify_frame_batch(xi, np.array([2.0]), SCAN_HORIZON_S),
