@@ -289,6 +289,9 @@ def _cmd_con(args) -> int:
     _csv_rows(out / f"{args.action}.csv", ["s", "y"],
               [[repr(float(s)), repr(float(u))] for s, u in
                zip(path.times, np.atleast_1d(path.values))])
+    _write_meta(out / f"{args.action}.meta.json", f"imag-eq {args.action}", status=cls.status,
+                certificate=cls.certificate, witness_time=cls.witness_time,
+                nsteps=path.nsteps, nfev=path.nfev)
     print(f"status: {cls.status}  certificate: {cls.certificate}")
     return 0
 

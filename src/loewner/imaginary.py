@@ -24,13 +24,21 @@ Deciding vanishing numerically near the threshold cannot be done from the
 magnitude of Y alone: solutions on both sides collapse below any floor by
 time T.  Classification therefore runs in the transformed frame, chasing
 either the threshold certificate or a decisive decay trend, extending the
-horizon until one of them lands (or a hard cap is reached).
+horizon until one of them lands (or a hard cap is reached).  Both frame
+flows run in u = log y, where the drive du/ds = 1 - 4/(eta^2 + y^2) (or
+1 - 4/(eta^2 + eta w)) lies in [1 - 4/eta^2, 1]: under a small gap y decays
+at the stiff rate 4/eta^2, while u falls at a bounded one.  Each horizon is
+one run from s = 0 whose one guard is u crossing log(2 + THRESHOLD_MARGIN);
+only a gap touching 0 sends u to -infinity in finite s, and that run stops
+short of its horizon (vanishing).  An original-time start at or below
+``SINGULARITY_FLOOR`` goes straight to the frame, with witness T.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +46,7 @@ import scipy
 
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
-from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, integrate, integrate_until
+from .ode import SINGULARITY_FLOOR, Event, IntegratorConfig, SolutionPath, integrate, integrate_until
 from .real_line import FRAME_FREEZE_S, _quad, _rescaled
 
 __all__ = [
@@ -68,6 +76,13 @@ COMPARISON_MARGIN = 1e-3
 # the transformed flows cap the step so trailing trend windows always hold
 # enough samples (below abs_tol the error control would let steps explode)
 _FLOW_CONFIG = IntegratorConfig(max_step=0.5)
+# the log field: below _DRIVE_FLOOR, 4/(...) leaves double range; a drive
+# within _DRIVE_ROUNDING of 0 is rounding, and is 0 so that a start on a
+# (repelling) fixed point stays there; np.float64 constants make its
+# arithmetic honour np.errstate
+_DRIVE_FLOOR = 4.0 / np.finfo(float).max
+_DRIVE_ROUNDING = 4.0 * np.finfo(float).eps
+_ZERO, _ONE, _FOUR, _NEG_INF = (np.float64(v) for v in (0.0, 1.0, 4.0, -np.inf))
 
 
 @dataclass
@@ -123,8 +138,6 @@ def solve_planar(
         g = guard(path.terminal_time, np.array([X, Y]))
         scale = max(1.0, abs(z0))
         if np.hypot(X - float(spec(path.terminal_time)), Y) <= 1e-3 * scale:
-            from .ode import Event
-
             ev = Event("capture", path.terminal_time, float(abs(g)), 0.0)
             path.event = ev
     return path, ev
@@ -135,28 +148,28 @@ def solve_planar(
 # ---------------------------------------------------------------------------
 
 
-def _con1_field(eta):
-    def f(s, y):
+def _log_field(eta, kind):
+    """du/ds = 1 - 4/(eta^2 + e^{2u}) (height) or 1 - 4/(eta^2 + eta e^u) (difference).
+
+    The drive is 1 where e^{2u} or eta e^u leaves double range, and -inf where
+    a zero gap makes 4/(...) leave it (u collapses there; the stepper shrinks
+    the step until the run stops).  Any other floating-point failure is numpy's.
+    """
+    height = kind == "height"
+
+    def f(s, u):
         e = eta(s)
-        return y - 4.0 * y / (e * e + y * y)
+        try:
+            g = math.exp(2.0 * u) if height else e * math.exp(u)
+        except OverflowError:
+            return _ONE
+        d = e * e + g
+        if e == 0.0 and d < _DRIVE_FLOOR:
+            return _NEG_INF
+        r = 1.0 - _FOUR / d
+        return r if abs(r) > _DRIVE_ROUNDING else _ZERO
 
     return f
-
-
-def _con2_field(eta):
-    def f(s, w):
-        e = eta(s)
-        return w - 4.0 * w / (e * e + e * w)
-
-    return f
-
-
-def _stitch(paths: list[SolutionPath]) -> SolutionPath:
-    times = np.concatenate([p.times if i == 0 else p.times[1:] for i, p in enumerate(paths)])
-    values = np.concatenate([p.values if i == 0 else p.values[1:] for i, p in enumerate(paths)])
-    last = paths[-1]
-    return SolutionPath(times, values, last.event, sum(p.nsteps for p in paths),
-                        sum(p.nrejected for p in paths), sum(p.nfev for p in paths))
 
 
 def _classify_flow(
@@ -167,59 +180,41 @@ def _classify_flow(
 ) -> tuple[SolutionPath, VanishClassification]:
     if not 0.0 < y0 < np.inf:
         raise DomainError(f"initial value must be positive and finite, got {y0!r}")
-    e0 = float(np.asarray(eta(0.0)))
-    if not e0 >= 0:
+    if not float(np.asarray(eta(0.0))) >= 0:
         raise DomainError("gap driving must be nonnegative")
-    field = _con1_field(eta) if kind == "height" else _con2_field(eta)
-
-    if kind == "height" and y0 >= 2.0 + THRESHOLD_MARGIN:
-        # never vanishing: at or above the threshold the drive is nonnegative
-        path = integrate(field, float(y0), (0.0, min(s_horizon, 10.0)), _FLOW_CONFIG)
-        return path, VanishClassification("not_vanishing_certified", "y_crossed_2", 0.0)
-
-    def g_threshold(s, y):
-        return y - (2.0 + THRESHOLD_MARGIN)
-
-    guard = g_threshold if kind == "height" else None
-    paths = []
-    s, y = 0.0, float(y0)
-    target = max(s_horizon, 10.0)
-    while True:
-        seg = integrate_until(field, y, (s, min(s + 10.0, target)), guard, _FLOW_CONFIG)
-        paths.append(seg)
-        ev = seg.event
-        if ev is not None and ev.kind == "threshold":
-            return _stitch(paths), VanishClassification(
-                "not_vanishing_certified", "y_crossed_2", ev.time
-            )
-        if ev is not None and ev.kind == "vanish":
-            # solution collapsed numerically: decisive decay
-            return _stitch(paths), VanishClassification("vanishing", "horizon", ev.time)
-        if ev is not None and ev.kind == "blow_up":
-            return _stitch(paths), VanishClassification("undecided", "horizon", ev.time)
-        s = seg.terminal_time
-        y = float(np.asarray(seg.terminal_value))
-        if y <= 1e-250:
-            return _stitch(paths), VanishClassification("vanishing", "horizon", s)
-        if s >= target:
-            whole = _stitch(paths)
-            verdict = _window_verdict(whole, eta, kind)
-            if verdict is not None:
-                return whole, verdict
-            if s >= S_CAP:
-                return whole, VanishClassification("undecided", "horizon", None)
+    field, u0, target = _log_field(eta, kind), math.log(y0), max(s_horizon, 10.0)
+    # a height start at or above the threshold never vanishes (its drive is positive)
+    above = kind == "height" and y0 >= 2.0 + THRESHOLD_MARGIN
+    u_top = math.log(2.0 + THRESHOLD_MARGIN)
+    guard = (lambda s, u: u - u_top) if kind == "height" else None
+    cls = None
+    while cls is None:
+        path = integrate_until(field, u0, (0.0, target), guard, _FLOW_CONFIG)
+        ev = path.event
+        if above or (ev is not None and ev.kind == "threshold"):
+            cls = VanishClassification("not_vanishing_certified", "y_crossed_2",
+                                       0.0 if above else ev.time)
+        elif path.terminal_time < target:
+            # the run stopped short of its span: u collapsed under a zero gap
+            cls = VanishClassification("vanishing", "horizon", path.terminal_time)
+        else:
+            cls = _window_verdict(path, eta, kind)
+            if cls is None and target >= S_CAP:
+                cls = VanishClassification("undecided", "horizon", None)
             target = min(S_CAP, 2.0 * target)
+    return replace(path, values=np.exp(path.values)), cls
 
 
 def _window_verdict(path: SolutionPath, eta, kind) -> Optional[VanishClassification]:
-    """Decide from the trailing window, or return None to keep extending."""
+    """Decide from the trailing window of a path in u, or return None to keep extending."""
     s_end = path.terminal_time
     mask = path.times >= s_end - TREND_WINDOW
     if np.count_nonzero(mask) < 4:
         return None
     ss = path.times[mask]
-    yy = np.asarray(path.values[mask], dtype=float)
-    scaled = np.exp(-ss) * yy
+    uu = np.asarray(path.values[mask], dtype=float)
+    yy = np.exp(uu)
+    scaled = np.exp(uu - ss)
 
     if kind == "difference":
         ev = np.asarray(eta(ss), dtype=float)
@@ -303,7 +298,12 @@ def solve_imaginary(
     def guard(t, y):
         return y * y - floor2
 
-    path = integrate_until(fieldf, float(y0), (0.0, T), guard, guard_kind="vanish")
+    # a start at or below the floor cannot cross the squared guard, and a
+    # state below abs_tol crawls at steps of about theta^2: the frame decides
+    if y0 > SINGULARITY_FLOOR:
+        path = integrate_until(fieldf, float(y0), (0.0, T), guard, guard_kind="vanish")
+    else:
+        path = SolutionPath(np.array([0.0]), np.array([float(y0)]))
     ev = path.event
     hit_time = ev.time if ev is not None and ev.kind in ("vanish", "blow_up") else None
     if hit_time is not None and hit_time < T * (1 - 1e-6):

@@ -23,6 +23,14 @@ def run(argv):
     return main(argv)
 
 
+def run_subprocess(argv):
+    """Run the CLI in a fresh interpreter, stopped after 60 s."""
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "loewner.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
 class TestTrace:
     def test_trivial_driving_row_at_one(self, tmp_path, capsys):
         assert run(["trace", "--driving", ZERO, "--dt", "1e-3",
@@ -336,13 +344,7 @@ class TestSubcommands:
         # reflection sqrt_approach(5) through its closed frame form; as a
         # composite it took minutes
         falling = '{"family":"sqrt_approach","params":{"c":-5},"T":1}'
-        src = str(Path(loewner.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-m", "loewner.cli", "capture-scan", "--driving", falling,
-             "--out", str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
+        done = run_subprocess(["capture-scan", "--driving", falling, "--out", str(tmp_path)])
         assert done.returncode == 0, done.stderr
         assert "mirrored: (-3.99995" in done.stdout
 
@@ -416,6 +418,23 @@ class TestSubcommands:
         assert "status: vanishing " in capsys.readouterr().out
         rows = list(csv.DictReader(open(tmp_path / f"{action}.csv")))
         assert float(rows[-1]["s"]) == 25.0
+        # one csv row per accepted step, after the start
+        meta = json.loads((tmp_path / f"{action}.meta.json").read_text())
+        assert (meta["status"], meta["certificate"], meta["witness_time"]) == (
+            "vanishing", "horizon", 25.0)
+        assert len(rows) == meta["nsteps"] + 1 and meta["nfev"] > 6 * meta["nsteps"]
+
+    @pytest.mark.parametrize("argv", [
+        ["con1", "--const", "0.001", "--y0", "0.5"],
+        ["con2", "--const", "0.001", "--y0", "0.5"],
+        ["ile", "--C", "0.001", "--y0", "1.6479316931752282e-239", "--T", "0.001"],
+    ])
+    def test_small_gap_ends_in_a_status(self, argv, tmp_path):
+        # a gap of 0.001 makes y decay at rate 4e6: in y these ran for minutes
+        out = [] if argv[0] == "ile" else ["--out", str(tmp_path)]
+        done = run_subprocess(["imag-eq", *argv, *out])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("status: vanishing ")
 
     def test_operator_f_horizon_is_the_flag(self, tmp_path, capsys):
         assert run(["real-eq", "operator-f", "--density", DENSITY, "--horizon", "3",
@@ -467,12 +486,19 @@ class TestFuzz:
         assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
 
     @FUZZ
-    @given(action=st.sampled_from(["con1", "con2"]),
+    @given(action=st.sampled_from(["con1", "con2"]), const=st.floats(),
            horizon=st.none() | STEPS | st.floats(1.0, 100.0),
            y0=st.sampled_from([float("nan"), float("inf"), float("-inf")]) | st.floats())
-    def test_con(self, action, horizon, y0, tmp_path):
-        argv = ["imag-eq", action, "--const", "1.5", f"--y0={y0!r}", "--out", str(tmp_path)]
+    def test_con(self, action, const, horizon, y0, tmp_path):
+        argv = ["imag-eq", action, f"--const={const!r}", f"--y0={y0!r}", "--out", str(tmp_path)]
         assert run(argv + ([] if horizon is None else [f"--horizon={horizon!r}"])) in (0, 1, 2)
+
+    @FUZZ
+    @given(gap=st.sampled_from(["--C", "--const"]), value=st.floats(), y0=st.floats(),
+           T=st.none() | st.floats())
+    def test_ile(self, gap, value, y0, T):
+        argv = ["imag-eq", "ile", f"{gap}={value!r}", f"--y0={y0!r}"]
+        assert run(argv + ([] if T is None else [f"--T={T!r}"])) in (0, 1, 2)
 
     @FUZZ
     @given(horizon=st.none() | STEPS | st.floats(1.0, 1e300))

@@ -20,6 +20,8 @@ from loewner.imaginary import (
     write_transition_csv,
     write_vanish_csv,
 )
+from loewner.imaginary import _FLOW_CONFIG, _log_field
+from loewner.ode import integrate
 from loewner.real_line import sharp_oscillation
 
 
@@ -79,6 +81,14 @@ class TestImaginaryEquation:
         assert cls.status == "vanishing"
         assert cls.witness_time == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("y0", [1e-9, 5e-10, 1e-12, 1.6479316931752282e-239])
+    def test_start_at_the_floor_goes_to_the_frame(self, y0):
+        # the original-time guard cannot fire from here, and the run crawled
+        # at steps of about theta^2; the frame decides, with witness T
+        T = 1e-3
+        _, cls = solve_imaginary(sqrt_gap(1e-3, T), y0, T, frame_eta=const(1e-3))
+        assert (cls.status, cls.witness_time) == ("vanishing", T)
+
     def test_generic_rescaling_path(self):
         _, cls = solve_imaginary(sqrt_gap(2.0), 1.0, 1.0)
         assert cls.status == "not_vanishing_certified"
@@ -116,6 +126,15 @@ class TestFrameFlows:
         assert cls.status == "vanishing"
         assert float(np.asarray(path.terminal_value)) == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
+    @pytest.mark.parametrize("y0", [1e-6, 0.5, 1.0, 1.9, 1.999999])
+    def test_zero_gap_collapses_at_the_closed_form_time(self, y0):
+        # eta = 0: z = y^2 obeys dz/ds = 2z - 8, so y reaches 0 at
+        # s* = log(4/(4 - y0^2))/2, where u = log y falls to -infinity
+        _, cls = solve_frame_imaginary(const(0.0), y0)
+        assert cls.status == "vanishing"
+        s_star = 0.5 * np.log(4.0 / (4.0 - y0 * y0))
+        assert cls.witness_time == pytest.approx(s_star, rel=1e-5, abs=1e-12)
+
     def test_threshold_crossing_certificate(self):
         path, cls = solve_frame_imaginary(const(2.0), 0.5)
         assert cls.status == "not_vanishing_certified"
@@ -130,15 +149,18 @@ class TestFrameFlows:
         assert cls.status == "vanishing"
 
     def test_certified_growth_floor_after_crossing(self):
-        # after touching 2 the solution dominates sqrt(c e^{2s} + 4)
+        # for eta = 2, z = y^2 - 4 obeys dz/ds = 2 y^4/(4 + y^2) >= 2 z, so
+        # past the crossing s* the solution dominates sqrt(z(s*) e^{2(s - s*)} + 4);
+        # the path ends at s*, so the run is continued from its last state
         path, cls = solve_frame_imaginary(const(2.0), 0.5)
-        s_star = cls.witness_time
-        mask = path.times >= s_star
-        ss, ys = path.times[mask], np.asarray(path.values[mask], dtype=float)
-        if ss.size > 3:
-            c0 = ys[0] ** 2 - 4.0
-            floor = np.sqrt(np.maximum(c0 * np.exp(2.0 * (ss - ss[0])), 0.0))
-            assert np.all(ys >= floor - 1e-6)
+        s_star, y_star = cls.witness_time, float(path.values[-1])
+        assert s_star == path.terminal_time
+        more = integrate(_log_field(const(2.0), "height"), np.log(y_star),
+                         (s_star, s_star + 5.0), _FLOW_CONFIG)
+        ss, ys = more.times[1:], np.exp(more.values[1:])
+        assert ss.size >= 4
+        floor = np.sqrt((y_star**2 - 4.0) * np.exp(2.0 * (ss - s_star)) + 4.0)
+        assert np.all(ys >= floor)
 
     def test_difference_flow_examples(self):
         _, cls = solve_frame_difference(const(2.0), 1.0)
@@ -157,8 +179,6 @@ class TestFrameFlows:
         # w = x_upper - x_lower solves the difference flow with the gap
         # driving eta = 5 - x_upper = 1.  Integrate both fields onto the
         # same stop times so interpolation error does not enter.
-        from loewner.ode import integrate
-
         stops = np.linspace(0.5, 10.0, 20)
         lower = integrate(lambda s, x: x - 4.0 / (5.0 - x), 2.0, (0.0, 10.0),
                           t_stops=stops)
@@ -194,6 +214,46 @@ class TestFrameFlows:
         _, cls1 = solve_frame_imaginary(eta1, y0)
         _, cls2 = solve_frame_imaginary(eta2, y0)
         assert cls1.status == "vanishing" and cls2.status == "vanishing"
+
+
+# a constant gap decides both flows through their fixed points alone:
+# height   du/ds = 1 - 4/(eta^2 + y^2):  vanishing iff eta < 2 and y0 < sqrt(4 - eta^2)
+# difference  du/ds = 1 - 4/(eta^2 + eta w):  vanishing iff w0 < 4/eta - eta
+# Both fixed points repel, so starts within 1e-6 (relative) of one are left
+# out: there the verdict follows rounding.
+ORACLE_STARTS = [1e-6, 0.01, 0.3, 0.5, 1.0, 1.5, 1.9, 1.999, 2.5, 10.0, 1e3, 1e4]
+
+
+def _off_the_fixed_point(y0, fixed):
+    return not fixed > 0 or abs(y0 - fixed) > 1e-6 * fixed
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("eta", [0.0, 0.001, 0.5, 1.0, np.sqrt(2.0), 1.9, 2.1, 3.0])
+    def test_height_flow(self, eta):
+        fixed = np.sqrt(4.0 - eta * eta) if eta < 2.0 else 0.0
+        for y0 in filter(lambda y: _off_the_fixed_point(y, fixed), ORACLE_STARTS):
+            _, cls = solve_frame_imaginary(const(eta), y0)
+            want = "vanishing" if y0 < fixed else "not_vanishing_certified"
+            assert (y0, cls.status) == (y0, want)
+
+    @pytest.mark.parametrize("eta", [0.001, 0.3, 1.0, np.sqrt(2.0), 1.9, 2.5, 5.0])
+    def test_difference_flow(self, eta):
+        fixed = 4.0 / eta - eta
+        for w0 in filter(lambda w: _off_the_fixed_point(w, fixed), ORACLE_STARTS):
+            _, cls = solve_frame_difference(const(eta), w0)
+            want = "vanishing" if w0 < fixed else "not_vanishing_certified"
+            assert (w0, cls.status) == (w0, want)
+
+    def test_start_on_the_fixed_point_stays_there(self):
+        # sqrt(4 - eta^2) is the closed-form vanishing start of the gap
+        # C sqrt(T - t) in the frame; both fixed points repel, so a drive of
+        # rounding size there must not carry the start off
+        for eta in np.linspace(0.02, 1.98, 99):
+            for flow, fixed in ((solve_frame_imaginary, np.sqrt(4.0 - eta * eta)),
+                                (solve_frame_difference, 4.0 / eta - eta)):
+                path, cls = flow(const(eta), fixed)
+                assert (eta, cls.status, np.ptp(path.values)) == (eta, "vanishing", 0.0)
 
 
 class TestRampTerminal:
