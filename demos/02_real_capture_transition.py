@@ -16,7 +16,6 @@ from loewner import DrivingSpec
 from loewner.real_line import (
     FrameDriving,
     capture_scan,
-    frame_for,
     no_capture_certificate,
     solve_real_loewner,
 )
@@ -43,7 +42,7 @@ for c in (3.0, 3.9, 4.0, 5.0, 6.0):
 print("\n-- descent certificate for subcritical drivings --")
 for c in (1.0, 2.0, 3.0):
     spec = DrivingSpec("sqrt_approach", {"c": c}, 1.0)
-    xi = FrameDriving(spec, frame_for(spec))
+    xi = FrameDriving(spec)
     descent = 4.0 - c if c >= 2 else 4.0 / c
     cert = no_capture_certificate(xi, 0.0, 1.01 * c / descent)
     print(f"  c={c}: certificate holds = {cert.holds} "

@@ -36,7 +36,6 @@ from .imaginary import (
 )
 from .real_line import (
     FrameDriving,
-    FrameMap,
     capture_scan,
     driving_from_profile,
     no_capture_certificate,
@@ -183,9 +182,8 @@ def _cmd_capture_scan(args) -> int:
 def _frame_driving(args) -> tuple[DrivingSpec, FrameDriving]:
     """The driving of --driving and its frame driving at --T (default: its horizon)."""
     spec = _load_driving(args.driving)
-    T = args.T if args.T is not None else spec.T
     with _from_flags():
-        return spec, FrameDriving(spec, FrameMap(T=T, lambda_T=float(spec(T))))
+        return spec, FrameDriving(spec, args.T)
 
 
 def _cmd_hrle(args) -> int:

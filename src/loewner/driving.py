@@ -183,7 +183,7 @@ class DrivingSpec:
         if fam == "sharp_example":
             # lambda_T = sqrt(T) xi(0) pins lambda(0) = 0
             osc = self._sharp
-            return _inverse_frame(osc.xi, self.T, np.sqrt(self.T) * osc.xi(0.0), 1, t)
+            return _inverse_frame(osc.xi, self.T, np.sqrt(self.T) * osc.xi(0.0), t)
         if fam == "composite":
             r = float(p.get("t_offset", 0.0))
             scale = float(p.get("scale", 1.0))
@@ -217,9 +217,6 @@ class DrivingSpec:
 
     # -- derived specs -----------------------------------------------------
 
-    def shifted(self, r: float, normalize: Optional[bool] = None) -> "DrivingSpec":
-        return shift(self, r, normalize=normalize)
-
     def reflected(self) -> "DrivingSpec":
         """The driving t -> -lambda(t).
 
@@ -252,8 +249,8 @@ def check_weierstrass_order(N) -> None:
         raise DomainError(f"weierstrass order N={N!r} must be an integer >= 1")
 
 
-def _inverse_frame(xi, T: float, lambda_T: float, direction: int, t):
-    """lambda(t) = lambda_T - direction sqrt(T - t) xi(s(t)), s = -log((T - t)/T)/2.
+def _inverse_frame(xi, T: float, lambda_T: float, t):
+    """lambda(t) = lambda_T - sqrt(T - t) xi(s(t)), s = -log((T - t)/T)/2.
 
     The inverse of the square-root frame transform of :mod:`loewner.real_line`,
     with lambda(T) = lambda_T; scalar in, float out.
@@ -264,7 +261,7 @@ def _inverse_frame(xi, T: float, lambda_T: float, direction: int, t):
     inside = rem > 0
     if np.any(inside):
         s = -0.5 * np.log(rem[inside] / T)
-        out[inside] = lambda_T - direction * np.sqrt(rem[inside]) * np.asarray(xi(s), dtype=float)
+        out[inside] = lambda_T - np.sqrt(rem[inside]) * np.asarray(xi(s), dtype=float)
     return out if out.shape else float(out)
 
 

@@ -46,7 +46,7 @@ from .driving import DrivingSpec, local_scaling_exponents
 from .errors import DomainError, NumericalError, PreconditionError
 from .imaginary import solve_planar
 from .ode import SINGULARITY_FLOOR, integrate
-from .real_line import FrameDriving, FrameMap, solve_frame_equation
+from .real_line import FrameDriving, solve_frame_equation
 
 __all__ = [
     "forward_map",
@@ -261,7 +261,6 @@ class TraceCurve:
     times: np.ndarray
     points: np.ndarray
     cell_step: float
-    tip_offsets: np.ndarray
     nudges: int = 0
 
     def write_csv(self, path):
@@ -297,7 +296,6 @@ def trace(
         times=times,
         points=points,
         cell_step=float(dt),
-        tip_offsets=2.0 * np.sqrt(hs),
         nudges=nudges,
     )
 
@@ -665,8 +663,7 @@ def endpoint_experiment(
 
     # persistent-gap band check through the frame equation
     r_b = (b_hat + np.sqrt(max(b_hat**2 - 16.0, 0.0))) / 2.0
-    frame = FrameMap(T=T, lambda_T=float(spec(T)))
-    xi = FrameDriving(spec, frame)
+    xi = FrameDriving(spec, T)
     floor = a_hat - r_b - 0.05
     band_min = np.inf
     for x0 in np.linspace(r_b + 0.1 * (a_hat - r_b), a_hat - 0.1 * (a_hat - r_b), 5):

@@ -63,7 +63,6 @@ __all__ = [
     "vanishing_spread",
     "dual_vanishing_probe",
     "write_transition_csv",
-    "write_vanish_csv",
 ]
 
 THRESHOLD_MARGIN = 1e-6     # strictness above the level-2 certificate
@@ -180,6 +179,8 @@ def _classify_flow(
 ) -> tuple[SolutionPath, VanishClassification]:
     if not 0.0 < y0 < np.inf:
         raise DomainError(f"initial value must be positive and finite, got {y0!r}")
+    if not s_horizon <= S_CAP:  # NaN fails too
+        raise DomainError(f"horizon must be at most S_CAP = {S_CAP}, got {s_horizon!r}")
     if not float(np.asarray(eta(0.0))) >= 0:
         raise DomainError("gap driving must be nonnegative")
     field, u0, target = _log_field(eta, kind), math.log(y0), max(s_horizon, 10.0)
@@ -242,7 +243,7 @@ def solve_frame_imaginary(
     trailing window with e^{-s} y below threshold, decreasing, and y itself
     not growing is classified vanishing.  A growing subthreshold solution
     extends the horizon, up to ``S_CAP``, until the threshold certificate
-    can fire.
+    can fire; an ``s_horizon`` above ``S_CAP`` raises DomainError.
     """
     return _classify_flow(eta, y0, "height", s_horizon)
 
@@ -258,7 +259,8 @@ def solve_frame_difference(
     vanishing solutions); non-vanishing is certified from the differential
     inequality dw/w >= 1 - 4/(eta(eta+w)) >= delta > 0, checked as
     w >= max(0, 4/eta - eta) + COMPARISON_MARGIN uniformly on a growing
-    trailing window.
+    trailing window.  ``s_horizon`` is at most ``S_CAP``, as for the height
+    flow.
     """
     e_samples = np.asarray(eta(np.linspace(0.0, min(s_horizon, 50.0), 501)), dtype=float)
     if np.any(e_samples <= 0):
@@ -640,11 +642,3 @@ def write_transition_csv(path, results: Sequence[TransitionResult]):
         for r in results:
             w.writerow([repr(r.C), repr(r.T), r.status,
                         "" if r.witness_y0 is None else repr(r.witness_y0)])
-
-
-def write_vanish_csv(path, report: SpreadReport):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y0", "status", "terminal_value", "certificate"])
-        for r in report.rows:
-            w.writerow([repr(r.y0), r.status, repr(r.terminal_value), r.certificate])

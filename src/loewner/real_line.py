@@ -48,7 +48,6 @@ __all__ = [
     "FrameMap",
     "CaptureReport",
     "solve_real_loewner",
-    "frame_for",
     "from_frame_driving",
     "solve_frame_equation",
     "density_flags",
@@ -100,21 +99,14 @@ REFINE_TOL_MIN = 1e-12
 
 @dataclass(frozen=True)
 class FrameMap:
-    """Bookkeeping between original time t in [0, T) and frame time s >= 0.
-
-    direction is +1 when lambda(T) is approached from below (a running
-    maximum at T), -1 for the mirrored case.
-    """
+    """Bookkeeping between original time t in [0, T) and frame time s >= 0."""
 
     T: float
     lambda_T: float
-    direction: int = 1
 
     def __post_init__(self):
         if self.T <= 0:
             raise DomainError("frame horizon T must be positive")
-        if self.direction not in (1, -1):
-            raise DomainError("direction must be +1 or -1")
 
     def s_of_t(self, t):
         t = np.asarray(t, dtype=float)
@@ -129,85 +121,55 @@ class FrameMap:
         return t if t.shape else float(t)
 
 
-def frame_for(spec: DrivingSpec, T: Optional[float] = None, direction: int = 1) -> FrameMap:
-    T = spec.T if T is None else float(T)
-    if T > spec.T:
-        raise DomainError("frame horizon exceeds the driving domain")
-    return FrameMap(T=T, lambda_T=float(spec(T)), direction=direction)
-
-
 class FrameDriving:
-    """The transformed driving xi(s) of a DrivingSpec under a FrameMap.
+    """The transformed driving xi(s) = (lambda(T) - lambda(t)) / sqrt(T - t).
 
-    Exact closed forms are used for families where the transform is
-    analytic; otherwise the generic quotient is evaluated and frozen beyond
-    ``FRAME_FREEZE_S`` where T - t is no longer resolvable in doubles.
-    ``at`` is the float evaluator, chosen once at construction: xi at one
-    float time, which is what a call with a float returns.
+    ``frame`` is FrameMap(T, spec(T)), T the driving's horizon by default.
+    Exact closed forms are used where the transform is analytic: ``const``
+    (constant, and sqrt_approach at its own horizon), ``decay`` (linear,
+    amp e^{-s}) and ``sharp`` (sharp_example at its own horizon); otherwise
+    the generic quotient is evaluated and frozen beyond ``FRAME_FREEZE_S``
+    where T - t is no longer resolvable in doubles.  ``const`` is the
+    constant value of xi, or None.  ``at`` (xi at one float time, which is
+    what a call with a float returns) and ``_eval`` (the array path) are
+    chosen once at construction; math.exp raises where np.exp overflows to
+    inf, so ``decay``'s float evaluator takes the array path beyond
+    ``_EXP_MAX``.
     """
 
-    def __init__(self, spec: DrivingSpec, frame: FrameMap):
-        if frame.T > spec.T * (1 + 1e-12):
+    def __init__(self, spec: DrivingSpec, T: Optional[float] = None):
+        T = spec.T if T is None else float(T)
+        if T > spec.T * (1 + 1e-12):
             raise DomainError("frame horizon exceeds the driving domain")
         self.spec = spec
-        self.frame = frame
-        self._mode = "generic"
-        d, T = frame.direction, frame.T
-        lam_T = frame.lambda_T
+        self.frame = FrameMap(T, float(spec(T)))
+        own_T = abs(T - spec.T) <= 1e-12 * spec.T
         fam, p = spec.family, spec.params
+        self.const: Optional[float] = None
         if fam == "constant":
-            self._amp = float(d * (lam_T - spec(0.0)) / np.sqrt(T))
-            self._mode = "exp" if self._amp != 0.0 else "zero"
-        elif fam == "linear":
-            lam0 = spec(0.0)
-            k = float(p["slope"])
-            if abs(lam_T - (lam0 + k * T)) <= 1e-12 * max(1.0, abs(lam_T)):
-                self._amp = float(d * k * np.sqrt(T))
-                self._mode = "decay"
-        elif fam == "sqrt_approach":
-            if (
-                abs(T - spec.T) <= 1e-12 * spec.T
-                and abs(lam_T - spec(spec.T)) <= 1e-12 * max(1.0, abs(lam_T))
-            ):
-                self._const = d * float(p["c"])
-                self._mode = "const"
-        elif fam == "sharp_example":
-            osc: SharpOscillation = spec._sharp
-            nat_lam_T = np.sqrt(spec.T) * osc.xi(0.0)
-            if (
-                abs(T - spec.T) <= 1e-12 * spec.T
-                and abs(lam_T - nat_lam_T) <= 1e-9 * max(1.0, abs(nat_lam_T))
-                and d == 1
-            ):
-                self._osc = osc
-                self._mode = "sharp"
-        if self._mode == "generic":
-            self._generic = _rescaled(lambda t: d * (lam_T - spec(t)), T)
-        self.at = self._float_evaluator()
-
-    def _float_evaluator(self) -> Callable[[float], float]:
-        """The closed forms at a float time; the array path elsewhere.
-
-        math.exp raises where np.exp overflows to inf, so the array path
-        keeps the range beyond ``_EXP_MAX``.
-        """
-        mode = self._mode
+            self.const = 0.0
+        elif fam == "sqrt_approach" and own_T:
+            self.const = float(p["c"])
 
         def array_at(s):
             return float(self._eval(np.array([s]))[0])
 
-        if mode == "zero":
-            return lambda s: 0.0
-        if mode == "const":
-            c = self._const
-            return lambda s: c
-        if mode == "decay":
-            amp = self._amp
-            return lambda s: amp * math.exp(-s) if s > -_EXP_MAX else array_at(s)
-        if mode == "exp":
-            amp = self._amp
-            return lambda s: amp * math.exp(s) if s < _EXP_MAX else array_at(s)
-        return array_at
+        if self.const is not None:
+            c = self.const
+            self._eval = lambda s: np.full_like(s, c)
+            self.at = lambda s: c
+        elif fam == "linear":
+            amp = float(p["slope"]) * math.sqrt(T)
+            self._eval = lambda s: amp * np.exp(-s)
+            self.at = lambda s: amp * math.exp(-s) if s > -_EXP_MAX else array_at(s)
+        elif fam == "sharp_example" and own_T:
+            osc: SharpOscillation = spec._sharp
+            self._eval = lambda s: np.asarray(osc.xi(s), dtype=float)
+            self.at = array_at
+        else:
+            lam_T = self.frame.lambda_T
+            self._eval = _rescaled(lambda t: lam_T - spec(t), T)
+            self.at = array_at
 
     def __call__(self, s):
         if isinstance(s, float):
@@ -216,19 +178,6 @@ class FrameDriving:
         scalar = not s.shape
         out = self._eval(np.atleast_1d(s))
         return float(out[0]) if scalar else out
-
-    def _eval(self, s: np.ndarray) -> np.ndarray:
-        if self._mode == "zero":
-            return np.zeros_like(s)
-        if self._mode == "const":
-            return np.full_like(s, self._const)
-        if self._mode == "decay":
-            return self._amp * np.exp(-s)
-        if self._mode == "exp":
-            return self._amp * np.exp(s)
-        if self._mode == "sharp":
-            return np.asarray(self._osc.xi(s), dtype=float)
-        return self._generic(s)
 
 
 def _quad(f: Callable, a: float, b: float, limit: int) -> tuple[float, float]:
@@ -267,7 +216,7 @@ def from_frame_driving(xi: Callable, frame: FrameMap) -> Callable:
     """Invert the frame transform: lambda(t) on [0, T] from xi(s)."""
 
     def lam(t):
-        return _inverse_frame(xi, frame.T, frame.lambda_T, frame.direction, t)
+        return _inverse_frame(xi, frame.T, frame.lambda_T, t)
 
     return lam
 
@@ -533,7 +482,7 @@ def reconstruct_captured_pair(phi: Callable, frame: FrameMap) -> Reconstruction:
     flags = density_flags(phi)
     if not flags["ok"]:
         raise PreconditionError(f"density fails admissibility flags: {flags}")
-    T, lam_T, d = frame.T, frame.lambda_T, frame.direction
+    T, lam_T = frame.T, frame.lambda_T
 
     # the grid is carried as the exact remaining time rem = T - t: forming
     # rem from a rounded t loses all digits in the corner at T; 872 bulk and
@@ -545,10 +494,9 @@ def reconstruct_captured_pair(phi: Callable, frame: FrameMap) -> Reconstruction:
     s = -0.5 * np.log(rem / T)
 
     I, qerr = tail_integral(phi, s)
-    gap = np.sqrt(T) * I  # lambda(T) - X(t), direction-free magnitude
-    X = lam_T - d * gap
+    X = lam_T - np.sqrt(T) * I  # sqrt(T) I = lambda(T) - X(t)
     phis = np.asarray(phi(s), dtype=float)
-    lam = X - d * 4.0 * rem / (np.sqrt(T) * phis)
+    lam = X - 4.0 * rem / (np.sqrt(T) * phis)
 
     # residual of the defining ODE, gap-scaled
     h = np.minimum(1e-4 * T, rem * 3e-4)
@@ -556,7 +504,7 @@ def reconstruct_captured_pair(phi: Callable, frame: FrameMap) -> Reconstruction:
     h = np.maximum(h, 1e-13 * T)
     s_lo = -0.5 * np.log(np.minimum(rem + h, T) / T)
     s_hi = -0.5 * np.log(np.maximum(rem - h, 1e-17 * T) / T)
-    dX = d * np.sqrt(T) * _gauss_panel(phi, s_lo, s_hi) / (2.0 * h)
+    dX = np.sqrt(T) * _gauss_panel(phi, s_lo, s_hi) / (2.0 * h)
     resid = np.abs(dX * (X - lam) / 2.0 - 1.0)
     ok = (t > 1e-6 * T) & (rem > 1e-9 * T)
     residual = float(np.max(resid[ok]))
@@ -645,8 +593,8 @@ def _frame_field(xi: Callable, rel_tol: float):
     autonomous), and any other callable of s is its own evaluator."""
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-12, min_step=1e-13, max_steps=2_000_000)
     at = getattr(xi, "at", xi)
-    if isinstance(xi, FrameDriving) and xi._mode == "const":
-        c = xi._const
+    if isinstance(xi, FrameDriving) and xi.const is not None:
+        c = xi.const
 
         def field(s, x):
             return x - 4.0 / (c - x)
@@ -782,9 +730,7 @@ class ScanResult:
     interval: Optional[tuple[float, float]]
     mirrored_interval: Optional[tuple[float, float]]
     reports: list
-    undecided: np.ndarray
     cell: float
-    endpoint_refined: bool
     notes: str = ""
     nsteps: int = 0  # accepted frame steps, base batch and refinement probes
     nprobes: int = 0  # one-start refinement runs
@@ -809,9 +755,10 @@ def _scan_one_side(
     """The scan of the upper side; ``capture_scan`` adds the mirrored one."""
 
     def nothing(note):
-        return ScanResult(T, np.array([]), None, None, [], np.array([]), 0.0, refine, note)
+        return ScanResult(T, np.array([]), None, None, [], 0.0, note)
 
-    lam_T = float(spec(T))
+    xi = FrameDriving(spec, T)
+    frame, lam_T = xi.frame, xi.frame.lambda_T
     member_tol = 1e-4 * T  # a capture this close to T counts as one at T
     lam_0 = float(spec(0.0))
     # record precheck: capture from above requires lambda(T) to be a record
@@ -821,8 +768,6 @@ def _scan_one_side(
     if lam_T < lam_max - 1e-7 * scale:
         return nothing("lambda(T) is not a running maximum; no capture at T from above")
 
-    frame = FrameMap(T=T, lambda_T=lam_T, direction=1)
-    xi = FrameDriving(spec, frame)
     xi0 = float(xi(0.0))
     if xi0 <= 0:
         return nothing("degenerate frame driving")
@@ -840,7 +785,6 @@ def _scan_one_side(
     runnable = (x_frame > 0) & (x_frame < xi0)
     reports = []
     member_mask = np.zeros(grid.size, dtype=bool)
-    undecided = []
     code = np.full(grid.size, -1)
     s_exit = np.full(grid.size, np.nan)
     x_end = np.full(grid.size, np.nan)
@@ -853,30 +797,19 @@ def _scan_one_side(
 
     xi_end = xi.at(SCAN_HORIZON_S)
     for i, X0 in enumerate(grid):
-        if not runnable[i]:
-            reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", SCAN_HORIZON_S))
-            continue
-        if code[i] == 0:
-            if CAPTURE_BAND_FLOOR <= x_end[i] <= xi_end - CAPTURE_BAND_FLOOR:
-                reports.append(
-                    CaptureReport(float(X0), "captured", T, "fixed_point_band", SCAN_HORIZON_S)
-                )
-                member_mask[i] = True
-            else:
-                reports.append(CaptureReport(float(X0), "undecided", None, "horizon_exhausted", SCAN_HORIZON_S))
-                undecided.append(X0)
-        elif code[i] == 1:
-            reports.append(CaptureReport(float(X0), "escaped", None, "horizon_exhausted", SCAN_HORIZON_S))
-        elif code[i] == 3:
-            reports.append(CaptureReport(float(X0), "undecided", None, "horizon_exhausted", SCAN_HORIZON_S))
-            undecided.append(X0)
-        else:
+        if code[i] == 2:
             t_cap = frame.t_of_s(float(s_exit[i]))
-            member = abs(t_cap - T) <= member_tol
+            member_mask[i] = abs(t_cap - T) <= member_tol
             reports.append(
                 CaptureReport(float(X0), "captured", float(t_cap), "singular_floor", SCAN_HORIZON_S)
             )
-            member_mask[i] = member
+        elif code[i] == 0 and CAPTURE_BAND_FLOOR <= x_end[i] <= xi_end - CAPTURE_BAND_FLOOR:
+            member_mask[i] = True
+            reports.append(CaptureReport(float(X0), "captured", T, "fixed_point_band", SCAN_HORIZON_S))
+        else:
+            # code -1 (not runnable) and 1 escape; a survivor outside the band and 3 are undecided
+            status = "escaped" if code[i] in (-1, 1) else "undecided"
+            reports.append(CaptureReport(float(X0), status, None, "horizon_exhausted", SCAN_HORIZON_S))
 
     members = np.sort(grid[member_mask])
     interval = None
@@ -910,7 +843,7 @@ def _scan_one_side(
                 lo = -_refine_edge(lambda v: captured_at(-v), -inside_lo, -lo_out, lo_tol)
         interval = (lo, hi)
     return ScanResult(
-        T, members, interval, None, reports, np.asarray(undecided), cell, refine,
+        T, members, interval, None, reports, cell,
         nsteps=nsteps + sum(n for n, _ in probe_cost), nprobes=len(probe_cost),
         nfev=nfev + sum(nf for _, nf in probe_cost),
     )

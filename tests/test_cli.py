@@ -195,6 +195,7 @@ class TestStrictness:
         ["--horizon", "-1"],
         ["--horizon", "0"],
         ["--horizon", "inf"],
+        ["--horizon", "1e16"],
         ["--y0", "nan"],
         ["--y0", "inf"],
         ["--y0", "0"],

@@ -18,7 +18,6 @@ from loewner.imaginary import (
     solve_planar,
     vanishing_spread,
     write_transition_csv,
-    write_vanish_csv,
 )
 from loewner.imaginary import _FLOW_CONFIG, _log_field
 from loewner.ode import integrate
@@ -382,12 +381,6 @@ class TestSpreadAndProbe:
         rep = vanishing_spread(const(2.0), [0.5, 1.0])
         assert all(r.status == "not_vanishing_certified" for r in rep.rows)
         assert rep.max_small_gap is None
-
-    def test_vanish_csv(self, tmp_path):
-        rep = vanishing_spread(const(1.5), [0.2, 0.4])
-        out = tmp_path / "vanish.csv"
-        write_vanish_csv(out, rep)
-        assert out.read_text().splitlines()[0] == "y0,status,terminal_value,certificate"
 
     def test_dual_probe_consistent(self):
         pr = dual_vanishing_probe(const(1.0))

@@ -15,7 +15,6 @@ from loewner.real_line import (
     capture_scan,
     density_flags,
     driving_from_profile,
-    frame_for,
     from_frame_driving,
     no_capture_certificate,
     profile_from_density,
@@ -58,18 +57,18 @@ class TestFrame:
     def test_sqrt_approach_maps_to_constant(self):
         for c, T in ((4.0, 1.0), (2.5, 3.0)):
             spec = sqrt_spec(c, T)
-            xi = FrameDriving(spec, frame_for(spec))
+            xi = FrameDriving(spec)
             s = np.linspace(0.0, 30.0, 64)
             assert np.allclose(xi(s), c, atol=1e-12)
 
     def test_zero_maps_to_zero(self):
         spec = DrivingSpec("constant", {"value": 0.0}, 1.0)
-        xi = FrameDriving(spec, frame_for(spec))
+        xi = FrameDriving(spec)
         assert np.allclose(xi(np.linspace(0, 20, 40)), 0.0, atol=1e-14)
 
     def test_linear_maps_to_decaying_exponential(self):
         spec = DrivingSpec("linear", {"slope": 1.0}, 1.0)
-        xi = FrameDriving(spec, frame_for(spec))
+        xi = FrameDriving(spec)
         s = np.linspace(0.0, 10.0, 30)
         assert np.allclose(xi(s), np.exp(-s), atol=1e-12)
 
@@ -78,24 +77,54 @@ class TestFrame:
         # a composite driving has no closed form, so the generic quotient
         # runs; rescaling C sqrt(T - t) must give back C
         spec = DrivingSpec("composite", {"base": sqrt_spec(C, T)}, T)
-        xi = FrameDriving(spec, frame_for(spec))
-        assert xi._mode == "generic"
+        xi = FrameDriving(spec)
+        assert xi.const is None
         s = np.linspace(0.0, FRAME_FREEZE_S, 281)
         assert np.max(np.abs(xi(s) - C)) <= 1e-4 * C
 
-    @pytest.mark.parametrize("mode, spec, frame, closed_form", [
-        pytest.param("zero", ZOO[0], None, lambda s: 0.0, id="zero"),
-        pytest.param("const", sqrt_spec(4.0), None, lambda s: 4.0, id="const"),
-        pytest.param("decay", ZOO[1], None,
-                     lambda s: math.exp(-s) if s > -_EXP_MAX else None, id="decay"),
-        pytest.param("exp", ZOO[0], FrameMap(T=1.0, lambda_T=0.5),
-                     lambda s: 0.5 * math.exp(s) if s < _EXP_MAX else None, id="exp"),
-        pytest.param("sharp", DrivingSpec("sharp_example", {"a": 1.5}, 1.0), None, None, id="sharp"),
-        pytest.param("generic", ZOO[3], None, None, id="generic"),
+    @pytest.mark.parametrize("spec, T", [
+        pytest.param(DrivingSpec("linear", {"slope": 1.0}, 1.0), None, id="linear"),
+        pytest.param(DrivingSpec("linear", {"slope": -2.0, "intercept": 0.3}, 2.0), 1.3,
+                     id="linear-inner-T"),
+        pytest.param(DrivingSpec("constant", {"value": 2.0}, 1.0), None, id="constant"),
+        pytest.param(sqrt_spec(4.0), None, id="sqrt_approach"),
+        pytest.param(sqrt_spec(2.5, 3.0), None, id="sqrt_approach-T3"),
+        pytest.param(DrivingSpec("sharp_example", {"a": 1.5, "k_max": 14}, 1.0), None, id="sharp"),
+        pytest.param(DrivingSpec("sharp_example", {"a": 3.0, "k_max": 14}, 2.5), None, id="sharp-T2.5"),
     ])
-    def test_float_lane_matches_the_array_path(self, mode, spec, frame, closed_form):
-        xi = FrameDriving(spec, frame or frame_for(spec))
-        assert xi._mode == mode
+    def test_closed_forms_equal_the_generic_quotient(self, spec, T):
+        # a composite wrapper has the same values and no closed form, so
+        # its frame driving is the generic quotient of the same driving
+        xi = FrameDriving(spec, T)
+        generic = FrameDriving(DrivingSpec("composite", {"base": spec}, spec.T), T)
+        assert generic.const is None
+        s = np.linspace(0.0, 10.0, 201)
+        scale = np.max(np.abs(xi(s)))
+        assert np.max(np.abs(xi(s) - generic(s))) <= 1e-4 * scale
+
+    @pytest.mark.parametrize("spec", [
+        sqrt_spec(4.0), DrivingSpec("sharp_example", {"a": 1.5, "k_max": 14}, 1.0),
+    ], ids=["sqrt_approach", "sharp"])
+    def test_inner_horizon_takes_the_generic_quotient(self, spec):
+        # the closed forms of sqrt_approach and sharp_example hold at the
+        # driving's own horizon only
+        xi = FrameDriving(spec, 0.6 * spec.T)
+        generic = FrameDriving(DrivingSpec("composite", {"base": spec}, spec.T), 0.6 * spec.T)
+        assert xi.const is None
+        s = np.linspace(0.0, 20.0, 201)
+        assert np.array_equal(xi(s), generic(s))
+        assert xi.frame == FrameMap(0.6 * spec.T, float(spec(0.6 * spec.T)))
+
+    @pytest.mark.parametrize("const, spec, closed_form", [
+        pytest.param(0.0, ZOO[0], lambda s: 0.0, id="zero"),
+        pytest.param(4.0, sqrt_spec(4.0), lambda s: 4.0, id="const"),
+        pytest.param(None, ZOO[1], lambda s: math.exp(-s) if s > -_EXP_MAX else None, id="decay"),
+        pytest.param(None, DrivingSpec("sharp_example", {"a": 1.5}, 1.0), None, id="sharp"),
+        pytest.param(None, ZOO[3], None, id="generic"),
+    ])
+    def test_float_lane_matches_the_array_path(self, const, spec, closed_form):
+        xi = FrameDriving(spec)
+        assert xi.const == const
         for s in np.linspace(0.0, 30.0, 301).tolist():
             v = xi(s)
             assert type(v) is float
@@ -118,18 +147,18 @@ class TestFrame:
 
     def test_numpy_float_takes_the_float_lane(self, monkeypatch):
         spec = sqrt_spec(4.0)
-        xi = FrameDriving(spec, frame_for(spec))
+        xi = FrameDriving(spec)
 
-        def array_path(self, s):
+        def array_path(s):
             raise AssertionError("array path taken")
 
-        monkeypatch.setattr(FrameDriving, "_eval", array_path)
+        monkeypatch.setattr(xi, "_eval", array_path)
         assert xi(np.float64(2.5)) == 4.0
 
     @pytest.mark.parametrize("spec", ZOO, ids=[s.family for s in ZOO])
     def test_roundtrip_through_frame(self, spec):
-        fr = frame_for(spec)
-        lam_back = from_frame_driving(FrameDriving(spec, fr), fr)
+        xi = FrameDriving(spec)
+        lam_back = from_frame_driving(xi, xi.frame)
         t = np.linspace(0.0, spec.T - 1e-6, 400)
         assert np.max(np.abs(lam_back(t) - spec(t))) < 1e-8
 
@@ -338,7 +367,7 @@ class TestNoCaptureCertificate:
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.0, 3.5])
     def test_soundness_against_scan(self, c):
         spec = sqrt_spec(c)
-        xi = FrameDriving(spec, frame_for(spec))
+        xi = FrameDriving(spec)
         descent = 4.0 - c if c >= 2 else 4.0 / c
         t2 = 1.01 * c / descent
         assert no_capture_certificate(xi, 0.0, t2).holds
@@ -436,7 +465,7 @@ class TestCaptureScan:
         # zero, the others park at the attracting one, and the last one
         # stalls at the singular floor at s = 0
         s_horizon, rel_tol, stationary_tol = tols
-        xi = FrameDriving(sqrt_spec(c), frame_for(sqrt_spec(c)))
+        xi = FrameDriving(sqrt_spec(c))
         low = (c - np.sqrt(c * c - 16.0)) / 2.0
         named = {0: "captured-candidate", 1: "escaped-zero", 2: "escaped-singular", 3: "undecided"}
         for x0 in (0.5 * low, 0.999 * low, 1.001 * low, 0.5 * c, c - 1e-3, c - 1e-12):
@@ -475,7 +504,7 @@ class TestCaptureScan:
             lanes.append(self.float_lane)
 
         monkeypatch.setattr(_Stepper, "__init__", recording)
-        run(FrameDriving(sqrt_spec(5.0), frame_for(sqrt_spec(5.0))))
+        run(FrameDriving(sqrt_spec(5.0)))
         assert lanes and all(lanes)
 
     def test_csv_export(self, tmp_path):
