@@ -77,8 +77,11 @@ COMPARISON_MARGIN = 1e-3
 _FLOW_CONFIG = IntegratorConfig(max_step=0.5)
 # the log field: below _DRIVE_FLOOR, 4/(...) leaves double range; a drive
 # within _DRIVE_ROUNDING of 0 is rounding, and is 0 so that a start on a
-# (repelling) fixed point stays there; np.float64 constants make its
-# arithmetic honour np.errstate
+# (repelling) fixed point stays there.  The state u reaches the field only
+# through math.exp, which returns a Python float even when the stepper
+# replays a failed attempt on numpy operands; np.float64 constants keep the
+# field's arithmetic numpy's, so np.errstate decides a zero division (with
+# Python floats it would raise ZeroDivisionError on the replay as well)
 _DRIVE_FLOOR = 4.0 / np.finfo(float).max
 _DRIVE_ROUNDING = 4.0 * np.finfo(float).eps
 _ZERO, _ONE, _FOUR, _NEG_INF = (np.float64(v) for v in (0.0, 1.0, 4.0, -np.inf))
@@ -484,7 +487,8 @@ def driving_from_gap(
 
     The integrand decays at least like e^{-s}/min(eta); integration runs to
     s = 50 (or to the end of the represented domain) and the remainder uses
-    a log-linear decay fit on the last decade of the window.
+    a log-linear decay fit on the last decade of the window.  A quadrature
+    that scipy flags as doubtful raises NumericalError.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     out = np.empty_like(t_grid)
@@ -499,7 +503,7 @@ def driving_from_gap(
                 raise DomainError(f"gap not positive at s={t + s}")
             return 4.0 * np.exp(-s) / e
 
-        val, _ = scipy.integrate.quad(integrand, 0.0, span, limit=800)
+        val, _ = _quad(integrand, 0.0, span, 800)
         # tail continuation from a decay fit over the last decade
         ss = np.linspace(0.9 * span, span, 17)
         gs = np.array([integrand(x) for x in ss])

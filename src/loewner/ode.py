@@ -19,14 +19,17 @@ the squared gap has an O(1) time derivative at the crossing, which is what
 makes the residual and bracket guarantees attainable in double precision.
 
 States may be scalars or 1-d arrays, real or complex.  A real scalar runs
-on the stepper's float lane: ``np.float64`` scalars and an unrolled step,
-which equals the array lane's step on a batch of copies of the start bit
-for bit at a fraction of its per-step overhead.
+on the stepper's float lane: Python floats and an unrolled step, which
+equals the array lane's step on a batch of copies of the start bit for bit
+at a fraction of its per-step overhead.  An attempt that fails on the float
+lane is replayed on numpy operands, so ``np.errstate`` governs both lanes
+alike.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -119,16 +122,25 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _ERR.tolist()
 _C2, _C3, _C4, _C5, _C6, _C7 = _C[1:]
 
 # the smallest step, relative to |t|, that still moves t in double precision
-_TIME_RESOLUTION = 8 * np.finfo(float).eps
+_TIME_RESOLUTION = 8 * sys.float_info.epsilon
 
-# the float lane tests each stage with these, one global lookup each
-_F64, _isfinite = np.float64, math.isfinite
+# one global lookup each in the lanes' attempts
+_isfinite, _add_rows, _all = math.isfinite, np.add.reduce, np.logical_and.reduce
 
 
 def _float_stage(k):
-    """A float-lane stage that failed the quick test: k as an np.float64, or None if not finite."""
-    if type(k) is not np.float64:
-        k = np.float64(np.reshape(k, ()))
+    """A float-lane stage that failed the quick test: k as a float, or None if it fails.
+
+    An ``np.float64`` (a float subclass) converts directly, which is much
+    cheaper than through an array.  A complex value fails: a Python float
+    raised to a fractional power is complex where numpy's is NaN.
+    """
+    if isinstance(k, float):
+        k = float(k)
+    elif isinstance(k, complex):
+        return None
+    else:
+        k = float(np.reshape(k, ()))
     return k if math.isfinite(k) else None
 
 
@@ -136,16 +148,24 @@ class _Stepper:
     """One integration run; owns the adaptive loop state.
 
     A real scalar state whose field is real runs on the float lane: the
-    state and the stage derivatives are numpy float64 scalars, which (unlike
-    Python floats) honour ``np.errstate``, and an attempt is straight-line
-    code over the named stages k1..k7.  Any other state runs as a 1-d array
-    whose stage derivatives fill the rows of one array ``K``.  Each stage
-    input and the error estimate add the tableau products in tableau order,
-    zero weights included (dropping one can flip the sign of a zero), and
-    numpy adds the at most 7 rows of an axis-0 sum in order, so a float-lane
-    run equals a batch of copies of its start bit for bit.  Both lanes share
-    the step loop, the PI controller and ``_norm``.  ``nfev`` counts every
-    field evaluation, failed ones included.
+    state and the stage derivatives are Python floats, and an attempt is
+    straight-line code over the named stages k1..k7.  Any other state runs
+    as a 1-d array whose stage derivatives fill the rows of one array ``K``.
+    Each stage input and the error estimate add the tableau products in
+    tableau order, zero weights included (dropping one can flip the sign of
+    a zero), and numpy adds the at most 7 rows of an axis-0 sum in order, so
+    a float-lane run equals a batch of copies of its start bit for bit.
+    Both lanes share the step loop, the PI controller and ``_norm``.
+
+    Python floats ignore ``np.errstate``: they overflow to inf silently and
+    raise ZeroDivisionError where numpy returns inf.  So a float-lane attempt
+    that fails (a stage, the solution or the error estimate is not finite,
+    or the field raises ZeroDivisionError or OverflowError) is replayed as
+    the array lane's attempt on a one-element copy, which by the invariant
+    above repeats it bit for bit on numpy operands: numpy then raises, warns
+    or fails the attempt exactly as it would for a batch.  ``nfev`` counts
+    every field evaluation, failed ones included, and a replayed attempt
+    once.
     """
 
     def __init__(self, field, t0, y0, t1, cfg: IntegratorConfig):
@@ -163,8 +183,8 @@ class _Stepper:
             raise DomainError(f"field not finite at the initial point t={t0}")
         self.float_lane = self.scalar and y.dtype.kind == "f" and k1.size == 1 and k1.dtype.kind != "c"
         if self.float_lane:
-            self.y = np.float64(y)
-            self.K = [np.float64(k1.reshape(()))]
+            self.y = float(y)
+            self.K = [float(k1.reshape(()))]
         else:
             self.y = np.atleast_1d(y)
             self.K = np.empty((7, self.y.size), dtype=np.result_type(y, k1, np.float64))
@@ -182,70 +202,85 @@ class _Stepper:
     def _float_attempt(self, t, y, h):
         """One attempt on the float lane: (5th-order solution, error estimate, k7), or None.
 
-        None means a stage is not finite; the stages after it are not evaluated.
+        None means the attempt failed: a stage, the solution or the error
+        estimate is not finite.  The stages after a failed one are not
+        evaluated, and a failed attempt counts no field evaluation: its
+        replay (``_replay``) counts them.
         """
         f, k1 = self.f, self.K[0]
         k2 = f(t + _C2 * h, y + h * (_A21 * k1))
-        if type(k2) is not _F64 or not _isfinite(k2):
+        if type(k2) is not float or not _isfinite(k2):
             k2 = _float_stage(k2)
             if k2 is None:
-                self.nfev += 1
                 return None
         k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        if type(k3) is not _F64 or not _isfinite(k3):
+        if type(k3) is not float or not _isfinite(k3):
             k3 = _float_stage(k3)
             if k3 is None:
-                self.nfev += 2
                 return None
         k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        if type(k4) is not _F64 or not _isfinite(k4):
+        if type(k4) is not float or not _isfinite(k4):
             k4 = _float_stage(k4)
             if k4 is None:
-                self.nfev += 3
                 return None
         k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        if type(k5) is not _F64 or not _isfinite(k5):
+        if type(k5) is not float or not _isfinite(k5):
             k5 = _float_stage(k5)
             if k5 is None:
-                self.nfev += 4
                 return None
         k6 = f(t + _C6 * h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        if type(k6) is not _F64 or not _isfinite(k6):
+        if type(k6) is not float or not _isfinite(k6):
             k6 = _float_stage(k6)
             if k6 is None:
-                self.nfev += 5
                 return None
         # stage 7's input is the 5th-order solution (FSAL)
         y5 = y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
         k7 = f(t + _C7 * h, y5)
-        self.nfev += 6
-        if type(k7) is not _F64 or not _isfinite(k7):
+        if type(k7) is not float or not _isfinite(k7):
             k7 = _float_stage(k7)
             if k7 is None:
                 return None
         err = h * (_E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        if not (_isfinite(y5) and _isfinite(err)):
+            return None
+        self.nfev += 6
         return y5, err, k7
 
-    def _array_attempt(self, t, y, h):
+    def _replay(self, t, y, h):
+        """Replay a failed float-lane attempt as the array lane's attempt on [y].
+
+        The array lane's attempt on a one-element copy equals the float
+        lane's bit for bit, on numpy operands: numpy's rules (``np.errstate``)
+        decide whether the failure raises, warns or makes the attempt fail,
+        as they do for a batch.  Returns what ``_float_attempt`` returns.
+        """
+        K = np.empty((7, 1))
+        K[0] = self.K[0]
+        stages = self._array_attempt(t, np.array([y]), h, K)
+        if stages is None:
+            return None
+        y5, err, k7 = stages
+        return float(y5[0]), float(err[0]), float(k7[0])
+
+    def _array_attempt(self, t, y, h, K):
         """One attempt on the array lane, filling the rows of K; as ``_float_attempt``."""
-        K = self.K
         rows, err_weights = _ARRAY_WEIGHTS
         for i in range(1, 7):
             # numpy adds the rows of an axis-0 sum in order
-            yi = y + h * (rows[i] * K[:i]).sum(axis=0)
+            yi = y + h * _add_rows(rows[i] * K[:i], axis=0)
             self.nfev += 1
             ki = self.f(t + _C[i] * h, yi[0] if self.scalar else yi)
             if type(ki) is not np.ndarray or ki.ndim != 1:
                 ki = np.atleast_1d(np.asarray(ki))
-            if not np.isfinite(ki).all():
+            if not _all(np.isfinite(ki)):
                 return None
             K[i] = ki
-        return yi, h * (err_weights * K).sum(axis=0), K[6]
+        return yi, h * _add_rows(err_weights * K, axis=0), K[6]
 
     def _norm(self, err, y_old, y_new):
         cfg = self.cfg
         if self.float_lane:
-            r = float(err / (cfg.abs_tol + cfg.rel_tol * max(abs(y_old), abs(y_new))))
+            r = err / (cfg.abs_tol + cfg.rel_tol * max(abs(y_old), abs(y_new)))
             return math.sqrt(r * r)
         r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new)))
         return math.sqrt(np.vdot(r, r).real / r.size)
@@ -278,7 +313,15 @@ class _Stepper:
             h = min(h_free, h_cap)
             # (a bound method kept on the instance would make every stepper a
             # reference cycle, freed only by the cyclic garbage collector)
-            stages = self._float_attempt(t, y, h) if self.float_lane else self._array_attempt(t, y, h)
+            if self.float_lane:
+                try:
+                    stages = self._float_attempt(t, y, h)
+                except (ZeroDivisionError, OverflowError):
+                    stages = None
+                if stages is None:
+                    stages = self._replay(t, y, h)
+            else:
+                stages = self._array_attempt(t, y, h, self.K)
             if stages is not None:
                 y5, err, k7 = stages
                 enorm = self._norm(err, y, y5)

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, _Stepper, integrate_until
+from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, _bisect_event, _Stepper, integrate_until
 from .sharp import SharpOscillation
 
 __all__ = [
@@ -72,6 +72,8 @@ CAPTURE_BAND_FLOOR = 1e-9
 # (escape through zero) or xi - x to the singular floor (capture before T)
 FRAME_ZERO_FLOOR = 1e-10
 FRAME_SING_FLOOR = 1e-6
+# relative tolerance of the batch frame classifier and of solve_frame_equation
+_FRAME_REL_TOL = 1e-8
 # transformed-time horizon of the capture scan's batch run
 SCAN_HORIZON_S = 60.0
 # density quadratures run on [0, DENSITY_S_MAX]; an exponential fitted on
@@ -307,12 +309,32 @@ def solve_frame_equation(
     captured-candidate: the run reached the horizon or parked, ending at
                       least CAPTURE_BAND_FLOOR inside (0, xi): capture at T.
     Anything else is undecided.  ``xi`` is a FrameDriving or any callable
-    of s, and ``exit_s`` is the first accepted step past a floor.
+    of s.  An exit at an accepted step is bisected within that step to the
+    floor crossing, which is ``exit_s`` and the path's last row (the path's
+    ``nfev`` includes the bisection); an exit by a stall is the stall's time.
     """
     xi0 = float(np.asarray(xi(0.0)))
     if not (0.0 < x0 < xi0):
         raise DomainError(f"x0={x0} outside (0, xi(0))=(0, {xi0})")
     code, s_exit, path = _classify_frame_one(xi, x0, s_horizon)
+    if code in (1, 2):
+        cfg, at, field = _frame_field(xi, _FRAME_REL_TOL)
+        if code == 1:
+            def above_floor(s, x):
+                return x - FRAME_ZERO_FLOOR
+        else:
+            def above_floor(s, x):
+                return at(s) - x - FRAME_SING_FLOOR
+        ts, xs = path.times, path.values
+        # a stall leaves the last accepted state above its floor
+        g_lo = above_floor(ts[-2], xs[-2]) if ts.size > 1 else 0.0
+        if g_lo > 0.0 >= above_floor(ts[-1], xs[-1]):
+            s_cross, _, _, x_cross, nfev = _bisect_event(
+                field, ts[-2], xs[-2], g_lo, ts[-1], above_floor, cfg
+            )
+            s_exit = ts[-1] = float(s_cross)
+            xs[-1] = x_cross
+            path.nfev += nfev
     if code != 0:
         return FrameRun(path, {1: "escaped-zero", 2: "escaped-singular", 3: "undecided"}[code], s_exit)
     xi_end = float(np.asarray(xi(path.terminal_time)))
@@ -327,7 +349,11 @@ def solve_frame_equation(
 
 
 def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
-    """Fit phi ~ A e^{-beta s} on the last decade; return (tail integral, beta)."""
+    """Fit phi ~ A e^{-beta s} on the last decade; return (tail integral, beta).
+
+    Without a usable decay the tail is integrated explicitly, and a
+    quadrature that scipy flags as doubtful raises NumericalError.
+    """
     lo = 0.9 * s_max
     ss = np.linspace(lo, s_max, 33)
     vals = np.asarray(phi(ss), dtype=float)
@@ -336,7 +362,7 @@ def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
     coef = np.polyfit(ss, np.log(vals), 1)
     beta = -coef[0]
     if beta < 1e-3:  # no usable decay; integrate the tail explicitly
-        tail, _ = scipy.integrate.quad(phi, s_max, np.inf, limit=200)
+        tail, _ = _quad(phi, s_max, np.inf, 200)
         return tail, beta
     return float(vals[-1] / beta), float(beta)
 
@@ -610,7 +636,7 @@ def _classify_frame_batch(
     xi: Callable,
     x0s: np.ndarray,
     s_horizon: float,
-    rel_tol: float = 1e-8,
+    rel_tol: float = _FRAME_REL_TOL,
     stationary_tol: float = 1e-12,
 ):
     """Vectorised frame-equation classification with component freezing.
@@ -634,7 +660,8 @@ def _classify_frame_batch(
     code = np.zeros(y.size, dtype=int)
     s_exit = np.full(y.size, np.nan)
     # the stepper carries the live components only; an exit rebuilds it on
-    # the survivors with the current step size
+    # the survivors with the current step size.  y holds the start of each
+    # component until it exits or stalls, and its last state after that.
     live = np.arange(y.size)
     st = _Stepper(field, 0.0, y, s_horizon, cfg)
     nsteps = nfev = 0
@@ -652,6 +679,7 @@ def _classify_frame_batch(
             stiff = gap == gap.min()  # the field's stiffness is 4 / gap^2
             code[live[stiff]] = 2
             s_exit[live[stiff]] = st.t
+            y[live[stiff]] = st.y[stiff]
             live = live[~stiff]
             if not live.size:
                 break
@@ -659,12 +687,13 @@ def _classify_frame_batch(
             st = _Stepper(field, st.t, st.y[~stiff], s_horizon, cfg)
             continue
         nsteps += 1
-        y[live] = st.y
         xiv = at(st.t)
-        out = np.where(st.y <= FRAME_ZERO_FLOOR, 1, np.where(xiv - st.y <= FRAME_SING_FLOOR, 2, 0))
-        if np.any(out):
+        # (xiv - y rounds monotonically in y, so its least value is xiv - max y)
+        if np.minimum.reduce(st.y) <= FRAME_ZERO_FLOOR or xiv - np.maximum.reduce(st.y) <= FRAME_SING_FLOOR:
+            out = np.where(st.y <= FRAME_ZERO_FLOOR, 1, np.where(xiv - st.y <= FRAME_SING_FLOOR, 2, 0))
             code[live] = out
             s_exit[live[out > 0]] = st.t
+            y[live] = st.y
             keep = out == 0
             live = live[keep]
             if not live.size:
@@ -681,11 +710,13 @@ def _classify_frame_batch(
             )
             if np.all(parked):
                 break
+    if live.size:
+        y[live] = st.y
     return code, s_exit, y, nsteps, nfev + st.nfev
 
 
 def _classify_frame_one(
-    xi: Callable, x0, s_horizon: float, rel_tol: float = 1e-8, stationary_tol: float = 1e-12
+    xi: Callable, x0, s_horizon: float, rel_tol: float = _FRAME_REL_TOL, stationary_tol: float = 1e-12
 ):
     """``_classify_frame_batch`` on one start: (code, exit time, path).
 

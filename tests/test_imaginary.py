@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from loewner import DomainError, DrivingSpec, PreconditionError
+from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError
 from loewner.imaginary import (
     classify_sqrt_gap,
     driving_from_gap,
@@ -362,6 +362,11 @@ class TestGapDuality:
     def test_divergent_tail_rejected(self):
         with pytest.raises(DomainError):
             driving_from_gap(lambda s: np.exp(-2.0 * np.asarray(s, dtype=float)), [0.0])
+
+    def test_non_integrable_gap_raises(self):
+        # 4 e^{-s} / (s - 1/3)^2 is not integrable at s = 1/3
+        with pytest.raises(NumericalError, match="quadrature over"):
+            driving_from_gap(lambda s: (np.asarray(s, dtype=float) - 1.0 / 3.0) ** 2, [0.0])
 
 
 class TestSpreadAndProbe:

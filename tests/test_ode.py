@@ -209,26 +209,33 @@ class TestFloatLane:
         assert_same_run(solo, integrate(field, np.array([2.0, 2.0]), (0.0, 3.0)))
 
     def test_a_non_finite_stage_halves_the_step(self):
-        # the field is infinite past t = 0.3: from h = 0.5 the 4th stage
+        # the field fails past t = 0.3: from h = 0.5 the 4th stage
         # (t + 0.8 h = 0.4) fails, so the attempt stops after 3 evaluations
-        # and the retry at h = 0.25 meets the loose tolerance
-        field = lambda t, y: y + (np.inf if t > 0.3 else 0.0)  # noqa: E731
+        # and the retry at h = 0.25 meets the loose tolerance.  On a
+        # division by zero a Python float raises ZeroDivisionError, and a
+        # negative one to a fractional power is complex, where numpy's
+        # result is inf or NaN: the float lane must still count as the
+        # array lane does
+        jumps = (lambda y: np.inf, lambda y: 1.0 / (y - y), lambda y: (-y) ** 0.5)
         loose = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
-        for y0 in (1.0, np.array([1.0, 1.0])):
-            st = _Stepper(field, 0.0, y0, 1.0, loose)
-            st.h = 0.5
-            assert st.step() == "ok"
-            assert (st.t, st.nrejected, st.nsteps, st.nfev) == (0.25, 1, 1, 1 + 3 + 6)
-        # run to the end, both lanes stall against the barrier alike
-        solo = integrate(field, 1.0, (0.0, 1.0))
-        assert solo.event.kind == "blow_up" and solo.nrejected > 10
-        assert_same_run(solo, integrate(field, np.array([1.0, 1.0]), (0.0, 1.0)))
+        for jump in jumps:
+            field = lambda t, y: y + (jump(y) if t > 0.3 else 0.0)  # noqa: E731
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for y0 in (1.0, np.array([1.0, 1.0])):
+                    st = _Stepper(field, 0.0, y0, 1.0, loose)
+                    st.h = 0.5
+                    assert st.step() == "ok"
+                    assert (st.t, st.nrejected, st.nsteps, st.nfev) == (0.25, 1, 1, 1 + 3 + 6)
+                # run to the end, both lanes stall against the barrier alike
+                solo = integrate(field, 1.0, (0.0, 1.0))
+                assert solo.event.kind == "blow_up" and solo.nrejected > 10
+                assert_same_run(solo, integrate(field, np.array([1.0, 1.0]), (0.0, 1.0)))
 
     def test_scalar_state_takes_the_float_lane(self):
         st = _Stepper(lambda t, y: -y, 0.0, 1.0, 1.0, DEFAULT_CONFIG)
-        assert st.float_lane and type(st.y) is np.float64
+        assert st.float_lane and type(st.y) is float
         st.step()
-        assert type(st.state()[1]) is np.float64
+        assert type(st.state()[1]) is float
         # a complex scalar, or a real scalar with a complex field, runs as an array
         assert not _Stepper(lambda t, y: -y, 0.0, 1.0 + 1j, 1.0, DEFAULT_CONFIG).float_lane
         st = _Stepper(lambda t, y: 1j * y, 0.0, 1.0, 1.0, DEFAULT_CONFIG)
@@ -243,6 +250,24 @@ class TestFloatLane:
         field = lambda t, y: y * y * 1e300  # noqa: E731
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             integrate(field, y0, (0.0, 1.0))
+        # past t = 0.1 the field is near the top of the double range: the
+        # tableau sums of the stage inputs and of the solution overflow
+        # while every stage stays finite
+        field = lambda t, y: 1.7e308 if t > 0.1 else 1.0  # noqa: E731
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            integrate(field, y0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("y0", [1.0, np.array([1.0, 1.0])], ids=["float", "array"])
+    def test_overflow_at_a_later_stage_follows_errstate(self, y0):
+        # the initial step passes; past t = 0.1 the field jumps by 1e200 and
+        # a stage of a later step overflows, where a Python float gives inf
+        field = lambda t, y: y * y * (1e200 if t > 0.1 else 1.0) * 1e-3  # noqa: E731
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            integrate(field, y0, (0.0, 1.0))
+        with np.errstate(all="ignore"):
+            p = integrate(field, y0, (0.0, 1.0))
+        assert p.event.kind == "blow_up"
+        assert (p.nsteps, p.nrejected, p.nfev) == (20, 113, 446)
 
 
 class TestConfigValidation:

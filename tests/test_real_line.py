@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner import DomainError, DrivingSpec, PreconditionError
+from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError
 from loewner.real_line import (
     FRAME_FREEZE_S,
+    FRAME_ZERO_FLOOR,
     REFINE_TOL_MIN,
     SCAN_HORIZON_S,
     FrameDriving,
@@ -235,8 +236,23 @@ class TestFrameEquation:
         xi = lambda s: 5.0 + 0.0 * np.asarray(s)
         run = solve_frame_equation(xi, 0.5, 25.0)
         assert run.classification == "escaped-zero"
-        # descent is bounded away from zero near the origin: finite exit
-        assert run.exit_s < 5.0
+        # the exit step is bisected to the floor crossing, which for a
+        # constant xi = 5 is at s = [(5 - x)/((x - 1)(x - 4)) integrated
+        # from the floor to 0.5] = [-4/3 log|x - 1| + 1/3 log|x - 4|]
+        f = FRAME_ZERO_FLOOR
+        exact = (-4.0 * math.log(0.5) + math.log(3.5) + 4.0 * math.log1p(-f) - math.log(4.0 - f)) / 3.0
+        assert run.exit_s == pytest.approx(exact, abs=1e-8)
+        assert run.path.terminal_time == run.exit_s
+        assert 0.0 < run.path.terminal_value - f < 1e-12
+
+    def test_singular_exit_is_bisected_to_the_drop(self):
+        # xi drops below x at s = 1, so the step that passes s = 1 exits
+        # at the singular floor and is bisected to the drop
+        xi = lambda s: np.where(np.asarray(s) < 1.0, 5.0, 3.0)[()]  # noqa: E731
+        run = solve_frame_equation(xi, 4.5, 10.0)
+        assert run.classification == "escaped-singular"
+        assert run.path.times[-2] < run.exit_s == run.path.terminal_time
+        assert run.exit_s == pytest.approx(1.0, abs=1e-12)
 
     def test_parabolic_stationary_point(self):
         xi = lambda s: 4.0 + 0.0 * np.asarray(s)
@@ -281,6 +297,13 @@ class TestDensityOperators:
     def test_critical_decay_fails_membership(self):
         flags = density_flags(lambda s: np.exp(-2.0 * np.asarray(s)))
         assert flags["positive"] and not flags["super_exponential"] and not flags["ok"]
+
+    def test_non_integrable_tail_raises(self):
+        # a density with no decay: the tail fit finds none and integrates
+        # the tail explicitly, which diverges
+        flat = lambda s: np.ones_like(np.asarray(s, dtype=float))  # noqa: E731
+        with pytest.raises(NumericalError, match="divergent"):
+            profile_from_density(flat, [0.0])
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -481,10 +504,20 @@ class TestCaptureScan:
                 run = solve_frame_equation(xi, x0, s_horizon)
                 code, s_exit = int(one[0][0]), float(one[1][0])
                 assert run.classification == named[code]
-                assert run.exit_s == (None if code == 0 else s_exit)
-                assert run.path.terminal_value == one[2][0]
-                assert (run.path.nsteps, run.path.nfev) == one[3:]
+                assert run.path.nsteps == one[3]
                 assert run.path.times.size == run.path.nsteps + 1
+                if code == 1:
+                    # the exit step is bisected: exit_s lies inside the last
+                    # step, and the floor is crossed there
+                    assert run.path.times[-2] < run.exit_s <= s_exit
+                    assert run.exit_s == run.path.terminal_time
+                    assert one[2][0] <= FRAME_ZERO_FLOOR < run.path.terminal_value
+                    assert run.path.terminal_value - FRAME_ZERO_FLOOR < 1e-12
+                    assert run.path.nfev > one[4]
+                else:
+                    assert run.exit_s == (None if code == 0 else s_exit)
+                    assert run.path.terminal_value == one[2][0]
+                    assert run.path.nfev == one[4]
 
     @pytest.mark.parametrize("run", [
         pytest.param(lambda xi: _classify_frame_batch(xi, np.array([2.0]), SCAN_HORIZON_S),
