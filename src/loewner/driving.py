@@ -215,6 +215,40 @@ class DrivingSpec:
         out = np.asarray(self._raw(arr), dtype=float) - self._offset
         return float(out[0]) if scalar else out
 
+    def _drop(self, T: float, tau) -> np.ndarray:
+        """lambda(T) - lambda(T - tau) for an array tau, formed without T - tau.
+
+        Subtracting the values at T and T - tau loses relative accuracy like
+        eps T / tau; each family's form here does not.  The ``normalize``
+        offset cancels, and tau is not range-checked.
+        """
+        fam, p = self.family, self.params
+        tau = np.asarray(tau, dtype=float)
+        if fam == "constant":
+            return np.zeros_like(tau)
+        if fam == "linear":
+            return float(p["slope"]) * tau
+        if fam == "sqrt_approach":
+            R = max(self.T - T, 0.0)
+            return float(p["c"]) * tau / (np.sqrt(R + tau) + np.sqrt(R))
+        if fam == "weierstrass_partial":
+            # cos A - cos B = -2 sin((A + B)/2) sin((A - B)/2), A = b^n T, B = b^n (T - tau)
+            half = self._bn / 2.0
+            sines = np.sin(np.multiply.outer(2.0 * T - tau, half)) * np.sin(np.multiply.outer(tau, half))
+            return -2.0 * float(p["c"]) * sines @ self._bw
+        if fam == "composite":
+            r = float(p.get("t_offset", 0.0))
+            return float(p.get("scale", 1.0)) * self._base._drop(T + r, tau)
+        if fam == "sharp_example" and T == self.T:
+            return np.sqrt(tau) * np.asarray(self._sharp.xi(0.5 * np.log(T / tau)), dtype=float)
+        if fam in ("brownian", "sampled"):
+            gt, gv = self._grid_t, self._grid_v
+            k = max(int(np.searchsorted(gt, T)), 1)  # the cell (gt[k-1], gt[k]] holds T
+            slope = (gv[k] - gv[k - 1]) / (gt[k] - gt[k - 1])
+            inside = tau <= T - gt[k - 1]
+            return np.where(inside, slope * tau, np.interp(T, gt, gv) - np.interp(T - tau, gt, gv))
+        return self._raw(np.array([T])) - self._raw(T - tau)
+
     # -- derived specs -----------------------------------------------------
 
     def reflected(self) -> "DrivingSpec":
@@ -331,6 +365,8 @@ def default_scale_ladder(t: float, K: int = 20) -> np.ndarray:
 
 
 def local_scaling_exponents(spec: DrivingSpec, t: float, scales=None) -> ScalingReport:
+    if not 0.0 < t <= spec.T * (1 + 1e-12):  # NaN fails too
+        raise DomainError(f"time {t} outside (0, {spec.T}]")
     if scales is None:
         scales = default_scale_ladder(t)
     d = np.asarray(scales, dtype=float)
@@ -338,8 +374,7 @@ def local_scaling_exponents(spec: DrivingSpec, t: float, scales=None) -> Scaling
         raise DomainError("empty scale list")
     if np.any(np.diff(d) >= 0) or np.any(d >= t) or np.any(d <= 0):
         raise DomainError("scales must be strictly decreasing and inside (0, t)")
-    lam_t = spec(t)
-    q = (lam_t - spec(t - d)) / np.sqrt(d)
+    q = spec._drop(t, d) / np.sqrt(d)
     absq = np.abs(q)
     return ScalingReport(
         t=float(t),

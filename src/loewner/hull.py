@@ -541,16 +541,16 @@ def capture_bracket(
     """Start at lambda(T) + C1 sqrt(T) and verify X(T) - lambda(T) < (C1+2) sqrt(T).
 
     Requires |lambda(T) - lambda(t)| / sqrt(T - t) < C1 on [0, T), verified
-    on a grid clustered at T.  A small relative slack admits drivings that
-    attain the bound exactly; offsets stop at 1e-8 T where forming T - t
-    starts losing digits to cancellation.  X(T) is the start pushed through
-    every zipper cell of step dt by the exact forward slit maps, which is
-    exact for constant driving and O(dt) from the Loewner flow otherwise.
+    on a grid clustered at T, from the driving's exact increments.  A small
+    relative slack admits drivings that attain the bound exactly.  X(T) is
+    the start pushed through every zipper cell of step dt by the exact
+    forward slit maps, which is exact for constant driving and O(dt) from
+    the Loewner flow otherwise.
     """
     _, hs, u = _cells(spec, T, dt)
     lam_T = float(spec(T))
     dts = T * np.concatenate([np.linspace(1e-4, 1.0, 256), np.geomspace(1e-4, 1e-8, 256)])
-    ratios = np.abs(lam_T - spec(T - dts)) / np.sqrt(dts)
+    ratios = np.abs(spec._drop(T, dts)) / np.sqrt(dts)
     ratio_max = float(np.max(ratios))
     if ratio_max > C1 + 1e-6 * max(1.0, C1):
         bad = float(T - dts[int(np.argmax(ratios))])

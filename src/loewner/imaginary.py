@@ -47,7 +47,7 @@ import scipy
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
 from .ode import SINGULARITY_FLOOR, Event, IntegratorConfig, SolutionPath, integrate, integrate_until
-from .real_line import FRAME_FREEZE_S, _quad, _rescaled
+from .real_line import _quad
 
 __all__ = [
     "VanishClassification",
@@ -280,17 +280,16 @@ def solve_imaginary(
     theta: Callable,
     y0: float,
     T: float,
-    frame_eta: Optional[Callable] = None,
+    frame_eta: Callable,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Integrate dY/dt = -2Y/(theta^2 + Y^2) and classify vanishing by T.
 
     A floor crossing strictly before T is decisive.  Near T it is not:
     solutions on both sides of the vanishing transition collapse below any
     floor, so the ambiguous band is reclassified in the transformed frame
-    (pass ``frame_eta`` when the rescaled gap is known analytically; the
-    generic rescaling is frozen past ``real_line.FRAME_FREEZE_S``, where it
-    no longer follows theta, so a threshold crossing past the freeze is
-    reported undecided).
+    by the rescaled gap ``frame_eta``(s) = theta(T - T e^{-2s}) e^{s} /
+    sqrt(T), which the caller gives in a form that keeps its accuracy as
+    T - t falls below the resolution of T.
     """
     if y0 <= 0:
         raise DomainError("initial height must be positive")
@@ -322,15 +321,11 @@ def solve_imaginary(
     if not ambiguous:
         return path, VanishClassification("not_vanishing_certified", "horizon", T)
 
-    generic = frame_eta is None
-    if generic:
-        frame_eta = _rescaled(theta, T)
     _, cls = solve_frame_imaginary(frame_eta, y0 / np.sqrt(T))
     if cls.status == "vanishing":
         witness = hit_time if hit_time is not None else T
         return path, VanishClassification("vanishing", cls.certificate, witness)
-    frozen = generic and cls.witness_time > FRAME_FREEZE_S
-    if cls.status == "not_vanishing_certified" and not frozen:
+    if cls.status == "not_vanishing_certified":
         return path, VanishClassification("not_vanishing_certified", cls.certificate, T)
     return path, VanishClassification("undecided", "horizon", None)
 

@@ -32,7 +32,6 @@ import scipy
 from .driving import (
     DrivingSpec,
     _inverse_frame,
-    default_scale_ladder,
     local_scaling_exponents,
 )
 from .errors import (
@@ -81,13 +80,6 @@ SCAN_HORIZON_S = 60.0
 DENSITY_S_MAX = 45.0
 # slack of the finite-ladder estimates a_hat, b_hat against the oscillation bound
 SCALING_MARGIN = 0.25
-# a rescaled driving cannot be recovered from lambda once T - t is no
-# longer resolved against T; freeze beyond this.  The rescaling of
-# C sqrt(T - t) returns C within 3.5e-5 (relative) up to s = 14 and
-# drifts to 2.6e-3 at s = 16 and 1.9e-2 at s = 17.
-FRAME_FREEZE_S = 14.0
-# math.exp overflows (and raises) just above this
-_EXP_MAX = 709.0
 # smallest capture_scan refine_tol: the refinement horizon 4/refine_tol is
 # then 4e12, far past where a run parks at its fixed point or exits, and a
 # finer bisection would resolve endpoints of order one below double precision
@@ -128,15 +120,14 @@ class FrameDriving:
 
     ``frame`` is FrameMap(T, spec(T)), T the driving's horizon by default.
     Exact closed forms are used where the transform is analytic: ``const``
-    (constant, and sqrt_approach at its own horizon), ``decay`` (linear,
-    amp e^{-s}) and ``sharp`` (sharp_example at its own horizon); otherwise
-    the generic quotient is evaluated and frozen beyond ``FRAME_FREEZE_S``
-    where T - t is no longer resolvable in doubles.  ``const`` is the
-    constant value of xi, or None.  ``at`` (xi at one float time, which is
-    what a call with a float returns) and ``_eval`` (the array path) are
-    chosen once at construction; math.exp raises where np.exp overflows to
-    inf, so ``decay``'s float evaluator takes the array path beyond
-    ``_EXP_MAX``.
+    (constant, and sqrt_approach at its own horizon) and ``sharp``
+    (sharp_example at its own horizon).  Otherwise xi is the driving's
+    exact increment ``spec._drop(T, tau) / sqrt(tau)`` with tau = T - t =
+    T e^{-2s}, which keeps its relative accuracy at every s; tau is held at
+    the smallest normal double where T e^{-2s} would underflow.  ``const``
+    is the constant value of xi, or None.  ``at`` (xi at one float time,
+    which is what a call with a float returns) and ``_eval`` (the array
+    path) are chosen once at construction.
     """
 
     def __init__(self, spec: DrivingSpec, T: Optional[float] = None):
@@ -153,25 +144,21 @@ class FrameDriving:
         elif fam == "sqrt_approach" and own_T:
             self.const = float(p["c"])
 
-        def array_at(s):
-            return float(self._eval(np.array([s]))[0])
-
         if self.const is not None:
             c = self.const
             self._eval = lambda s: np.full_like(s, c)
             self.at = lambda s: c
-        elif fam == "linear":
-            amp = float(p["slope"]) * math.sqrt(T)
-            self._eval = lambda s: amp * np.exp(-s)
-            self.at = lambda s: amp * math.exp(-s) if s > -_EXP_MAX else array_at(s)
         elif fam == "sharp_example" and own_T:
             osc: SharpOscillation = spec._sharp
             self._eval = lambda s: np.asarray(osc.xi(s), dtype=float)
-            self.at = array_at
+            self.at = osc.xi
         else:
-            lam_T = self.frame.lambda_T
-            self._eval = _rescaled(lambda t: lam_T - spec(t), T)
-            self.at = array_at
+            def drop_eval(s):
+                tau = np.maximum(T * np.exp(-2.0 * s), np.finfo(float).tiny)
+                return spec._drop(T, tau) / np.sqrt(tau)
+
+            self._eval = drop_eval
+            self.at = lambda s: float(drop_eval(np.array([s]))[0])
 
     def __call__(self, s):
         if isinstance(s, float):
@@ -196,22 +183,6 @@ def _quad(f: Callable, a: float, b: float, limit: int) -> tuple[float, float]:
     if not (math.isfinite(out[0]) and math.isfinite(out[1])):
         raise NumericalError(f"quadrature over [{a!r}, {b!r}] overflowed: {out[0]!r} +- {out[1]!r}")
     return out[0], out[1]
-
-
-def _rescaled(f: Callable, T: float) -> Callable:
-    """eta(s) = f(T - T e^{-2s}) e^{s} / sqrt(T), frozen past FRAME_FREEZE_S.
-
-    The square-root rescaling shared by the real side (f = lambda(T) -
-    lambda) and the imaginary side (f = theta).
-    """
-
-    def eta(s):
-        sc = np.minimum(np.asarray(s, dtype=float), FRAME_FREEZE_S)
-        t = T - T * np.exp(-2.0 * sc)
-        out = np.asarray(f(t), dtype=float) * np.exp(sc) / np.sqrt(T)
-        return out if out.shape else float(out)
-
-    return eta
 
 
 def from_frame_driving(xi: Callable, frame: FrameMap) -> Callable:
@@ -1041,17 +1012,16 @@ def speed_condition_report(spec: DrivingSpec, T: float, h: Callable, scales=None
     """Finite-scale estimates of the rate-weighted scaling quotients at T.
 
     Reports min over the finest scales of R(d) * h(d) and max of R(d)/h(d)
-    where R(d) = (lambda(T) - lambda(T-d)) / sqrt(d).  No inequality between
-    the two sides is asserted; both estimates are diagnostic.
+    where R(d) = (lambda(T) - lambda(T-d)) / sqrt(d), the signed quotients
+    of :func:`local_scaling_exponents` on the same ladder.  No inequality
+    between the two sides is asserted; both estimates are diagnostic.
     """
-    if scales is None:
-        scales = default_scale_ladder(T)
-    d = np.asarray(scales, dtype=float)
+    rep = local_scaling_exponents(spec, T, scales)
+    d, R = rep.scales_used, rep.signed_quotients
     hv = np.asarray([float(h(x)) for x in d])
     if np.any(hv <= 0):
         raise PreconditionError("rate function must be positive on the ladder")
     h_diverges = bool(hv[-1] > hv[0])  # ladder decreases toward 0
-    R = (spec(T) - spec(T - d)) / np.sqrt(d)
     tail = slice(d.size // 2, None)
     return SpeedConditionReport(
         liminf_side=float(np.min((R * hv)[tail])),

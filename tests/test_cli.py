@@ -17,6 +17,13 @@ ZERO = '{"family":"constant","params":{"value":0},"T":1}'
 # its frame driving is the constant xi = 5; the captured set is (0, 4]
 SQRT5 = '{"family":"sqrt_approach","params":{"c":5},"T":1}'
 DENSITY = '{"A": [1.0], "beta": [1.0]}'
+# 5 (1 - sqrt(1 - t)) on 2001 points with a +-0.01 zigzag, and lambda(1) set
+# 0.2 above the maximum: every sample is a kink of the frame driving
+_ZIG_T = np.linspace(0.0, 1.0, 2001)
+_ZIG_V = 5.0 * (1.0 - np.sqrt(1.0 - _ZIG_T)) + 0.01 * (-1.0) ** np.arange(_ZIG_T.size)
+_ZIG_V[-1] = _ZIG_V[:-1].max() + 0.2
+ZIGZAG = json.dumps({"family": "sampled", "T": 1.0,
+                     "params": {"times": _ZIG_T.tolist(), "values": _ZIG_V.tolist()}})
 
 
 def run(argv):
@@ -270,22 +277,28 @@ class TestStrictness:
         ["imag-eq", "con1", "--const", "1.5", "--y0", "1e300"],
         ["imag-eq", "con2", "--const", "1e-200", "--y0", "1"],
         ["weierstrass", "check", "--b", "1e50", "--N", "8"],
+        ["imag-eq", "ile", "--const", "1e150", "--y0", "1e-10"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_floating_point_overflow_exits_1(self, argv, tmp_path, capsys):
-        assert run(argv + ["--out", str(tmp_path)]) == 1
+        # con1 overflows mapping its log-height back to y after the run, con2
+        # in the stepper's initial-step estimate and the Weierstrass check in
+        # forming b^n.  The ile start is below SINGULARITY_FLOOR, so the frame
+        # run decides, and its squared gap overflows within a step near s = 9.6
+        out = [] if argv[1] == "ile" else ["--out", str(tmp_path)]
+        assert run(argv + out) == 1
         assert "floating-point failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["imag-eq", "lower-bound", "--const", "0.002", "--t", "2.2250738585e-313"],
-        ["real-eq", "g-test", "--driving", SQRT5, "--T", "0.5", "--t2", "100"],
+        ["real-eq", "g-test", "--driving", ZIGZAG, "--t2", "10"],
         ["imag-eq", "lower-bound", "--const", "1e-11", "--t", "1e300"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_doubtful_quadrature_exits_1(self, argv, capsys):
-        # scipy flags the first two integrals (bad integrand behaviour,
-        # roundoff) and the third overflows to -inf; each run fails as
-        # numerical instead of printing a doubtful value
+        # scipy flags the first two integrals (bad integrand behaviour, the
+        # subdivision limit) and the third overflows to -inf; each run fails
+        # as numerical instead of printing a doubtful value
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert "quadrature over" in err and "Traceback" not in err

@@ -154,6 +154,31 @@ class TestFloatLane:
             EVERY_FAMILY[name](t)
 
 
+class TestDrop:
+    """lambda(T) - lambda(T - tau) from tau, without forming T - tau."""
+
+    # the partial sum of order 60 is left out: its frequencies 4^n pass
+    # 1/eps near n = 26, so no double form resolves those terms, and the two
+    # forms round them differently (by about 1e-8)
+    @pytest.mark.parametrize("name", sorted(set(EVERY_FAMILY) - {"weierstrass_N60_normalized"}))
+    @pytest.mark.parametrize("frac", [1.0, 0.6])
+    def test_drop_is_the_difference_where_that_is_resolved(self, name, frac):
+        spec = EVERY_FAMILY[name]
+        T = frac * spec.T
+        tau = T * np.linspace(1e-3, 1.0, 97)
+        scale = max(1.0, np.max(np.abs(spec(np.linspace(0.0, spec.T, 101)))))
+        assert np.max(np.abs(spec._drop(T, tau) - (spec(T) - spec(T - tau)))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("spec, slope", [
+        (EVERY_FAMILY["linear"], 2.0),
+        (EVERY_FAMILY["sampled"], -5.0),
+        (DrivingSpec("composite", {"base": EVERY_FAMILY["sampled"], "scale": -2.0}, 1.0), 10.0),
+    ], ids=["linear", "sampled", "composite"])
+    def test_drop_inside_a_linear_piece_is_slope_times_tau(self, spec, slope):
+        tau = np.geomspace(1e-3, 1e-300, 50)
+        assert np.array_equal(spec._drop(1.0, tau), slope * tau)
+
+
 class TestBrownian:
     def test_deterministic_per_seed(self):
         t = np.linspace(0.0, 1.0, 257)
@@ -242,9 +267,8 @@ class TestScalingExponents:
     def test_sqrt_approach_any_ladder(self, K, base):
         scales = 0.2 * base ** -np.arange(1, K)
         rep = local_scaling_exponents(sqrt_spec(2.5), 1.0, scales)
-        # resolution floor: forming T - t at offset d loses eps*T/d digits
-        tol = 1e-8 + 4.0 * 2.5 * np.finfo(float).eps / scales[-1]
-        assert abs(rep.a_hat - 2.5) < tol and abs(rep.b_hat - 2.5) < tol
+        # the quotients come from exact increments, with no eps*T/d floor
+        assert abs(rep.a_hat - 2.5) < 1e-14 and abs(rep.b_hat - 2.5) < 1e-14
 
     def test_smooth_function_scales_to_zero(self):
         s = DrivingSpec("linear", {"slope": 1.0}, 1.0)
@@ -256,22 +280,28 @@ class TestScalingExponents:
         with pytest.raises(DomainError):
             local_scaling_exponents(sqrt_spec(1.0), 0.5, [])
 
+    @pytest.mark.parametrize("t", [np.nan, 0.0, -0.5, 1.5, np.inf])
+    def test_time_outside_the_domain_rejected(self, t):
+        with pytest.raises(DomainError):
+            local_scaling_exponents(sqrt_spec(1.0), t, [1e-3, 1e-4])
+
     def test_sharp_example_quotients_match_frame_values(self):
         # the construction satisfies lambda(T) - lambda(t) = sqrt(T-t) xi(s),
         # so driving-side quotients at the distinguished times equal the
-        # frame driving exactly.  Only the first partition indices are
-        # representable in t-space: T - t = e^{-2s} underflows below the
-        # resolution of T past s ~ 17, so the asymptotic band (a, a + 4/a)
-        # is a frame-side statement only (see the sharp-oscillation tests).
+        # frame driving.  The quotients come from exact increments, so
+        # they hold at every partition index, out to T - t = e^{-2s} of
+        # about 1e-285, far below the resolution of T
         spec = DrivingSpec("sharp_example", {"a": 1.5, "k_max": 14}, 1.0)
         osc = spec._sharp
-        s_pts = np.concatenate([osc.midpoint_times()[:2], osc.right_knot_times()[:2]])
+        s_pts = np.concatenate([osc.midpoint_times(), osc.right_knot_times()])
         s_pts = np.sort(s_pts)  # scales e^{-2s} are then strictly decreasing
         scales = np.exp(-2.0 * s_pts)
         rep = local_scaling_exponents(spec, 1.0, scales)
         expected = np.asarray(osc.xi(s_pts))
-        assert np.max(np.abs(rep.signed_quotients - expected)) < 1e-6
-        assert rep.a_hat < 4.0 < rep.b_hat  # oscillation visible already
+        assert np.max(np.abs(rep.signed_quotients - expected) / expected) < 1e-14
+        band = osc.band_report()
+        assert rep.a_hat == pytest.approx(band["running_min"], rel=1e-14)
+        assert rep.b_hat == pytest.approx(max(band["right_knot_values"]), rel=1e-14)
 
 
 class TestShift:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError
 from loewner.real_line import (
-    FRAME_FREEZE_S,
     FRAME_ZERO_FLOOR,
     REFINE_TOL_MIN,
     SCAN_HORIZON_S,
@@ -25,7 +25,6 @@ from loewner.real_line import (
     solve_frame_equation,
     solve_real_loewner,
     speed_condition_report,
-    _EXP_MAX,
     _classify_frame_batch,
     _refine_edge,
 )
@@ -76,12 +75,41 @@ class TestFrame:
     @pytest.mark.parametrize("C, T", [(2.0, 1.0), (2.0, 3.0), (1.0, 0.37)])
     def test_generic_rescaling_resolves_up_to_the_freeze(self, C, T):
         # a composite driving has no closed form, so the generic quotient
-        # runs; rescaling C sqrt(T - t) must give back C
+        # runs; rescaling C sqrt(T - t) must give back C at every s, also
+        # far past s = 14, where T - t is no longer resolved against T
         spec = DrivingSpec("composite", {"base": sqrt_spec(C, T)}, T)
         xi = FrameDriving(spec)
         assert xi.const is None
-        s = np.linspace(0.0, FRAME_FREEZE_S, 281)
-        assert np.max(np.abs(xi(s) - C)) <= 1e-4 * C
+        s = np.linspace(0.0, 30.0, 601)
+        assert np.max(np.abs(xi(s) - C)) <= 1e-12 * C
+
+    @pytest.mark.parametrize("spec", [
+        DrivingSpec("weierstrass_partial", {"c": 0.3, "b": 9.0, "N": 3}, 1.0),
+        DrivingSpec("brownian", {"kappa": 2.0}, 0.7, seed=101),
+    ], ids=["weierstrass", "brownian"])
+    def test_generic_quotient_against_50_digit_values(self, spec):
+        # lambda in 50-digit arithmetic: the partial sum, or the linear
+        # interpolant of the path's double grid values
+        with mpmath.workdps(50):
+            if spec.family == "brownian":
+                gt, gv = spec._grid_t, spec._grid_v
+
+                def lam(t):
+                    i = min(int(np.searchsorted(gt, float(t), side="right")), gt.size - 1) - 1
+                    return gv[i] + (t - gt[i]) * (mpmath.mpf(gv[i + 1]) - gv[i]) / (gt[i + 1] - gt[i])
+            else:
+                p = spec.params
+
+                def lam(t):
+                    return sum(p["c"] * mpmath.cos(mpmath.mpf(p["b"]) ** n * t) / mpmath.sqrt(p["b"]) ** n
+                               for n in range(1, p["N"] + 1))
+
+            T = mpmath.mpf(spec.T)
+            s = np.linspace(0.0, 30.0, 61)
+            tau = [T * mpmath.exp(-2 * mpmath.mpf(x)) for x in s]
+            want = np.array([float((lam(T) - lam(T - d)) / mpmath.sqrt(d)) for d in tau])
+        got = FrameDriving(spec)(s)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
     @pytest.mark.parametrize("spec, T", [
         pytest.param(DrivingSpec("linear", {"slope": 1.0}, 1.0), None, id="linear"),
@@ -99,9 +127,9 @@ class TestFrame:
         xi = FrameDriving(spec, T)
         generic = FrameDriving(DrivingSpec("composite", {"base": spec}, spec.T), T)
         assert generic.const is None
-        s = np.linspace(0.0, 10.0, 201)
+        s = np.linspace(0.0, 30.0, 601)
         scale = np.max(np.abs(xi(s)))
-        assert np.max(np.abs(xi(s) - generic(s))) <= 1e-4 * scale
+        assert np.max(np.abs(xi(s) - generic(s))) <= 1e-12 * scale
 
     @pytest.mark.parametrize("spec", [
         sqrt_spec(4.0), DrivingSpec("sharp_example", {"a": 1.5, "k_max": 14}, 1.0),
@@ -119,7 +147,6 @@ class TestFrame:
     @pytest.mark.parametrize("const, spec, closed_form", [
         pytest.param(0.0, ZOO[0], lambda s: 0.0, id="zero"),
         pytest.param(4.0, sqrt_spec(4.0), lambda s: 4.0, id="const"),
-        pytest.param(None, ZOO[1], lambda s: math.exp(-s) if s > -_EXP_MAX else None, id="decay"),
         pytest.param(None, DrivingSpec("sharp_example", {"a": 1.5}, 1.0), None, id="sharp"),
         pytest.param(None, ZOO[3], None, id="generic"),
     ])
@@ -130,21 +157,24 @@ class TestFrame:
             v = xi(s)
             assert type(v) is float
             assert abs(v - xi(np.array([s]))[0]) <= 4 * np.finfo(float).eps * max(1.0, abs(v))
-        # the float evaluator is the float lane: the closed forms with
-        # math.exp inside +-_EXP_MAX (closed_form gives None beyond), and
-        # the array path elsewhere, where np.exp overflows to inf instead
-        # of raising
-        ss = [0.0, 0.5, 13.9, 14.1, 30.0, 700.0, _EXP_MAX - 1e-9, _EXP_MAX, _EXP_MAX + 0.5, 800.0]
+        # the float evaluator is the float lane: the closed forms, and
+        # otherwise a value equal to the array path's, also around s = 354,
+        # past which T e^{-2s} underflows and tau is held
+        ss = [0.0, 0.5, 13.9, 14.1, 30.0, 353.0, 354.5, 356.0, 700.0, 800.0]
         if closed_form is not None:
             ss += [-s for s in ss[1:]]
-        with np.errstate(over="ignore"):
-            for s in ss:
-                want = None if closed_form is None else closed_form(s)
-                if want is None:
-                    want = float(xi(np.array([s]))[0])
-                assert type(xi.at(s)) is float
-                for got in (xi.at(s), xi(s), xi(np.float64(s))):
-                    assert np.array_equal(got, want) and np.signbit(got) == np.signbit(want)
+        for s in ss:
+            want = float(xi(np.array([s]))[0]) if closed_form is None else closed_form(s)
+            assert type(xi.at(s)) is float
+            for got in (xi.at(s), xi(s), xi(np.float64(s))):
+                assert np.array_equal(got, want) and np.signbit(got) == np.signbit(want)
+
+    def test_sharp_float_lane_is_the_oscillation_float_lane(self):
+        spec = DrivingSpec("sharp_example", {"a": 1.5}, 1.0)
+        xi = FrameDriving(spec)
+        assert xi.at == spec._sharp.xi
+        for s in np.linspace(0.0, 3000.0, 2001).tolist():
+            assert xi.at(s) == xi(np.array([s]))[0]
 
     def test_numpy_float_takes_the_float_lane(self, monkeypatch):
         spec = sqrt_spec(4.0)
@@ -457,6 +487,14 @@ class TestCaptureScan:
         scan = capture_scan(sqrt_spec(c), 1.0)
         assert (scan.interval, scan.mirrored_interval) == self.FROZEN[c]
 
+    def test_composite_wrapper_scans_like_its_closed_form(self):
+        # the composite has no closed form: its frame driving is the
+        # generic quotient, exact to s = 4e4 where the refinement probes run
+        spec = sqrt_spec(5.0)
+        want = capture_scan(spec, 1.0, mirrored=False)
+        got = capture_scan(DrivingSpec("composite", {"base": spec}, 1.0), 1.0, mirrored=False)
+        assert np.max(np.abs(np.subtract(got.interval, want.interval))) <= 1e-4  # refine_tol
+
     def test_scan_reports_its_cost(self):
         # the base batch plus 13 one-start refinement probes
         scan = capture_scan(sqrt_spec(5.0), 1.0, mirrored=False)
@@ -623,6 +661,12 @@ class TestSpeedCondition:
         h = lambda d: np.log(1.0 / d)
         rep = speed_condition_report(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, h)
         assert rep.liminf_side == 0.0 and rep.limsup_side == 0.0
+
+    @pytest.mark.parametrize("scales", [[0.1, 0.2], [1.0, 0.5], [0.5, 0.0], [1.5, 0.5]])
+    def test_ladder_is_checked(self, scales):
+        # strictly decreasing and inside (0, T)
+        with pytest.raises(DomainError):
+            speed_condition_report(sqrt_spec(2.0), 1.0, lambda d: 1.0, scales)
 
     def test_brownian_runs_as_diagnostic(self):
         spec = DrivingSpec("brownian", {"kappa": 6.0}, 1.0, normalize=True, seed=2)
