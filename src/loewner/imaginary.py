@@ -42,12 +42,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
 from .ode import SINGULARITY_FLOOR, Event, IntegratorConfig, SolutionPath, integrate, integrate_until
-from .real_line import _quad
+from .quadrature import bisect_root, quad
 
 __all__ = [
     "VanishClassification",
@@ -379,8 +378,8 @@ def ramp_ode_terminal(
     else:
         raise NumericalError(f"no bracket found for the ramp solution (c={c})")
     try:
-        y = float(scipy.optimize.brentq(lambda u: t_of_y(u) - T, y_lo, y_hi, xtol=1e-14, rtol=1e-15))
-    except ValueError as exc:
+        y = bisect_root(lambda u: t_of_y(u) - T, y_lo, y_hi)
+    except NumericalError as exc:
         raise NumericalError(f"ramp root finding failed for c={c}, eps={eps}: {exc}") from exc
 
     y_int = None
@@ -448,7 +447,7 @@ def growth_floor(eta: Callable, t: float) -> GrowthFloor:
     L -> -infinity is necessary for vanishing.  A gap touching zero (at most
     1e-12 on a 4097-point grid) makes the integrand -infinity; this is
     reported as ``diverged``.  A NaN gap raises DomainError, and a
-    quadrature that scipy flags as doubtful raises NumericalError.
+    quadrature that QUADPACK flags as doubtful raises NumericalError.
     """
     if not 0.0 <= t < np.inf:
         raise DomainError(f"growth floor time must be a finite number >= 0, got {t!r}")
@@ -462,7 +461,7 @@ def growth_floor(eta: Callable, t: float) -> GrowthFloor:
         e = float(np.asarray(eta(s)))
         return 1.0 - 4.0 / (e * e)
 
-    val, err = _quad(integrand, 0.0, t, 400)
+    val, err = quad(integrand, 0.0, t, 400)
     return GrowthFloor(float(val), float(err), False)
 
 
@@ -483,7 +482,7 @@ def driving_from_gap(
     The integrand decays at least like e^{-s}/min(eta); integration runs to
     s = 50 (or to the end of the represented domain) and the remainder uses
     a log-linear decay fit on the last decade of the window.  A quadrature
-    that scipy flags as doubtful raises NumericalError.
+    that QUADPACK flags as doubtful raises NumericalError.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     out = np.empty_like(t_grid)
@@ -498,7 +497,7 @@ def driving_from_gap(
                 raise DomainError(f"gap not positive at s={t + s}")
             return 4.0 * np.exp(-s) / e
 
-        val, _ = _quad(integrand, 0.0, span, 800)
+        val, _ = quad(integrand, 0.0, span, 800)
         # tail continuation from a decay fit over the last decade
         ss = np.linspace(0.9 * span, span, 17)
         gs = np.array([integrand(x) for x in ss])

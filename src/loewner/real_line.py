@@ -22,12 +22,10 @@ and that correspondence powers the reconstruction round trip below.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 from .driving import (
     DrivingSpec,
@@ -41,6 +39,7 @@ from .errors import (
     ReconstructionError,
 )
 from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, _bisect_event, _Stepper, integrate_until
+from .quadrature import _gauss_panel, cumulative_simpson, quad
 from .sharp import SharpOscillation
 
 __all__ = [
@@ -111,7 +110,7 @@ class FrameMap:
 
     def t_of_s(self, s):
         s = np.asarray(s, dtype=float)
-        t = self.T * -np.expm1(-2.0 * s)
+        t = self.T * -np.expm1(-2.0 * np.minimum(s, 1e3))
         return t if t.shape else float(t)
 
 
@@ -124,7 +123,8 @@ class FrameDriving:
     (sharp_example at its own horizon).  Otherwise xi is the driving's
     exact increment ``spec._drop(T, tau) / sqrt(tau)`` with tau = T - t =
     T e^{-2s}, which keeps its relative accuracy at every s; tau is held at
-    the smallest normal double where T e^{-2s} would underflow.  ``const``
+    the smallest normal double where T e^{-2s} would underflow, and s is
+    capped at 1e3 first, so that -2 s cannot overflow.  ``const``
     is the constant value of xi, or None.  ``at`` (xi at one float time,
     which is what a call with a float returns) and ``_eval`` (the array
     path) are chosen once at construction.
@@ -154,7 +154,7 @@ class FrameDriving:
             self.at = osc.xi
         else:
             def drop_eval(s):
-                tau = np.maximum(T * np.exp(-2.0 * s), np.finfo(float).tiny)
+                tau = np.maximum(T * np.exp(-2.0 * np.minimum(s, 1e3)), np.finfo(float).tiny)
                 return spec._drop(T, tau) / np.sqrt(tau)
 
             self._eval = drop_eval
@@ -167,22 +167,6 @@ class FrameDriving:
         scalar = not s.shape
         out = self._eval(np.atleast_1d(s))
         return float(out[0]) if scalar else out
-
-
-def _quad(f: Callable, a: float, b: float, limit: int) -> tuple[float, float]:
-    """scipy's adaptive quadrature of f over [a, b]: (value, error estimate).
-
-    scipy reports a doubtful result (roundoff, a badly behaved or divergent
-    integrand, the subdivision limit) by an IntegrationWarning and returns
-    the value anyway; here that report raises NumericalError instead, and
-    so does a value or error estimate that overflowed.
-    """
-    out = scipy.integrate.quad(f, a, b, limit=limit, full_output=1)
-    if len(out) > 3:  # full_output appends scipy's message when the result is doubtful
-        raise NumericalError(f"quadrature over [{a!r}, {b!r}] failed: {' '.join(out[3].split())}")
-    if not (math.isfinite(out[0]) and math.isfinite(out[1])):
-        raise NumericalError(f"quadrature over [{a!r}, {b!r}] overflowed: {out[0]!r} +- {out[1]!r}")
-    return out[0], out[1]
 
 
 def from_frame_driving(xi: Callable, frame: FrameMap) -> Callable:
@@ -323,7 +307,7 @@ def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
     """Fit phi ~ A e^{-beta s} on the last decade; return (tail integral, beta).
 
     Without a usable decay the tail is integrated explicitly, and a
-    quadrature that scipy flags as doubtful raises NumericalError.
+    quadrature that QUADPACK flags as doubtful raises NumericalError.
     """
     lo = 0.9 * s_max
     ss = np.linspace(lo, s_max, 33)
@@ -333,7 +317,7 @@ def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
     coef = np.polyfit(ss, np.log(vals), 1)
     beta = -coef[0]
     if beta < 1e-3:  # no usable decay; integrate the tail explicitly
-        tail, _ = _quad(phi, s_max, np.inf, 200)
+        tail, _ = quad(phi, s_max, np.inf, 200)
         return tail, beta
     return float(vals[-1] / beta), float(beta)
 
@@ -352,12 +336,12 @@ def tail_integral(phi: Callable, s_grid):
     fv = np.asarray(phi(fine), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise DomainError(f"density not finite on [0, {DENSITY_S_MAX}]")
-    cum = scipy.integrate.cumulative_simpson(fv, x=fine, initial=0.0)
+    cum = cumulative_simpson(fv, fine)
     tail, _ = _tail_fit(phi, DENSITY_S_MAX)
     total = cum[-1] + tail
     I_fine = total - cum
     # error estimate: half-resolution comparison plus a tail-model allowance
-    cum_half = scipy.integrate.cumulative_simpson(fv[::2], x=fine[::2], initial=0.0)
+    cum_half = cumulative_simpson(fv[::2], fine[::2])
     err = float(abs(cum[-1] - cum_half[-1])) + abs(tail) * 1e-6 + 1e-15
     # snap to the nearest node and correct with an exact short panel: plain
     # linear interpolation of the cumulative loses ~h^2 accuracy
@@ -432,21 +416,6 @@ def driving_from_profile(Phi, grid=None, dPhi=None):
         where = bad[0] if grid is None else np.asarray(grid, dtype=float)[bad[0]]
         raise DomainError(f"profile minus derivative nonpositive at grid point {where}")
     return Phi_v + 4.0 / denom
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
-
-
-def _gauss_panel(f, a, b):
-    """7-point Gauss-Legendre on [a, b], vectorised over panel arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.zeros_like(mid)
-    for xk, wk in zip(_GL_NODES, _GL_WEIGHTS):
-        vals += wk * np.asarray(f(mid + half * xk), dtype=float)
-    return vals * half
 
 
 @dataclass
@@ -563,7 +532,7 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
     x >= 2 and 4/x for 0 <= x <= 2: any positive solution would be driven
     to zero over [t1, t2].  The quadrature error is folded into the
     comparison so exact-equality cases are not lost to roundoff; a
-    quadrature that scipy flags as doubtful raises NumericalError.
+    quadrature that QUADPACK flags as doubtful raises NumericalError.
     """
     if not t2 > t1 >= 0:
         raise DomainError("need t2 > t1 >= 0")
@@ -574,7 +543,7 @@ def no_capture_certificate(xi: Callable, t1: float, t2: float) -> NoCaptureCerti
             raise DomainError(f"driving negative at s={s}")
         return float(_descent_floor(v))
 
-    integral, err = _quad(integrand, t1, t2, 400)
+    integral, err = quad(integrand, t1, t2, 400)
     threshold = float(np.asarray(xi(t1)))
     holds = bool(integral >= threshold - err - 1e-12)
     return NoCaptureCertificate(holds, integral, err, threshold, t1, t2)

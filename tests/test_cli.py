@@ -60,22 +60,42 @@ class TestTrace:
 
 
 class TestStartup:
-    def test_import_and_trace_leave_scipy_integrate_unloaded(self, tmp_path):
-        # scipy loads a submodule on first use, and only the quadratures and
-        # the density transforms use scipy.integrate
-        code = (
-            "import sys\n"
-            "from loewner.cli import main\n"
-            f"assert main(['trace', '--driving', {ZERO!r}, '--dt', '1e-2', '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)\n"
-        )
+    @staticmethod
+    def _fresh(code):
+        """Run code in a fresh interpreter; return its last output line."""
         src = str(Path(loewner.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         env = {**os.environ, "PYTHONPATH": path}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                               timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split()[-2:] == ["False", "False"]
+        return done.stdout.splitlines()[-1]
+
+    def test_import_and_trace_leave_scipy_integrate_unloaded(self, tmp_path):
+        # scipy loads a submodule on first use; the package itself imports
+        # no scipy module at all
+        code = (
+            "import sys\n"
+            "from loewner.cli import main\n"
+            f"assert main(['trace', '--driving', {ZERO!r}, '--dt', '1e-2', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+        )
+        assert self._fresh(code).split() == ["False", "False"]
+
+    @pytest.mark.parametrize("argv", [
+        ["imag-eq", "lower-bound", "--const", "1.5", "--t", "7"],
+        ["verify", "--only", "8"],
+    ])
+    def test_quadrature_runs_load_no_scipy(self, argv):
+        # the growth floor and the gap duality are adaptive quadratures,
+        # which the package's own QUADPACK port computes
+        code = (
+            "import sys\n"
+            "from loewner.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert self._fresh(code) == "[]"
 
 
 class TestStrictness:
@@ -293,12 +313,16 @@ class TestStrictness:
         ["imag-eq", "lower-bound", "--const", "0.002", "--t", "2.2250738585e-313"],
         ["real-eq", "g-test", "--driving", ZIGZAG, "--t2", "10"],
         ["imag-eq", "lower-bound", "--const", "1e-11", "--t", "1e300"],
+        ["real-eq", "g-test", "--driving", SQRT5, "--t1", "0", "--t2", "9.008025868214058e+307",
+         "--T", "0.5"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_doubtful_quadrature_exits_1(self, argv, capsys):
-        # scipy flags the first two integrals (bad integrand behaviour, the
-        # subdivision limit) and the third overflows to -inf; each run fails
-        # as numerical instead of printing a doubtful value
+        # QUADPACK flags the first two integrals (bad integrand behaviour,
+        # the subdivision limit), the third overflows to -inf and the fourth
+        # to inf; each run fails as numerical instead of printing a doubtful
+        # value.  The fourth reads its frame driving at s near 9e307, where
+        # -2 s overflows unless s is capped first
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert "quadrature over" in err and "Traceback" not in err

@@ -54,6 +54,15 @@ class TestFrame:
         s = np.linspace(0.0, 10.0, 50)
         assert np.allclose(fr.s_of_t(fr.t_of_s(s)), s, atol=1e-9)
 
+    def test_huge_frame_times_do_not_overflow(self):
+        # -2 s overflows past s = 8.99e307; both transforms cap s at 1e3,
+        # far past where e^{-2s} underflows, so the values are unchanged
+        s = np.array([400.0, 9.0e307, np.finfo(float).max])
+        assert np.array_equal(FrameMap(T=2.0, lambda_T=1.0).t_of_s(s), np.full(3, 2.0))
+        xi = FrameDriving(DrivingSpec("linear", {"slope": 1.0}, 1.0))
+        assert np.array_equal(xi(s), np.full(3, np.sqrt(np.finfo(float).tiny)))
+        assert xi.at(9.0e307) == xi.at(400.0)
+
     def test_sqrt_approach_maps_to_constant(self):
         for c, T in ((4.0, 1.0), (2.5, 3.0)):
             spec = sqrt_spec(c, T)
