@@ -4,7 +4,9 @@ A :class:`DrivingSpec` is an immutable, deterministic description of a
 continuous real function on ``[0, T]`` used to drive a Loewner evolution.
 Evaluation is pure and vectorised; Brownian paths are generated once at
 construction from a fixed seed and interpolated linearly, so two specs with
-the same configuration agree bit for bit.
+the same configuration agree bit for bit.  Their values are built in place
+in one array, and specs with the same grid step and length share one
+read-only time grid, held in a weak table while some spec uses it.
 
 Analysis helpers estimate the 1/2-Hölder norm (a grid lower bound) and the
 local square-root scaling exponents used by the capture diagnostics.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,6 +62,19 @@ _NON_SCALAR_KEYS = {"times", "values", "branch", "base"}
 _NEGATABLE = ("constant", "linear", "sqrt_approach")
 
 DEFAULT_BROWNIAN_STEP_FRACTION = 2.0**-16
+
+# (step, n) -> the read-only time grid of the Brownian specs that hold it
+_TIME_GRIDS = weakref.WeakValueDictionary()
+
+
+def _time_grid(step: float, n: int) -> np.ndarray:
+    """The shared grid linspace(0, step (n - 1), n), built on first use."""
+    grid = _TIME_GRIDS.get((step, n))
+    if grid is None:
+        grid = np.linspace(0.0, step * (n - 1), n)
+        grid.flags.writeable = False
+        _TIME_GRIDS[step, n] = grid
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,12 +135,15 @@ class DrivingSpec:
                 raise DomainError("kappa must be nonnegative")
             step = float(p.get("grid_step", DEFAULT_BROWNIAN_STEP_FRACTION * self.T))
             n = int(np.ceil(self.T / step)) + 1
-            rng = np.random.default_rng(self.seed)
-            incr = rng.standard_normal(n - 1) * np.sqrt(kappa * step)
-            grid_t = np.linspace(0.0, step * (n - 1), n)
-            grid_v = np.concatenate([[0.0], np.cumsum(incr)])
-            object.__setattr__(self, "_grid_t", grid_t)
-            object.__setattr__(self, "_grid_v", grid_v)
+            # the path is v[0] = 0 and the partial sums of the scaled increments
+            v = np.empty(n)
+            v[0] = 0.0
+            incr = v[1:]
+            np.random.default_rng(self.seed).standard_normal(out=incr)
+            np.multiply(incr, np.sqrt(kappa * step), out=incr)
+            np.cumsum(incr, out=incr)
+            object.__setattr__(self, "_grid_t", _time_grid(step, n))
+            object.__setattr__(self, "_grid_v", v)
         elif fam == "sampled":
             t = np.asarray(p["times"], dtype=float)
             v = np.asarray(p["values"], dtype=float)

@@ -21,9 +21,10 @@ times the cost of a real sqrt): with d = X - u, the argument
 zeta = (w - u)^2 - 4 dt has zeta/2 = a + ib, a = (d^2 - Y^2)/2 - 2 dt and
 b = d Y, and the upper root is sign(b) t + i|b|/t for a >= 0 and
 b/t + i t for a < 0, where t = sqrt(|zeta|/2 + |a|); zeta = 0 gives the root
-0.  A root on the real axis keeps the side of u that w was on (left when
-d < 0), which the sign of b carries since Y >= 0; such on-axis roots are
-counted as the trace's ``nudges``.
+0.  A map with a < 0 at every point forms the second branch alone.  A root
+on the real axis keeps the side of u that w was on (left when d < 0),
+which the sign of b carries since Y >= 0; such on-axis roots are counted
+as the trace's ``nudges``.
 
 Welding: for a simple trace, g_T sends each curve point to two real prime
 ends.  Each point is seeded on the slit of its cell and carried through
@@ -160,6 +161,10 @@ def capacity_estimate(
 # ---------------------------------------------------------------------------
 
 
+_HALF = np.array(0.5)  # a 0-d operand, which numpy dispatches faster than a float
+_HALF.flags.writeable = False
+
+
 def _cells(spec: DrivingSpec, T: float, dt: float, midpoint: bool = False):
     """Edges, durations and driving values u_k of the zipper cells (see trace)."""
     if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
@@ -175,36 +180,47 @@ def _cells(spec: DrivingSpec, T: float, dt: float, midpoint: bool = False):
     return edges, hs, u
 
 
-def _inverse_slit_map(x, y, u: float, h: float, work) -> int:
-    """Map the points w = x + iy in place by w -> u + sqrt((w - u)^2 - 4h).
+def _inverse_slit_map(x, y, u, h4, work) -> int:
+    """Map the points w = x + iy in place by w -> u + sqrt((w - u)^2 - h4).
 
-    The root is taken in the closed upper half-plane and formed in real
-    arithmetic.  With d = x - u, zeta/2 = a + ib where a = (d^2 - y^2)/2 - 2h
-    and b = d y; t = sqrt(|zeta|/2 + |a|) is the larger root component and
-    q = b / t the smaller one:
+    ``h4`` is 4h for a cell of duration h; ``u`` and ``h4`` may be floats or
+    0-d arrays (which numpy dispatches faster).  The root is taken in the
+    closed upper half-plane and formed in real arithmetic.  With d = x - u,
+    zeta/2 = a + ib where a = ((d^2 - y^2) - 4h)/2 and b = d y; m = |zeta|/2,
+    t = sqrt(m + |a|) is the larger root component and q = b / t the
+    smaller one:
 
         a >= 0:  root = sign(b) t + i |q|
         a <  0:  root = q + i t.
 
-    zeta = 0 (t = 0) gives the root 0.  An on-axis root (Im = 0, Re != 0)
-    keeps the prime-end side of w: y >= 0, so the sign of b is the sign of
-    d, and the root lies left of u exactly when d < 0.  ``work`` holds four
-    float scratch arrays and one bool array, each as long as x.  Returns the
-    number of on-axis roots.  Division by t = 0 must be silenced by the
-    caller (``np.errstate(invalid="ignore")``).
+    When every a is negative (a NaN fails this test) the kernel forms only
+    the second branch, t = sqrt(m - a), which equals sqrt(m + |a|) bit for
+    bit; t > 0 there, so no root lies on the axis.  Otherwise it selects per
+    point.  zeta = 0 (t = 0) gives the root 0.  An on-axis root (Im = 0,
+    Re != 0) keeps the prime-end side of w: y >= 0, so the sign of b is the
+    sign of d, and the root lies left of u exactly when d < 0.  ``work``
+    holds four float scratch arrays and one bool array, each as long as x.
+    Returns the number of on-axis roots.  Division by t = 0 must be
+    silenced by the caller (``np.errstate(invalid="ignore")``).
     """
     a, b, t, q, neg = work
     np.subtract(x, u, out=x)  # x holds d until the root overwrites it
     np.multiply(x, x, out=a)
     np.multiply(y, y, out=t)
     np.subtract(a, t, out=a)
-    np.subtract(a, 4.0 * h, out=a)
-    np.multiply(a, 0.5, out=a)
+    np.subtract(a, h4, out=a)
+    np.multiply(a, _HALF, out=a)
     np.multiply(x, y, out=b)
     np.multiply(a, a, out=t)
     np.multiply(b, b, out=q)
     np.add(t, q, out=t)
-    np.sqrt(t, out=t)
+    np.sqrt(t, out=t)  # t holds m = |zeta|/2
+    if np.maximum.reduce(a) < 0.0:  # one branch: every root is q + i t with t > 0
+        np.subtract(t, a, out=y)
+        np.sqrt(y, out=y)
+        np.divide(b, y, out=x)
+        np.add(x, u, out=x)
+        return 0
     np.abs(a, out=q)
     np.add(t, q, out=t)
     np.sqrt(t, out=t)
@@ -223,7 +239,7 @@ def _inverse_slit_map(x, y, u: float, h: float, work) -> int:
 
 
 def _compose(
-    u: np.ndarray, hs: np.ndarray, y: float, seeds: Optional[np.ndarray] = None
+    u: np.ndarray, hs: np.ndarray, y, seeds: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, int]:
     """w_k = h_1 o ... o h_k(u_k + iy) for every cell k, and the nudge count.
 
@@ -235,22 +251,28 @@ def _compose(
 
     ``seeds``, a sorted array of cell indices, composes only those cells'
     points: map k acts on the seeds with index >= k, a suffix of the
-    sweep's arrays.  Every operation is element-wise and correctly rounded,
-    so each returned point equals the full sweep's bit for bit (the nudge
-    count covers the seeds only).
+    sweep's arrays.  A cell may be seeded more than once, and ``y`` may give
+    one height per seed.  Every operation is element-wise and correctly
+    rounded, so each returned point equals the full sweep's bit for bit
+    (the nudge count covers the seeds only).  Each map reads u_k and 4h_k
+    as 0-d views.
     """
     n = u.size
     seeds = np.arange(n) if seeds is None else np.asarray(seeds)
     first = np.searchsorted(seeds, np.arange(n)).tolist()  # first seed >= k
     x = np.asarray(u[seeds], dtype=float)  # fancy indexing copies u
-    ys = np.full(seeds.size, float(y))
+    ys = np.empty(seeds.size)
+    ys[...] = y
+    h4 = 4.0 * hs
     work = [np.empty(seeds.size) for _ in range(4)] + [np.empty(seeds.size, dtype=bool)]
     nudges = 0
     with np.errstate(invalid="ignore"):
         for k in range(n - 1, -1, -1):
             m = first[k]
             if m < seeds.size:
-                nudges += _inverse_slit_map(x[m:], ys[m:], u[k], hs[k], [b[m:] for b in work])
+                nudges += _inverse_slit_map(
+                    x[m:], ys[m:], u[k, ...], h4[k, ...], [b[m:] for b in work]
+                )
     w = x.astype(complex)
     w.imag = ys
     return w, nudges
@@ -593,13 +615,17 @@ def continuity_diagnostic(
     For each ladder height y the composition is seeded at lambda(t_n) + iy
     (the n-th cell map applied first); the trace is the y -> 0 limit.  The
     sup distance between consecutive ladder levels decreasing is the Cauchy
-    trend that signals a continuous trace.
+    trend that signals a continuous trace.  Every level shares every map,
+    so the levels go through one sweep, laid out point-major: the seeds of
+    cell k at all heights sit together.
     """
     y_ladder = np.asarray(y_ladder, dtype=float)
     if np.any(np.diff(y_ladder) >= 0) or np.any(y_ladder <= 0):
         raise DomainError("ladder must be strictly decreasing and positive")
     _, hs, u = _cells(spec, T, dt)
-    vals = np.array([_compose(u, hs, y)[0] for y in y_ladder])
+    n, levels = u.size, y_ladder.size
+    w, _ = _compose(u, hs, np.tile(y_ladder, n), np.repeat(np.arange(n), levels))
+    vals = np.ascontiguousarray(w.reshape(n, levels).T)
     sup = np.max(np.abs(np.diff(vals, axis=0)), axis=1)
     trend = bool(np.all(np.diff(sup) < 1e-12)) if sup.size > 1 else True
     return ContinuityReport(y_ladder, sup, trend, vals)

@@ -329,9 +329,16 @@ def tail_integral(phi: Callable, s_grid):
     exponential tail model fitted on the last decade.  Returns (values,
     error_estimate).
     """
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if not np.all((s_grid >= 0) & (s_grid <= DENSITY_S_MAX)):  # NaN fails too
-        raise DomainError(f"tail integral grid outside [0, {DENSITY_S_MAX}]")
+    read, err = _tail_reader(phi)
+    return read(s_grid), err
+
+
+def _tail_reader(phi: Callable) -> tuple[Callable, float]:
+    """The grid-free part of :func:`tail_integral`, formed once per density.
+
+    Returns (read, error_estimate); read(s_grid) gives I on any grid in
+    [0, DENSITY_S_MAX] from the one sampling, cumulative sum and tail fit.
+    """
     fine = np.linspace(0.0, DENSITY_S_MAX, 20001)
     fv = np.asarray(phi(fine), dtype=float)
     if not np.all(np.isfinite(fv)):
@@ -343,11 +350,17 @@ def tail_integral(phi: Callable, s_grid):
     # error estimate: half-resolution comparison plus a tail-model allowance
     cum_half = cumulative_simpson(fv[::2], fine[::2])
     err = float(abs(cum[-1] - cum_half[-1])) + abs(tail) * 1e-6 + 1e-15
-    # snap to the nearest node and correct with an exact short panel: plain
-    # linear interpolation of the cumulative loses ~h^2 accuracy
-    idx = np.clip(np.searchsorted(fine, s_grid), 0, fine.size - 1)
-    vals = I_fine[idx] + _gauss_panel(phi, s_grid, fine[idx])
-    return vals, err
+
+    def read(s_grid):
+        s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
+        if not np.all((s_grid >= 0) & (s_grid <= DENSITY_S_MAX)):  # NaN fails too
+            raise DomainError(f"tail integral grid outside [0, {DENSITY_S_MAX}]")
+        # snap to the nearest node and correct with an exact short panel:
+        # plain linear interpolation of the cumulative loses ~h^2 accuracy
+        idx = np.clip(np.searchsorted(fine, s_grid), 0, fine.size - 1)
+        return I_fine[idx] + _gauss_panel(phi, s_grid, fine[idx])
+
+    return read, err
 
 
 def density_flags(phi: Callable) -> dict:
@@ -459,7 +472,10 @@ def reconstruct_captured_pair(phi: Callable, frame: FrameMap) -> Reconstruction:
     t = T - rem
     s = -0.5 * np.log(rem / T)
 
-    I, qerr = tail_integral(phi, s)
+    # one sampling, cumulative sum and tail fit serve this grid and the
+    # cross-check below
+    read_tail, qerr = _tail_reader(phi)
+    I = read_tail(s)
     X = lam_T - np.sqrt(T) * I  # sqrt(T) I = lambda(T) - X(t)
     phis = np.asarray(phi(s), dtype=float)
     lam = X - 4.0 * rem / (np.sqrt(T) * phis)
@@ -482,7 +498,7 @@ def reconstruct_captured_pair(phi: Callable, frame: FrameMap) -> Reconstruction:
 
     # profile/derivative identity cross-check: Phi - dPhi = e^s phi
     s_chk = np.linspace(0.0, 12.0, 481)
-    Phi_chk, _ = profile_from_density(phi, s_chk)
+    Phi_chk = np.exp(s_chk) * read_tail(s_chk)  # profile_from_density(phi, s_chk)
     dPhi_chk = np.gradient(Phi_chk, s_chk, edge_order=2)
     ident = np.exp(s_chk) * np.asarray(phi(s_chk), dtype=float)
     deriv_dev = float(np.max(np.abs((Phi_chk - dPhi_chk) - ident) / np.maximum(ident, 1e-30)))

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from loewner import (
     spec_from_config,
     spec_to_config,
 )
+from loewner.driving import _TIME_GRIDS
 
 
 def sqrt_spec(c, T=1.0):
@@ -191,6 +194,47 @@ class TestBrownian:
     def test_seed_required(self):
         with pytest.raises(ConfigError):
             DrivingSpec("brownian", {"kappa": 1.0}, 1.0)
+
+    @staticmethod
+    def reference_path(T, kappa, seed, grid_step=None):
+        """The path as first written: a fresh grid, then the increments, their
+        partial sums and a leading zero, each in its own array."""
+        step = float(grid_step if grid_step is not None else 2.0**-16 * T)
+        n = int(np.ceil(T / step)) + 1
+        incr = np.random.default_rng(seed).standard_normal(n - 1) * np.sqrt(kappa * step)
+        return np.linspace(0.0, step * (n - 1), n), np.concatenate([[0.0], np.cumsum(incr)])
+
+    @pytest.mark.parametrize("T", [1.0, 0.7, 3.3])
+    @pytest.mark.parametrize("grid_step", [None, 1e-3])
+    @pytest.mark.parametrize("kappa, seed", [(2.0, 101), (0.0, 5), (8.0, 7)])
+    def test_path_equals_the_reference_bit_for_bit(self, T, grid_step, kappa, seed):
+        params = {"kappa": kappa} if grid_step is None else {"kappa": kappa, "grid_step": grid_step}
+        spec = DrivingSpec("brownian", params, T, seed=seed)
+        grid_t, grid_v = self.reference_path(T, kappa, seed, grid_step)
+        assert spec._grid_t.tobytes() == grid_t.tobytes()
+        assert spec._grid_v.tobytes() == grid_v.tobytes()
+
+    def test_equal_grids_are_one_read_only_array(self):
+        a = DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=1)
+        b = DrivingSpec("brownian", {"kappa": 3.0}, 1.0, seed=2)
+        c = DrivingSpec("brownian", {"kappa": 2.0, "grid_step": 1e-3}, 1.0, seed=1)
+        assert a._grid_t is b._grid_t
+        assert c._grid_t is not a._grid_t
+        assert not a._grid_t.flags.writeable
+        with pytest.raises(ValueError):
+            a._grid_t[0] = 1.0
+
+    def test_the_table_drops_a_grid_that_no_spec_holds(self):
+        key = (1e-3, 371)  # T = 0.37 at grid_step 1e-3
+        spec = DrivingSpec("brownian", {"grid_step": 1e-3}, 0.37, seed=3)
+        twin = DrivingSpec("brownian", {"grid_step": 1e-3}, 0.37, seed=4)
+        assert _TIME_GRIDS[key] is spec._grid_t
+        del spec
+        gc.collect()
+        assert _TIME_GRIDS[key] is twin._grid_t
+        del twin
+        gc.collect()
+        assert key not in _TIME_GRIDS
 
 
 class TestHolderNorm:

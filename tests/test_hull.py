@@ -173,7 +173,7 @@ def planar_slit_root(x, y, u, h):
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     work = [np.empty(x.size) for _ in range(4)] + [np.empty(x.size, dtype=bool)]
     with np.errstate(invalid="ignore"):
-        nudges = _inverse_slit_map(x, y, u, h, work)
+        nudges = _inverse_slit_map(x, y, u, 4.0 * h, work)
     return x + 1j * y, nudges
 
 
@@ -194,6 +194,28 @@ class TestPlanarKernel:
         assert np.all(np.isfinite(got)) and np.all(got.imag >= 0.0)
         assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref) + 1.0)
         assert nudges == ref_nudges
+
+    # a = ((d^2 - y^2) - 4h)/2 < 0 at every point: the one-branch path
+    ONE_BRANCH = ([0.0, 0.5, -0.5, 0.9, -0.2, 1e-9, 0.0, 2.0],
+                  [0.0, 0.0, 0.0, 0.1, 1.5, 3.0, 1e-300, 2.0])
+
+    @pytest.mark.parametrize("extra", [
+        ([], []),
+        ([3.0], [0.5]),  # one a >= 0 point: the select path
+        ([2.0], [0.0]),  # one a >= 0 point on the axis, a nudge
+        ([1.0], [0.0]),  # zeta = 0
+    ], ids=["one-branch", "select", "select-on-axis", "select-zeta-zero"])
+    def test_batch_equals_each_point_alone(self, extra):
+        d = np.concatenate([self.ONE_BRANCH[0], extra[0]])
+        y = np.concatenate([self.ONE_BRANCH[1], extra[1]])
+        a = ((d * d - y * y) - 4.0 * self.H) / 2.0
+        assert (np.max(a) < 0.0) == (len(extra[0]) == 0)
+        x = self.U + d
+        got, nudges = planar_slit_root(x, y, self.U, self.H)
+        alone = [planar_slit_root(x[i : i + 1], y[i : i + 1], self.U, self.H) for i in range(x.size)]
+        assert np.array_equal(got.real, [w.real[0] for w, _ in alone])
+        assert np.array_equal(got.imag, [w.imag[0] for w, _ in alone])
+        assert nudges == sum(nd for _, nd in alone)
 
     @pytest.mark.parametrize("spec", [
         DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=100),
@@ -494,6 +516,17 @@ class TestContinuityDiagnostic:
     def test_ladder_validation(self):
         with pytest.raises(DomainError):
             continuity_diagnostic(ZERO, 1.0, [0.1, 0.2])
+
+    @pytest.mark.parametrize("spec", [sqrt_spec(5.0), brownian(3.0, 104), ray_spec(1.2, 500)],
+                             ids=["sqrt_approach", "brownian", "ray"])
+    def test_one_sweep_equals_the_per_level_compositions(self, spec):
+        ladder = [0.1 / 4**k for k in range(5)]
+        rep = continuity_diagnostic(spec, 1.0, ladder, dt=2e-3)
+        _, hs, u = _cells(spec, 1.0, 2e-3)
+        assert rep.values.shape == (len(ladder), u.size)
+        for y, row in zip(ladder, rep.values):
+            w, _ = _compose(u, hs, y)
+            assert np.array_equal(row.real, w.real) and np.array_equal(row.imag, w.imag)
 
 
 class TestEndpointExperiment:
