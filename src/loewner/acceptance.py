@@ -19,8 +19,7 @@ import numpy as np
 from .driving import DrivingSpec
 from .errors import PreconditionError
 from .hull import (
-    _cells,
-    _compose,
+    _refined_points,
     capacity_estimate,
     endpoint_experiment,
     forward_map_grid,
@@ -265,10 +264,8 @@ def criterion_trace_fidelity() -> CriterionResult:
     ):
         dts = (1e-3, 5e-4, 2.5e-4)
         curves = [trace(spec, 1.0, dt) for dt in dts[:2]]
-        # the finest trace is read at every second point only, so only those
-        # of its cells are composed; each equals the full trace's bit for bit
-        _, hs, u = _cells(spec, 1.0, dts[2])
-        w, _ = _compose(u, hs, 0.0, np.arange(1, u.size, 2))
+        # the finest trace is read at the times of the middle one only
+        w = _refined_points(spec, 1.0, dts[1], curves[1].times[1:])
         halved = [curves[1].points[::2], np.concatenate([[complex(spec(0.0))], w])]
         t_min = 10.0 * max(dts)
         ds = []

@@ -32,7 +32,6 @@ from .imaginary import (
     solve_frame_difference,
     solve_frame_imaginary,
     solve_imaginary,
-    write_transition_csv,
 )
 from .real_line import (
     FrameDriving,
@@ -48,7 +47,6 @@ from .weierstrass import (
     norm_bound_check,
     offset_ratio_check,
     quasislit_pipeline,
-    write_sweep_csv,
 )
 
 log = logging.getLogger("loewner")
@@ -80,11 +78,18 @@ def _write_meta(path: Path, command: str, spec=None, **extra):
 
 
 def _csv_rows(path: Path, header, rows):
+    """Write one CSV: a float cell as repr(float(v)), None as the empty string,
+    and any other cell (an integer, a label) as csv writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for r in rows:
-            w.writerow(r)
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in r])
+
+
+def _write_welding(path: Path, table):
+    _csv_rows(path, ["s", "left", "right", "ratio1"],
+              zip(table.s_grid, table.left, table.right, table.ratio1))
 
 
 def _positive(value, default: float, flag: str) -> float:
@@ -155,7 +160,8 @@ def _cmd_trace(args) -> int:
     with _from_flags():  # T and dt come from flags
         curve = hull_trace(spec, T, args.dt)
     out = _outdir(args)
-    curve.write_csv(out / "trace.csv")
+    _csv_rows(out / "trace.csv", ["t", "re", "im", "cell_step"],
+              [(t, p.real, p.imag, curve.cell_step) for t, p in zip(curve.times, curve.points)])
     _write_meta(out / "trace.meta.json", "trace", spec, dt=curve.cell_step,
                 n_points=int(curve.times.size), nudges=curve.nudges, tolerances={})
     print(f"trace: {curve.points.size} points -> {out / 'trace.csv'}")
@@ -169,7 +175,9 @@ def _cmd_capture_scan(args) -> int:
     with _from_flags():  # T and tol come from flags
         scan = capture_scan(spec, T, refine_tol=tol)
     out = _outdir(args)
-    scan.write_csv(out / "capture_scan.csv")
+    _csv_rows(out / "capture_scan.csv", ["x0", "status", "capture_time", "certificate"],
+              [(r.initial, r.status, r.capture_time, r.certificate)
+               for r in sorted(scan.reports, key=lambda r: r.initial)])
     _write_meta(out / "capture_scan.meta.json", "capture-scan", spec,
                 T=T, interval=scan.interval, mirrored=scan.mirrored_interval,
                 nsteps=scan.nsteps, nprobes=scan.nprobes, nfev=scan.nfev, tolerances={"refine_tol": tol})
@@ -192,9 +200,7 @@ def _cmd_hrle(args) -> int:
     with _from_flags():  # x0 comes from a flag
         run = solve_frame_equation(xi, args.x0, horizon)
     out = _outdir(args)
-    _csv_rows(out / "hrle.csv", ["s", "x"],
-              [[repr(float(s)), repr(float(v))] for s, v in
-               zip(run.path.times, np.atleast_1d(run.path.values))])
+    _csv_rows(out / "hrle.csv", ["s", "x"], zip(run.path.times, np.atleast_1d(run.path.values)))
     _write_meta(out / "hrle.meta.json", "real-eq hrle", spec, classification=run.classification,
                 exit_s=run.exit_s, nsteps=run.path.nsteps, nfev=run.path.nfev)
     print(f"classification: {run.classification}")
@@ -227,9 +233,7 @@ def _cmd_operator_f(args) -> int:
         Phi, _ = profile_from_density(phi, grid)
     xi = driving_from_profile(Phi, grid)
     out = _outdir(args)
-    _csv_rows(out / "operator_f.csv", ["s", "Phi", "xi"],
-              [[repr(float(a)), repr(float(b)), repr(float(c))]
-               for a, b, c in zip(grid, Phi, xi)])
+    _csv_rows(out / "operator_f.csv", ["s", "Phi", "xi"], zip(grid, Phi, xi))
     print(f"xi(0) = {float(xi[0])!r} -> {out / 'operator_f.csv'}")
     return 0
 
@@ -238,9 +242,7 @@ def _cmd_sharp_example(args) -> int:
     with _from_flags():  # a and k_max come from flags
         osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
     out = _outdir(args)
-    _csv_rows(out / "sharp_example.csv", ["s", "x", "xi"],
-              [[repr(float(a)), repr(float(b)), repr(float(c))]
-               for a, b, c in zip(ss, xs, xis)])
+    _csv_rows(out / "sharp_example.csv", ["s", "x", "xi"], zip(ss, xs, xis))
     print(f"running_min: {rep['running_min']!r}  running_max: {rep['running_max']!r}")
     return 0
 
@@ -254,7 +256,8 @@ def _cmd_transition(args) -> int:
         print(f"C={r.C!r}: {r.status}" + (f"  witness_y0={r.witness_y0!r}" if r.witness_y0 else ""))
     if args.out:
         out = _outdir(args)
-        write_transition_csv(out / "transition.csv", results)
+        _csv_rows(out / "transition.csv", ["C", "T", "status", "witness_y0"],
+                  [(r.C, r.T, r.status, r.witness_y0) for r in results])
         _write_meta(out / "transition.meta.json", "imag-eq transition", T=T)
     return 0
 
@@ -284,9 +287,7 @@ def _cmd_con(args) -> int:
     with _flag_domain():
         path, cls = solver(_constant(args.const), args.y0, horizon)
     out = _outdir(args)
-    _csv_rows(out / f"{args.action}.csv", ["s", "y"],
-              [[repr(float(s)), repr(float(u))] for s, u in
-               zip(path.times, np.atleast_1d(path.values))])
+    _csv_rows(out / f"{args.action}.csv", ["s", "y"], zip(path.times, np.atleast_1d(path.values)))
     _write_meta(out / f"{args.action}.meta.json", f"imag-eq {args.action}", status=cls.status,
                 certificate=cls.certificate, witness_time=cls.witness_time,
                 nsteps=path.nsteps, nfev=path.nfev)
@@ -310,7 +311,7 @@ def _cmd_welding(args) -> int:
     with _from_flags():  # the grid, T and dt all come from flags
         table = hull_welding(spec, T, s_grid, dt=args.dt)
     out = _outdir(args)
-    table.write_csv(out / "welding.csv")
+    _write_welding(out / "welding.csv", table)
     _write_meta(out / "welding.meta.json", "welding", spec, dt=args.dt,
                 lambda_T=table.lambda_T, ratio1_range=list(table.ratio1_range),
                 ratio2_range=list(table.ratio2_range), tolerances={})
@@ -339,15 +340,12 @@ def _cmd_weierstrass_check(args) -> int:
                 p = WeierstrassParams(b=b, N=N, c=args.c)
                 rn = norm_bound_check(p)
                 ro = _offset_check(p, T)
-            rows += [
-                {"b": b, "N": N, "c": args.c, "check": "norm",
-                 "margin": rn.bound - rn.estimate, "verdict": "pass" if rn.ok else "fail"},
-                {"b": b, "N": N, "c": args.c, "check": "offset",
-                 "margin": ro.bound - ro.max_ratio, "verdict": "pass" if ro.ok else "fail"},
-            ]
+            for check, margin, ok in (("norm", rn.bound - rn.estimate, rn.ok),
+                                      ("offset", ro.bound - ro.max_ratio, ro.ok)):
+                rows.append([b, N, args.c, check, margin, "pass" if ok else "fail"])
     out = _outdir(args)
-    write_sweep_csv(out / "weierstrass_checks.csv", rows)
-    bad = [r for r in rows if r["verdict"] != "pass"]
+    _csv_rows(out / "weierstrass_checks.csv", ["b", "N", "c", "check", "margin", "verdict"], rows)
+    bad = [r for r in rows if r[-1] != "pass"]
     print(f"{len(rows)} checks, {len(bad)} failures -> {out / 'weierstrass_checks.csv'}")
     return 0 if not bad else 1
 
@@ -366,7 +364,7 @@ def _cmd_weierstrass_pipeline(args) -> int:
         f"M0: {v.ratio_bound!r}; ratio1 in [1/M0, M0]: {v.ratio1_contained}"
     )
     if args.out and v.welding_table is not None:
-        v.welding_table.write_csv(_outdir(args) / "pipeline_welding.csv")
+        _write_welding(_outdir(args) / "pipeline_welding.csv", v.welding_table)
     return 0 if v.simple else 1
 
 
@@ -390,8 +388,7 @@ def _cmd_figure(args) -> int:
     _csv_rows(
         out / "sharp_figure.csv",
         ["s", "x", "xi", "ref_zero", "ref_a", "ref_band_top"],
-        [[repr(float(s)), repr(float(x)), repr(float(q)), repr(0.0), repr(a), repr(a + 4.0 / a)]
-         for s, x, q in zip(ss, xs, xis)],
+        [(s, x, q, 0.0, a, a + 4.0 / a) for s, x, q in zip(ss, xs, xis)],
     )
     _write_meta(out / "sharp_figure.meta.json", "figure", a=a, k_max=args.k_max,
                 running_min=rep["running_min"], running_max=rep["running_max"])

@@ -378,9 +378,9 @@ class ScalingReport:
     signed_quotients: np.ndarray
 
 
-def default_scale_ladder(t: float, K: int = 20) -> np.ndarray:
-    """Geometric ladder d_k = (t/4) * 2^-k, k = 0..K."""
-    return (t / 4.0) * 2.0 ** -np.arange(0, K + 1)
+def default_scale_ladder(t: float) -> np.ndarray:
+    """Geometric ladder d_k = (t/4) * 2^-k, k = 0..20."""
+    return (t / 4.0) * 2.0 ** -np.arange(0, 21)
 
 
 def local_scaling_exponents(spec: DrivingSpec, t: float, scales=None) -> ScalingReport:

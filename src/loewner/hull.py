@@ -36,7 +36,6 @@ barrier start lambda(T) + C1 sqrt(T) through every cell by the same maps.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -165,7 +164,7 @@ _HALF = np.array(0.5)  # a 0-d operand, which numpy dispatches faster than a flo
 _HALF.flags.writeable = False
 
 
-def _cells(spec: DrivingSpec, T: float, dt: float, midpoint: bool = False):
+def _cells(spec: DrivingSpec, T: float, dt: float):
     """Edges, durations and driving values u_k of the zipper cells (see trace)."""
     if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
         raise DomainError(f"T and dt must be positive finite numbers, got T={T!r}, dt={dt!r}")
@@ -176,7 +175,7 @@ def _cells(spec: DrivingSpec, T: float, dt: float, midpoint: bool = False):
         edges = np.append(edges, T)
     edges[-1] = min(edges[-1], T)
     hs = np.diff(edges)
-    u = np.asarray(spec(0.5 * (edges[:-1] + edges[1:]) if midpoint else edges[1:]))
+    u = np.asarray(spec(edges[1:]))
     return edges, hs, u
 
 
@@ -285,30 +284,20 @@ class TraceCurve:
     cell_step: float
     nudges: int = 0
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "re", "im", "cell_step"])
-            for t, p in zip(self.times, self.points):
-                w.writerow([repr(float(t)), repr(float(p.real)), repr(float(p.imag)),
-                            repr(float(self.cell_step))])
-
 
 def trace(
     spec: DrivingSpec,
     T: float,
     dt: float,
-    midpoint: bool = False,
 ) -> TraceCurve:
     """Reconstruct the trace by composing elementary inverse slit maps.
 
-    Cell k covers [t_{k-1}, t_k] and is driven at u_k = lambda(t_k) (the
-    right endpoint; ``midpoint=True`` samples the cell centre instead).  The
-    point gamma(t_n) is the composition h_1 o ... o h_{n-1} applied to the
-    tip u_n + 2i sqrt(h_n) of cell n.  A short final cell is used when dt
-    does not divide T.
+    Cell k covers [t_{k-1}, t_k] and is driven at u_k = lambda(t_k), the
+    right endpoint.  The point gamma(t_n) is the composition
+    h_1 o ... o h_{n-1} applied to the tip u_n + 2i sqrt(h_n) of cell n.  A
+    short final cell is used when dt does not divide T.
     """
-    edges, hs, u = _cells(spec, T, dt, midpoint)
+    edges, hs, u = _cells(spec, T, dt)
     w, nudges = _compose(u, hs, 0.0)
     times = edges
     points = np.concatenate([[complex(spec(0.0))], w])
@@ -320,6 +309,22 @@ def trace(
         cell_step=float(dt),
         nudges=nudges,
     )
+
+
+def _refined_points(spec: DrivingSpec, T: float, dt: float, times) -> np.ndarray:
+    """The points of ``trace(spec, T, dt / 2)`` at ``times``, edges of the dt grid past 0.
+
+    Every edge of the dt grid is an edge of the dt/2 grid, and when dt does
+    not divide T the short last cells of both end at T, so only the dt/2
+    cells that end at ``times`` are composed (:func:`_compose` with
+    ``seeds``), about half the refinement's map evaluations.  Each point
+    equals the full refined trace's bit for bit.
+    """
+    edges, hs, u = _cells(spec, T, dt / 2.0)
+    w, _ = _compose(u, hs, 0.0, np.searchsorted(edges, times) - 1)
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("trace composition produced non-finite points")
+    return w
 
 
 @dataclass
@@ -346,11 +351,10 @@ def simplicity_diagnostic(
     than the pair distance, which separates a slowing tip (points bunch
     while the arc stays short) from an actual return.
 
-    The dt/2 trace is read only at the times of the dt grid, so only those
-    of its cells are composed (:func:`_compose` with ``seeds``), about half
-    the refinement's map evaluations.  The pair scan runs over row chunks
-    in row-major order on squared distances of the real and imaginary
-    parts; the pairs within a relative 1e-12 of the chunk minimum or of
+    The dt/2 trace is read only at the times of the dt grid
+    (:func:`_refined_points`).  The pair scan runs over row chunks in
+    row-major order on squared distances of the real and imaginary parts;
+    the pairs within a relative 1e-12 of the chunk minimum or of
     the squared threshold are re-measured as |p_i - p_j|, so the minimum,
     its pair and the candidate order (the first 200 per chunk are tested
     for a return) are those of the exact distances.
@@ -358,13 +362,7 @@ def simplicity_diagnostic(
     c1 = trace(spec, T, dt)
     pts = c1.points
     n = pts.size
-    # pair points by time: every edge of the dt grid is an edge of the dt/2
-    # grid, and when dt does not divide T the short last cells end both at T
-    edges, hs, u = _cells(spec, T, dt / 2.0)
-    w, _ = _compose(u, hs, 0.0, np.searchsorted(edges, c1.times[1:]) - 1)
-    if not np.all(np.isfinite(w)):
-        raise NumericalError("trace composition produced non-finite points")
-    disp = np.concatenate([[0.0], np.abs(pts[1:] - w)])
+    disp = np.concatenate([[0.0], np.abs(pts[1:] - _refined_points(spec, T, dt, c1.times[1:]))])
     scale = float(np.maximum(np.max(disp), 1e-12))
     # local refinement scale: max of disp[i - 16 : i + 16]
     win = 16
@@ -464,13 +462,6 @@ class WeldingTable:
     lambda_T: float
     ratio1_range: tuple[float, float]
     ratio2_range: tuple[float, float]
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s", "left", "right", "ratio1"])
-            for s, l, r, q in zip(self.s_grid, self.left, self.right, self.ratio1):
-                w.writerow([repr(float(s)), repr(float(l)), repr(float(r)), repr(float(q))])
 
 
 def welding(

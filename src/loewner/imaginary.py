@@ -36,7 +36,6 @@ short of its horizon (vanishing).  An original-time start at or below
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -61,12 +60,12 @@ __all__ = [
     "classify_sqrt_gap",
     "vanishing_spread",
     "dual_vanishing_probe",
-    "write_transition_csv",
 ]
 
 THRESHOLD_MARGIN = 1e-6     # strictness above the level-2 certificate
 VANISH_THRESHOLD = 1e-12    # e^{-s} y below this with the right trends
 TREND_WINDOW = 5.0
+FRAME_HORIZON_S = 40.0      # first horizon of the frame flows
 S_CAP = 2000.0              # last horizon the trend classifiers extend to
 # the difference flow is certified non-vanishing once w clears its lower
 # comparison curve max(0, 4/eta - eta) by this much on the trailing window
@@ -236,7 +235,7 @@ def _window_verdict(path: SolutionPath, eta, kind) -> Optional[VanishClassificat
 def solve_frame_imaginary(
     eta: Callable,
     y0: float,
-    s_horizon: float = 40.0,
+    s_horizon: float = FRAME_HORIZON_S,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Height flow dy/ds = y - 4y/(eta^2 + y^2) with trend classification.
 
@@ -253,7 +252,7 @@ def solve_frame_imaginary(
 def solve_frame_difference(
     eta: Callable,
     w0: float,
-    s_horizon: float = 40.0,
+    s_horizon: float = FRAME_HORIZON_S,
 ) -> tuple[SolutionPath, VanishClassification]:
     """Difference flow dw/ds = w - 4w/(eta^2 + eta w).
 
@@ -563,9 +562,8 @@ class SpreadReport:
 def vanishing_spread(
     eta: Callable,
     y0s: Sequence[float],
-    s_horizon: float = 40.0,
 ) -> SpreadReport:
-    """Run the height flow from several initial values.
+    """Run the height flow from several initial values to ``FRAME_HORIZON_S``.
 
     Among the vanishing solutions, all but at most the largest collapse
     together: pairwise terminal differences excluding the largest initial
@@ -577,7 +575,7 @@ def vanishing_spread(
     rows = []
     terminals = {}
     for y0 in y0s:
-        path, cls = solve_frame_imaginary(eta, y0, s_horizon)
+        path, cls = solve_frame_imaginary(eta, y0)
         term = float(np.asarray(path.terminal_value))
         rows.append(SpreadRow(y0, cls.status, term, cls.certificate))
         if cls.status == "vanishing":
@@ -603,14 +601,11 @@ class DualProbeReport:
     consistent: Optional[bool]
 
 
-def dual_vanishing_probe(
-    eta: Callable,
-    s_horizon: float = 40.0,
-) -> DualProbeReport:
+def dual_vanishing_probe(eta: Callable) -> DualProbeReport:
     """Probe the duality: a difference-flow vanishing solution staying below
     the gap's lower bound forces the height flow to vanish from the same
     start (otherwise the gap's infimum must be zero)."""
-    samples = np.asarray(eta(np.linspace(0.0, s_horizon, 2001)), dtype=float)
+    samples = np.asarray(eta(np.linspace(0.0, FRAME_HORIZON_S, 2001)), dtype=float)
     c = float(np.min(samples))
     if c <= 0:
         raise PreconditionError("gap driving must have a positive lower bound")
@@ -618,25 +613,12 @@ def dual_vanishing_probe(
     for frac in (0.9, 0.5, 0.25):
         w0 = frac * c
         tried.append(w0)
-        path, cls = solve_frame_difference(eta, w0, s_horizon)
+        path, cls = solve_frame_difference(eta, w0)
         if cls.status != "vanishing":
             continue
         if float(np.max(np.asarray(path.values, dtype=float))) >= c:
             continue
-        _, h_cls = solve_frame_imaginary(eta, w0, s_horizon)
+        _, h_cls = solve_frame_imaginary(eta, w0)
         return DualProbeReport(c, tried, w0, h_cls.status, h_cls.status == "vanishing")
     return DualProbeReport(c, tried, None, None, None)
 
-
-# ---------------------------------------------------------------------------
-# CSV exports
-# ---------------------------------------------------------------------------
-
-
-def write_transition_csv(path, results: Sequence[TransitionResult]):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["C", "T", "status", "witness_y0"])
-        for r in results:
-            w.writerow([repr(r.C), repr(r.T), r.status,
-                        "" if r.witness_y0 is None else repr(r.witness_y0)])

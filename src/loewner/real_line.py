@@ -21,17 +21,12 @@ and that correspondence powers the reconstruction round trip below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .driving import (
-    DrivingSpec,
-    _inverse_frame,
-    local_scaling_exponents,
-)
+from .driving import DrivingSpec, local_scaling_exponents
 from .errors import (
     DomainError,
     NumericalError,
@@ -46,7 +41,6 @@ __all__ = [
     "FrameMap",
     "CaptureReport",
     "solve_real_loewner",
-    "from_frame_driving",
     "solve_frame_equation",
     "density_flags",
     "tail_integral",
@@ -100,13 +94,6 @@ class FrameMap:
     def __post_init__(self):
         if self.T <= 0:
             raise DomainError("frame horizon T must be positive")
-
-    def s_of_t(self, t):
-        t = np.asarray(t, dtype=float)
-        rem = np.maximum(self.T - t, 0.0)
-        with np.errstate(divide="ignore"):
-            s = -0.5 * np.log(rem / self.T)
-        return s if s.shape else float(s)
 
     def t_of_s(self, s):
         s = np.asarray(s, dtype=float)
@@ -169,15 +156,6 @@ class FrameDriving:
         return float(out[0]) if scalar else out
 
 
-def from_frame_driving(xi: Callable, frame: FrameMap) -> Callable:
-    """Invert the frame transform: lambda(t) on [0, T] from xi(s)."""
-
-    def lam(t):
-        return _inverse_frame(xi, frame.T, frame.lambda_T, t)
-
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # direct integration of the real equation
 # ---------------------------------------------------------------------------
@@ -192,15 +170,6 @@ class CaptureReport:
     capture_time: Optional[float]
     certificate: str  # event_bisection | singular_floor | fixed_point_band | horizon_exhausted
     horizon_used: float
-
-    def to_record(self) -> dict:
-        return {
-            "initial": self.initial,
-            "status": self.status,
-            "capture_time": self.capture_time,
-            "certificate": self.certificate,
-            "horizon_used": self.horizon_used,
-        }
 
 
 def solve_real_loewner(
@@ -401,33 +370,19 @@ def profile_from_density(phi: Callable, s_grid):
     return np.exp(s_grid) * I, err
 
 
-def driving_from_profile(Phi, grid=None, dPhi=None):
+def driving_from_profile(Phi, grid):
     """xi = Phi + 4/(Phi - dPhi/ds), pointwise on a grid.
 
-    ``Phi`` may be an array of values on ``grid`` or a callable.  When no
-    derivative is supplied it is estimated by central differences on the
-    grid interior (one-sided at the ends).
+    ``Phi`` may be an array of values on ``grid`` or a callable.  The
+    derivative is estimated by central differences on the grid interior
+    (one-sided at the ends).
     """
-    if callable(Phi):
-        if grid is None:
-            raise DomainError("a grid is required with a callable profile")
-        Phi_v = np.asarray(Phi(np.asarray(grid, dtype=float)), dtype=float)
-    else:
-        Phi_v = np.asarray(Phi, dtype=float)
-    if dPhi is None:
-        if grid is None:
-            raise DomainError("a grid is required to differentiate the profile")
-        g = np.asarray(grid, dtype=float)
-        dPhi_v = np.gradient(Phi_v, g, edge_order=2)
-    elif callable(dPhi):
-        dPhi_v = np.asarray(dPhi(np.asarray(grid, dtype=float)), dtype=float)
-    else:
-        dPhi_v = np.asarray(dPhi, dtype=float)
-    denom = Phi_v - dPhi_v
+    g = np.asarray(grid, dtype=float)
+    Phi_v = np.asarray(Phi(g) if callable(Phi) else Phi, dtype=float)
+    denom = Phi_v - np.gradient(Phi_v, g, edge_order=2)
     bad = np.nonzero(denom <= 0.0)[0]
     if bad.size:
-        where = bad[0] if grid is None else np.asarray(grid, dtype=float)[bad[0]]
-        raise DomainError(f"profile minus derivative nonpositive at grid point {where}")
+        raise DomainError(f"profile minus derivative nonpositive at grid point {g[bad[0]]}")
     return Phi_v + 4.0 / denom
 
 
@@ -722,14 +677,6 @@ class ScanResult:
     nsteps: int = 0  # accepted frame steps, base batch and refinement probes
     nprobes: int = 0  # one-start refinement runs
     nfev: int = 0  # frame field evaluations, base batch and refinement probes
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x0", "status", "capture_time", "certificate"])
-            for r in sorted(self.reports, key=lambda r: r.initial):
-                ct = "" if r.capture_time is None else repr(r.capture_time)
-                w.writerow([repr(r.initial), r.status, ct, r.certificate])
 
 
 def _scan_one_side(

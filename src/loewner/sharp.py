@@ -170,10 +170,6 @@ class SharpOscillation:
         val, _ = self._eval(s, clamp=False)
         return val if getattr(val, "shape", ()) else float(val)
 
-    def x_dot(self, s):
-        _, dx = self._eval(s, clamp=False)
-        return dx if getattr(dx, "shape", ()) else float(dx)
-
     def xi(self, s):
         """Driving xi = x + 4/(x - dx/ds); clamped to the last knot value
         beyond the partition horizon."""
@@ -210,10 +206,7 @@ class SharpOscillation:
         """
         mids = self.xi(self.midpoint_times())
         # evaluate beta_k on the slow side: nudge into [beta_k, alpha_{k+1})
-        ks = np.arange(self.k_start, self.k_max + 1)
-        tb = self._beta[ks] - self.origin
-        tb = np.nextafter(tb, np.inf)
-        knots = self.xi(tb)
+        knots = self.xi(np.nextafter(self.right_knot_times(), np.inf))
         return {
             "a": self.a,
             "branch": self.branch,

@@ -1,10 +1,13 @@
-"""Weierstrass driving functions: certified partial sums, norm bounds, and
-the quasislit verification pipeline.
+"""Weierstrass driving functions: norm bounds, offset ratios, and the
+quasislit verification pipeline.
 
 The driving is c W_b with W_b(t) = sum_{n>=1} cos(b^n t) / b^{n/2}, b > 1.
-Partial sums W_b^N carry a certified geometric tail bound, the 1/2-Hölder
-norm obeys ||W_b||_{1/2} <= b/(sqrt(b)-1) + 2/(1 - 1/sqrt(b)) = C(b), and
-probing increments at the period-aligned offsets t_m = 2 pi / b^{m-1}
+The partial sum c W_b^N is the ``weierstrass_partial`` family of
+:class:`~loewner.driving.DrivingSpec` (``WeierstrassParams.spec``), the
+one place where it is evaluated, and ``WeierstrassParams.tail_bound``
+certifies its geometric truncation error.  The 1/2-Hölder norm obeys
+||W_b||_{1/2} <= b/(sqrt(b)-1) + 2/(1 - 1/sqrt(b)) = C(b), and probing
+increments at the period-aligned offsets t_m = 2 pi / b^{m-1}
 bounds the one-sided liminf by (sqrt(pi) + 1/sqrt(pi)) sqrt(2)/(sqrt(b)-1).
 Together the two bounds bracket the local square-root oscillation of the
 driving between a small liminf and a sqrt(b)-sized limsup, which is the
@@ -13,7 +16,6 @@ regime where the trace is a simple (quasislit) curve for small c.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,12 +30,10 @@ __all__ = [
     "WeierstrassParams",
     "norm_constant",
     "offset_constant",
-    "partial_sum",
     "norm_bound_check",
     "offset_ratio_check",
     "comparison_constant",
     "quasislit_pipeline",
-    "write_sweep_csv",
 ]
 
 
@@ -76,15 +76,6 @@ def offset_constant(b: float) -> float:
     """(sqrt(pi) + 1/sqrt(pi)) sqrt(2) / (sqrt(b) - 1), the liminf bound."""
     sp = np.sqrt(np.pi)
     return (sp + 1.0 / sp) * np.sqrt(2.0) / (np.sqrt(b) - 1.0)
-
-
-def partial_sum(p: WeierstrassParams, t) -> tuple[np.ndarray, float]:
-    """(c W_b^N(t), certified tail bound)."""
-    t = np.asarray(t, dtype=float)
-    n = np.arange(1, p.N + 1)
-    bn = p.b**n
-    vals = p.c * np.cos(np.multiply.outer(t, bn)) @ (bn**-0.5)
-    return vals, p.tail_bound
 
 
 @dataclass
@@ -137,9 +128,8 @@ def offset_ratio_check(
     t_m = 2.0 * np.pi / p.b ** (ms - 1.0)
     if np.any(t_m > T):
         raise PreconditionError(f"offsets exceed T: increase m or T (t_m={t_m.max()})")
-    vT, _ = partial_sum(p, np.asarray([T]))
-    vtm, _ = partial_sum(p, T - t_m)
-    ratios = np.abs(vT[0] - vtm) / np.sqrt(t_m)
+    spec = p.spec(T, normalize=False)
+    ratios = np.abs(spec(T) - spec(T - t_m)) / np.sqrt(t_m)
     bound = p.c * offset_constant(p.b)
     ok = bool(np.all(ratios < bound))
     if not ok:
@@ -159,18 +149,16 @@ def offset_ratio_check(
 def comparison_constant(K: float) -> float:
     """Lower barrier constant from the comparison flow.
 
-    Integrates dX/du = 2/(X + K sqrt(1 - u)) on [0, 1] from six initial
-    values l in [1e-6, 1] and returns the infimum of X(1): by scaling, a
-    solution separated from a driving with Hölder bound K at time t keeps a
-    gap of at least this constant times sqrt(T - t) at time T.
+    Integrates dX/du = 2/(X + K sqrt(1 - u)) on [0, 1] from X(0) = 1e-6 and
+    returns X(1), the infimum over the initial values in [1e-6, 1]: by the
+    comparison principle X(1) increases with X(0).  By scaling, a solution
+    separated from a driving with Hölder bound K at time t keeps a gap of at
+    least this constant times sqrt(T - t) at time T.
     """
-    best = np.inf
-    for l in np.geomspace(1e-6, 1.0, 6):
-        def fieldf(u, x):
-            return 2.0 / (x + K * np.sqrt(max(1.0 - u, 0.0)))
+    def fieldf(u, x):
+        return 2.0 / (x + K * np.sqrt(max(1.0 - u, 0.0)))
 
-        path = integrate(fieldf, float(l), (0.0, 1.0))
-        best = min(best, float(np.asarray(path.terminal_value)))
+    best = float(np.asarray(integrate(fieldf, 1e-6, (0.0, 1.0)).terminal_value))
     if not best > 0:
         raise NumericalError("comparison flow produced a nonpositive barrier")
     return best
@@ -248,12 +236,3 @@ def quasislit_pipeline(
         simple=simp.simple,
     )
 
-
-def write_sweep_csv(path, rows: Sequence[dict]):
-    """Sweep rows with fields b, N, c, check, margin, verdict."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b", "N", "c", "check", "margin", "verdict"])
-        for r in rows:
-            w.writerow([repr(r["b"]), r["N"], repr(r["c"]), r["check"],
-                        repr(r["margin"]), r["verdict"]])

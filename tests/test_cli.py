@@ -11,7 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loewner
+from loewner import spec_from_json
 from loewner.cli import main
+from loewner.hull import trace, welding
+from loewner.imaginary import classify_sqrt_gap
+from loewner.real_line import capture_scan
+from loewner.weierstrass import (
+    WeierstrassParams,
+    norm_bound_check,
+    offset_ratio_check,
+    quasislit_pipeline,
+)
 
 ZERO = '{"family":"constant","params":{"value":0},"T":1}'
 # its frame driving is the constant xi = 5; the captured set is (0, 4]
@@ -30,12 +40,22 @@ def run(argv):
     return main(argv)
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, module="loewner.cli"):
     """Run the CLI in a fresh interpreter, stopped after 60 s."""
     src = str(Path(loewner.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "loewner.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def floats(rows):
+    """The cells as floats; a cell that is not a plain float literal raises."""
+    return np.array([[float(v) for v in r] for r in rows])
 
 
 class TestTrace:
@@ -57,6 +77,79 @@ class TestTrace:
                         "--out", str(tmp_path / d)]) == 0
         assert (tmp_path / "a" / "trace.csv").read_bytes() == \
                (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+BROWN = '{"family":"brownian","params":{"kappa":2.0},"T":1,"normalize":true,"seed":9}'
+WEIER = '{"family":"weierstrass_partial","params":{"c":0.05,"b":100,"N":4},"T":1,"normalize":true}'
+
+
+class TestCsvFiles:
+    """Each CSV's header, and every cell read back as the library value it was written from."""
+
+    def test_trace(self, tmp_path):
+        assert run(["trace", "--driving", BROWN, "--dt", "5e-3", "--out", str(tmp_path)]) == 0
+        header, *rows = read_csv(tmp_path / "trace.csv")
+        assert header == ["t", "re", "im", "cell_step"]
+        c = trace(spec_from_json(BROWN), 1.0, 5e-3)
+        want = [c.times, c.points.real, c.points.imag, np.full(c.times.size, 5e-3)]
+        assert np.array_equal(floats(rows), np.column_stack(want))
+
+    def test_welding(self, tmp_path):
+        assert run(["welding", "--driving", WEIER, "--dt", "2e-3", "--n", "7",
+                    "--out", str(tmp_path)]) == 0
+        header, *rows = read_csv(tmp_path / "welding.csv")
+        assert header == ["s", "left", "right", "ratio1"]
+        wt = welding(spec_from_json(WEIER), 1.0, np.linspace(0.05, 0.9, 7), dt=2e-3)
+        assert np.array_equal(floats(rows), np.column_stack([wt.s_grid, wt.left, wt.right, wt.ratio1]))
+
+    def test_pipeline_welding(self, tmp_path):
+        assert run(["weierstrass", "pipeline", "--b", "16", "--N", "2", "--c", "0.3",
+                    "--dt", "5e-3", "--out", str(tmp_path)]) == 0
+        header, *rows = read_csv(tmp_path / "pipeline_welding.csv")
+        assert header == ["s", "left", "right", "ratio1"]
+        v = quasislit_pipeline(WeierstrassParams(b=16.0, N=2, c=0.3), 1.0, dt=5e-3,
+                               compute_ratio_bound=True)
+        wt = v.welding_table
+        assert np.array_equal(floats(rows), np.column_stack([wt.s_grid, wt.left, wt.right, wt.ratio1]))
+
+    def test_capture_scan(self, tmp_path):
+        assert run(["capture-scan", "--driving", SQRT5, "--out", str(tmp_path)]) == 0
+        header, *rows = read_csv(tmp_path / "capture_scan.csv")
+        assert header == ["x0", "status", "capture_time", "certificate"]
+        reports = sorted(capture_scan(spec_from_json(SQRT5), 1.0).reports, key=lambda r: r.initial)
+        assert len(rows) == len(reports)
+        assert {r.capture_time is None for r in reports} == {True, False}
+        for (x0, status, ct, cert), r in zip(rows, reports):
+            assert (float(x0), status, cert) == (r.initial, r.status, r.certificate)
+            assert ct == "" if r.capture_time is None else float(ct) == r.capture_time
+
+    def test_transition(self, tmp_path):
+        Cs = [0.5, 1.9, 2.0, 2.1, 3.0]
+        assert run(["imag-eq", "transition", "--sweep", ",".join(map(repr, Cs)), "--T", "1.5",
+                    "--out", str(tmp_path)]) == 0
+        header, *rows = read_csv(tmp_path / "transition.csv")
+        assert header == ["C", "T", "status", "witness_y0"]
+        results = [classify_sqrt_gap(C, 1.5) for C in Cs]
+        assert len(rows) == len(results)
+        assert {r.witness_y0 is None for r in results} == {True, False}
+        for (C, T, status, w), r in zip(rows, results):
+            assert (float(C), float(T), status) == (r.C, r.T, r.status)
+            assert w == "" if r.witness_y0 is None else float(w) == r.witness_y0
+
+    def test_weierstrass_checks(self, tmp_path):
+        assert run(["weierstrass", "check", "--b", "16", "--c", "0.7", "--T", "2",
+                    "--out", str(tmp_path)]) == 0
+        header, *rows = read_csv(tmp_path / "weierstrass_checks.csv")
+        assert header == ["b", "N", "c", "check", "margin", "verdict"]
+        want = []
+        for N in (1, 2, 4, 8):
+            p = WeierstrassParams(b=16.0, N=N, c=0.7)
+            rn, ro = norm_bound_check(p), offset_ratio_check(p, 2.0, range(2, 9))
+            want += [(N, "norm", rn.bound - rn.estimate), (N, "offset", ro.bound - ro.max_ratio)]
+        assert len(rows) == len(want)
+        for (b, N, c, check, margin, verdict), (n, kind, m) in zip(rows, want):
+            assert (float(b), N, float(c), check) == (16.0, str(n), 0.7, kind)
+            assert (float(margin), verdict) == (m, "pass")
 
 
 class TestStartup:
@@ -81,6 +174,11 @@ class TestStartup:
             "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)\n"
         )
         assert self._fresh(code).split() == ["False", "False"]
+
+    def test_package_runs_as_a_module(self):
+        done = run_subprocess(["--version"], module="loewner")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == loewner.__version__
 
     @pytest.mark.parametrize("argv", [
         ["imag-eq", "lower-bound", "--const", "1.5", "--t", "7"],

@@ -7,6 +7,7 @@ from loewner.hull import (
     _cells,
     _compose,
     _inverse_slit_map,
+    _refined_points,
     capacity_estimate,
     capture_bracket,
     continuity_diagnostic,
@@ -114,14 +115,6 @@ class TestTrace:
         assert c.times[-1] == pytest.approx(1.0)
         assert abs(c.points[-1] - 2j) < 1e-9
 
-    def test_midpoint_sampling_converges_to_same_curve(self):
-        spec = sqrt_spec(2.0)
-        right = trace(spec, 1.0, 2.5e-4)
-        mid = trace(spec, 1.0, 2.5e-4, midpoint=True)
-        coarse = np.max(np.abs(trace(spec, 1.0, 2e-3).points
-                               - trace(spec, 1.0, 1e-3).points[::2]))
-        assert np.max(np.abs(right.points - mid.points)) < 4.0 * coarse
-
     def test_first_point_is_origin_value(self):
         spec = sqrt_spec(3.0)
         c = trace(spec, 1.0, 1e-2)
@@ -150,12 +143,6 @@ class TestTrace:
         assert zero_scan.interval is None
         c0 = trace(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, 1e-3)
         assert np.max(np.abs(c0.points.real)) < 1e-9
-
-    def test_csv_export(self, tmp_path):
-        c = trace(ZERO, 0.5, 0.05)
-        out = tmp_path / "trace.csv"
-        c.write_csv(out)
-        assert out.read_text().splitlines()[0] == "t,re,im,cell_step"
 
 
 def complex_slit_root(x, y, u, h):
@@ -314,8 +301,7 @@ class TestSimplicity:
     ], ids=["zero", "sqrt", "brownian", "brownian-short-last-cell", "weierstrass"])
     def test_seeded_composition_is_the_refined_trace_at_the_coarse_times(self, spec, T, dt):
         c1, c2 = trace(spec, T, dt), trace(spec, T, dt / 2.0)
-        edges, hs, u = _cells(spec, T, dt / 2.0)
-        w, _ = _compose(u, hs, 0.0, np.searchsorted(edges, c1.times[1:]) - 1)
+        w = _refined_points(spec, T, dt, c1.times[1:])
         ref = c2.points[np.searchsorted(c2.times, c1.times[1:])]
         assert w.size == c1.times.size - 1
         assert np.array_equal(w.real, ref.real) and np.array_equal(w.imag, ref.imag)
@@ -426,12 +412,36 @@ class TestWelding:
         with pytest.raises(DomainError, match="at least 3 points"):
             welding(ZERO, 1.0, [0.2, 0.5], check_simple=False)
 
-    def test_csv_export(self, tmp_path):
-        wt = welding(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0,
-                     np.linspace(0.1, 0.8, 5), dt=1e-3, check_simple=False)
-        out = tmp_path / "weld.csv"
-        wt.write_csv(out)
-        assert out.read_text().splitlines()[0] == "s,left,right,ratio1"
+
+SYMMETRY_CASES = [(kappa, seed) for kappa in (1.0, 2.0, 6.0) for seed in (100, 101)]
+
+
+class TestExactSymmetries:
+    """Reflection and Brownian scaling act on the zipper exactly: negation and
+    powers of two change no rounding, so the traces and the simplicity
+    reports transform bit for bit."""
+
+    @pytest.mark.parametrize("kappa, seed", SYMMETRY_CASES)
+    def test_reflection_conjugates_the_trace(self, kappa, seed):
+        spec = brownian(kappa, seed)
+        c, r = trace(spec, 1.0, 2**-10), trace(spec.reflected(), 1.0, 2**-10)
+        assert np.array_equal(r.points, -np.conj(c.points)) and r.nudges == c.nudges
+
+    @pytest.mark.parametrize("kappa, seed", SYMMETRY_CASES)
+    def test_brownian_scaling_doubles_the_trace(self, kappa, seed):
+        # lambda(4t) has the law of 2 lambda(t): with 4 times the grid step
+        # every increment doubles, and with 4 times the cell step every root
+        def spec(T, step):
+            return DrivingSpec("brownian", {"kappa": kappa, "grid_step": step}, T, seed=seed)
+
+        small, big, dt = spec(1.0, 2**-14), spec(4.0, 2**-12), 2**-10
+        c, C = trace(small, 1.0, dt), trace(big, 4.0, 4 * dt)
+        assert np.array_equal(C.times, 4 * c.times)
+        assert np.array_equal(C.points, 2 * c.points) and C.nudges == c.nudges
+        s, S = simplicity_diagnostic(small, 1.0, dt), simplicity_diagnostic(big, 4.0, 4 * dt)
+        assert (S.simple, S.pair, S.touch_pair) == (s.simple, s.pair, s.touch_pair)
+        assert S.min_separation == 2 * s.min_separation
+        assert S.refinement_scale == 2 * s.refinement_scale
 
 
 class TestCaptureBracket:

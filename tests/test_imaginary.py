@@ -17,7 +17,6 @@ from loewner.imaginary import (
     solve_imaginary,
     solve_planar,
     vanishing_spread,
-    write_transition_csv,
 )
 from loewner.imaginary import _FLOW_CONFIG, _log_field
 from loewner.ode import integrate
@@ -287,14 +286,6 @@ class TestTransition:
     def test_witness_value(self):
         r = classify_sqrt_gap(1.5, 1.0)
         assert r.witness_y0 == pytest.approx(np.sqrt(4.0 - 2.25), abs=1e-12)
-
-    def test_csv_export(self, tmp_path):
-        rs = [classify_sqrt_gap(C, 1.0) for C in (1.0, 2.5)]
-        out = tmp_path / "transition.csv"
-        write_transition_csv(out, rs)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "C,T,status,witness_y0"
-        assert len(lines) == 3
 
 
 class TestGrowthFloor:

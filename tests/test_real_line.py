@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError
+from loewner.driving import _inverse_frame
 from loewner.real_line import (
     FRAME_ZERO_FLOOR,
     REFINE_TOL_MIN,
@@ -16,7 +17,6 @@ from loewner.real_line import (
     capture_scan,
     density_flags,
     driving_from_profile,
-    from_frame_driving,
     no_capture_certificate,
     profile_from_density,
     reconstruct_captured_pair,
@@ -48,11 +48,12 @@ ZOO = [
 
 class TestFrame:
     def test_time_change_bijection(self):
+        # t_of_s inverts s = -log((T - t)/T)/2
         fr = FrameMap(T=2.0, lambda_T=1.0)
         t = np.linspace(0.0, 2.0 * (1 - 1e-9), 100)
-        assert np.allclose(fr.t_of_s(fr.s_of_t(t)), t, atol=1e-12)
+        assert np.allclose(fr.t_of_s(-0.5 * np.log((2.0 - t) / 2.0)), t, atol=1e-12)
         s = np.linspace(0.0, 10.0, 50)
-        assert np.allclose(fr.s_of_t(fr.t_of_s(s)), s, atol=1e-9)
+        assert np.allclose(-0.5 * np.log((2.0 - fr.t_of_s(s)) / 2.0), s, atol=1e-9)
 
     def test_huge_frame_times_do_not_overflow(self):
         # -2 s overflows past s = 8.99e307; both transforms cap s at 1e3,
@@ -198,17 +199,20 @@ class TestFrame:
     @pytest.mark.parametrize("spec", ZOO, ids=[s.family for s in ZOO])
     def test_roundtrip_through_frame(self, spec):
         xi = FrameDriving(spec)
-        lam_back = from_frame_driving(xi, xi.frame)
         t = np.linspace(0.0, spec.T - 1e-6, 400)
-        assert np.max(np.abs(lam_back(t) - spec(t))) < 1e-8
+        lam_back = _inverse_frame(xi, xi.frame.T, xi.frame.lambda_T, t)
+        assert np.max(np.abs(lam_back - spec(t))) < 1e-8
 
     @pytest.mark.parametrize("a, T", [(1.5, 1.0), (3.0, 2.5)])
     def test_sharp_driving_is_the_inverse_frame_transform(self, a, T):
-        # the sharp_example family is lambda = from_frame_driving(xi) with
+        # the sharp_example family is the inverse frame transform of xi with
         # lambda(T) = sqrt(T) xi(0), which pins lambda(0) = 0
         spec = DrivingSpec("sharp_example", {"a": a, "k_max": 14}, T)
         osc = spec._sharp
-        lam = from_frame_driving(osc.xi, FrameMap(T, np.sqrt(T) * osc.xi(0.0)))
+
+        def lam(t):
+            return _inverse_frame(osc.xi, T, np.sqrt(T) * osc.xi(0.0), t)
+
         t = np.concatenate([np.linspace(0.0, T, 257), T - T * np.geomspace(1e-3, 1e-15, 13)])
         assert np.array_equal(spec(t), lam(t))
         assert spec(T) == lam(T) and spec(0.0) == lam(0.0) == 0.0
@@ -257,11 +261,6 @@ class TestRealEquation:
         assert rep.status == "captured"
         t = np.linspace(0.0, rep.capture_time * (1 - 1e-9), 500)
         assert np.all(spec(rep.capture_time) >= spec(t) - 1e-9)
-
-    def test_report_record_fields(self):
-        _, rep = solve_real_loewner(sqrt_spec(4.0), 2.0, 1.0)
-        rec = rep.to_record()
-        assert list(rec) == ["initial", "status", "capture_time", "certificate", "horizon_used"]
 
 
 class TestFrameEquation:
@@ -587,13 +586,6 @@ class TestCaptureScan:
         run(FrameDriving(sqrt_spec(5.0)))
         assert lanes and all(lanes)
 
-    def test_csv_export(self, tmp_path):
-        scan = capture_scan(sqrt_spec(4.0), 1.0, refine=False, mirrored=False)
-        out = tmp_path / "scan.csv"
-        scan.write_csv(out)
-        header = out.read_text().splitlines()[0]
-        assert header == "x0,status,capture_time,certificate"
-
 
 class TestScalingBoundDiagnostic:
     def test_supercritical_vacuous_above_four(self):
@@ -638,7 +630,7 @@ class TestSharpOscillation:
             knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
             [0.0, osc.horizon, 2.0 * osc.horizon],
         ])
-        for f in (osc.x, osc.x_dot, osc.xi, osc.eta):
+        for f in (osc.x, osc.xi, osc.eta):
             lane = [f(float(s)) for s in ss]
             assert all(type(v) is float for v in lane)
             assert np.array_equal(lane, [f(np.array([s]))[0] for s in ss])

@@ -9,40 +9,34 @@ from loewner.weierstrass import (
     norm_constant,
     offset_constant,
     offset_ratio_check,
-    partial_sum,
     quasislit_pipeline,
-    write_sweep_csv,
 )
+
+# the amplitudes of the benchmark's weld batch: midpoints of 16 equal parts of
+# (0.2, 0.5), for b in {9, 16}
+WELD_C_GRID = [round(0.2 + 0.3 * (k + 0.5) / 16, 6) for k in range(16)]
 
 
 class TestPartialSum:
     def test_geometric_value_and_tail(self):
         p = WeierstrassParams(b=4.0, N=8, c=1.0)
-        v, tail = partial_sum(p, 0.0)
+        v = p.spec(1.0, normalize=False)(0.0)
         assert v == pytest.approx(sum(2.0**-n for n in range(1, 9)), abs=1e-15)
         assert v == pytest.approx(0.99609375)
-        assert tail == pytest.approx(0.00390625)
-
-    def test_even_function(self):
-        p = WeierstrassParams(b=9.0, N=6, c=0.7)
-        t = np.linspace(0.0, 3.0, 101)
-        vp, _ = partial_sum(p, t)
-        vm, _ = partial_sum(p, -t)
-        assert np.array_equal(vp, vm)
+        assert p.tail_bound == pytest.approx(0.00390625)
 
     def test_single_mode(self):
         p = WeierstrassParams(b=4.0, N=1, c=2.0)
-        v, _ = partial_sum(p, np.pi / 4.0)
-        assert v == pytest.approx(-1.0, abs=1e-14)
+        assert p.spec(1.0, normalize=False)(np.pi / 4.0) == pytest.approx(-1.0, abs=1e-14)
 
     def test_tail_certifies_truncation(self):
         t = np.linspace(0.0, 2.0, 400)
         for b in (9.0, 25.0):
             pN = WeierstrassParams(b=b, N=4, c=1.0)
             pM = WeierstrassParams(b=b, N=9, c=1.0)
-            vN, tail = partial_sum(pN, t)
-            vM, _ = partial_sum(pM, t)
-            assert np.max(np.abs(vN - vM)) <= tail
+            vN = pN.spec(2.0, normalize=False)(t)
+            vM = pM.spec(2.0, normalize=False)(t)
+            assert np.max(np.abs(vN - vM)) <= pN.tail_bound
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -177,13 +171,16 @@ class TestPipeline:
         c2 = comparison_constant(2.0)
         assert c1 > c2 > 0.0  # stronger opposing pull lowers the barrier
 
+    @pytest.mark.parametrize("K", [c * norm_constant(b) for b in (9.0, 16.0) for c in WELD_C_GRID]
+                             + list(np.linspace(0.01, 60.0, 25)))
+    def test_comparison_constant_is_the_infimum_over_six_starts(self, K):
+        # X(1) increases with X(0), so the flow from the smallest start is
+        # the infimum that the six-start loop used to take
+        def fieldf(u, x):
+            return 2.0 / (x + K * np.sqrt(max(1.0 - u, 0.0)))
 
-class TestSweepCsv:
-    def test_header_and_rows(self, tmp_path):
-        rows = [{"b": 9.0, "N": 2, "c": 1.0, "check": "norm", "margin": 5.0,
-                 "verdict": "pass"}]
-        out = tmp_path / "sweep.csv"
-        write_sweep_csv(out, rows)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "b,N,c,check,margin,verdict"
-        assert lines[1].endswith("pass")
+        best = np.inf
+        for l in np.geomspace(1e-6, 1.0, 6):
+            path = ode.integrate(fieldf, float(l), (0.0, 1.0))
+            best = min(best, float(np.asarray(path.terminal_value)))
+        assert comparison_constant(K) == best
