@@ -347,6 +347,8 @@ def _cmd_weierstrass_check(args) -> int:
     _csv_rows(out / "weierstrass_checks.csv", ["b", "N", "c", "check", "margin", "verdict"], rows)
     bad = [r for r in rows if r[-1] != "pass"]
     print(f"{len(rows)} checks, {len(bad)} failures -> {out / 'weierstrass_checks.csv'}")
+    for b, N, _, check, _, _ in bad:
+        print(f"failed: {check} check at b={b!r}, N={N}", file=sys.stderr)
     return 0 if not bad else 1
 
 

@@ -32,11 +32,17 @@ the later cells by the forward maps x -> u + sign(x - u) sqrt((x - u)^2 + 4 dt),
 giving the welding pairs (left(s), right(s)), which converge at O(dt), and
 the associated quasisymmetry statistics.  The capture bracket pushes the
 barrier start lambda(T) + C1 sqrt(T) through every cell by the same maps.
+These pushes run point by point on Python floats, at about 0.15 us per
+point and cell against about 11 us per cell for one numpy pass over any
+batch up to a few hundred points: a welding grid below about 64 points
+(the pipeline's 12, the CLI's 16) is faster this way, 5.6 times at 12,
+and the bracket's single point some 50 times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,6 +166,9 @@ def capacity_estimate(
 # ---------------------------------------------------------------------------
 
 
+# at most ceil(T/dt) = 2^23 zipper cells: 200 MB of edges, durations and driving values
+MAX_CELLS = 2**23
+
 _HALF = np.array(0.5)  # a 0-d operand, which numpy dispatches faster than a float
 _HALF.flags.writeable = False
 
@@ -170,6 +179,10 @@ def _cells(spec: DrivingSpec, T: float, dt: float):
         raise DomainError(f"T and dt must be positive finite numbers, got T={T!r}, dt={dt!r}")
     if T > spec.T * (1 + 1e-12):
         raise DomainError("zipper horizon exceeds the driving domain")
+    if dt < T / MAX_CELLS:  # ceil(T/dt) > MAX_CELLS, without forming T/dt
+        raise DomainError(
+            f"T = {T!r} and dt = {dt!r} give more zipper cells than MAX_CELLS = {MAX_CELLS}"
+        )
     edges = np.arange(0.0, T + dt * 0.5, dt)
     if edges[-1] < T - 1e-12 * T:
         edges = np.append(edges, T)
@@ -433,24 +446,37 @@ def simplicity_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def _push_forward(x, side, u, hs, live):
+def _push_forward(x, sides, first, u, hs):
     """Carry real points through the zipper cells in place.
 
-    Cell k maps the first live[k] columns of x (the points born before
-    it) by x -> u_k + side sqrt((x - u_k)^2 + 4 h_k), the exact forward
-    slit map on the real line; ``side`` gives each row's side of the
-    driving, -1 left and +1 right.  Returns (k, row, column) of the first
-    point met on the wrong side of u_k, or None when every point stays on
-    its side.
+    Row r of the 2-d array x holds points on side sides[r] of the driving
+    (-1.0 left, +1.0 right), and column j starts at cell first[j].  Each
+    point goes on alone, as a Python float, through every later cell k by
+    x -> u_k + side sqrt((x - u_k)^2 + 4 h_k), the exact forward slit map on
+    the real line.  Each operation is correctly rounded, so a point does not
+    depend on which others are pushed with it.  Returns the smallest
+    (k, row, column) of a point met on the wrong side of u_k
+    (side (x - u_k) <= 0), or None when every point stays on its side; x is
+    left unspecified after a crossing.  Python floats ignore
+    ``np.errstate``: an overflow gives inf silently.
     """
-    for k in range(u.size):
-        d = x[:, : live[k]] - u[k]
-        crossed = side * d <= 0
-        if np.any(crossed):
-            row, col = np.argwhere(crossed)[0]
-            return k, int(row), int(col)
-        x[:, : live[k]] = u[k] + side * np.sqrt(d * d + 4.0 * hs[k])
-    return None
+    us, h4 = u.tolist(), (4.0 * hs).tolist()
+    n = len(us)
+    crossing = None
+    rows = x.tolist()
+    for row, (side, points) in enumerate(zip(sides, rows)):
+        for col, (p, k0) in enumerate(zip(points, first)):
+            for k in range(k0, n):
+                uk = us[k]
+                d = p - uk
+                if side * d <= 0:
+                    if crossing is None or (k, row, col) < crossing:
+                        crossing = (k, row, col)
+                    break
+                p = uk + side * sqrt(d * d + h4[k])
+            points[col] = p
+    x[...] = rows
+    return crossing
 
 
 @dataclass
@@ -496,15 +522,14 @@ def welding(
             )
     lam_T = float(spec(T))
 
-    # row 0 holds the left prime ends, row 1 the right ones; the grid is
-    # sorted, so the points born before cell k are the first live[k] columns
+    # row 0 holds the left prime ends, row 1 the right ones; a point seeded
+    # in cell j is pushed from cell j + 1 on
     cell = np.searchsorted(edges, s_grid, side="right") - 1
-    live = np.searchsorted(cell, np.arange(u.size))
     side = np.array([[-1.0], [1.0]])
     rest = edges[cell + 1] - s_grid
     jump = np.diff(u, append=u[-1])
     x = u[cell] + jump[cell] * (1.0 - rest / hs[cell]) + side * 2.0 * np.sqrt(rest)
-    crossing = _push_forward(x, side, u, hs, live)
+    crossing = _push_forward(x, (-1.0, 1.0), (cell + 1).tolist(), u, hs)
     if crossing is not None:
         k, row, col = crossing
         raise NumericalError(
@@ -572,7 +597,7 @@ def capture_bracket(
         )
     x0 = lam_T + C1 * np.sqrt(T)
     x = np.array([[x0]])
-    if _push_forward(x, 1.0, u, hs, np.ones(u.size, dtype=int)) is not None:
+    if _push_forward(x, (1.0,), (0,), u, hs) is not None:
         raise NumericalError("bracket solution unexpectedly captured")
     X_T = float(x[0, 0])
     gap_T = X_T - lam_T

@@ -90,17 +90,16 @@ def norm_bound_check(p: WeierstrassParams) -> NormBoundReport:
     """Grid estimate of ||c W_b^N||_{1/2} checked against c C(b).
 
     The estimate is a lower bound (pair maximum over the grid), so a
-    violation indicates an implementation bug, never under-resolution.  The
-    grid has 4001 points on [0, 2 pi / b + 1], one slow-mode period.
+    violation (``ok`` False) indicates an implementation bug, never
+    under-resolution.  The grid has 4001 points on [0, 2 pi / b + 1], one
+    slow-mode period.  The report is returned either way; the caller acts
+    on ``ok``.
     """
     grid = np.linspace(0.0, 2.0 * np.pi / p.b + 1.0, 4001)
     spec = p.spec(T=float(np.max(grid)) + 1e-9, normalize=False)
     est = holder_half_norm(spec, grid)
     bound = p.c * norm_constant(p.b)
-    if est > bound:
-        k = "norm estimate exceeds the proven bound"
-        raise NumericalError(f"{k}: {est} > {bound} (b={p.b}, N={p.N})")
-    return NormBoundReport(bound=bound, estimate=est, ratio=est / bound, ok=True)
+    return NormBoundReport(bound=bound, estimate=est, ratio=est / bound, ok=bool(est <= bound))
 
 
 @dataclass
@@ -122,7 +121,8 @@ def offset_ratio_check(
 
     Checks |c W^N(T) - c W^N(T - t_m)| / sqrt(t_m) < c (sqrt(pi) +
     1/sqrt(pi)) sqrt(2)/(sqrt(b)-1) for every admissible m; the minimum over
-    m witnesses the smallness of the one-sided liminf at T.
+    m witnesses the smallness of the one-sided liminf at T.  ``ok`` says
+    whether every ratio is below the bound; the report is returned either way.
     """
     ms = np.asarray(sorted(set(int(m) for m in m_range)))
     t_m = 2.0 * np.pi / p.b ** (ms - 1.0)
@@ -131,18 +131,13 @@ def offset_ratio_check(
     spec = p.spec(T, normalize=False)
     ratios = np.abs(spec(T) - spec(T - t_m)) / np.sqrt(t_m)
     bound = p.c * offset_constant(p.b)
-    ok = bool(np.all(ratios < bound))
-    if not ok:
-        raise NumericalError(
-            f"offset ratio bound violated: max {ratios.max()} >= {bound} (b={p.b}, N={p.N})"
-        )
     return OffsetRatioReport(
         bound=bound,
         ratios=ratios,
         ms=ms,
         min_ratio=float(np.min(ratios)),
         max_ratio=float(np.max(ratios)),
-        ok=ok,
+        ok=bool(np.all(ratios < bound)),
     )
 
 
@@ -206,8 +201,15 @@ def quasislit_pipeline(
             f"hypothesis margins nonpositive: 2 - a_bound = {m_small:.4g}, "
             f"a_bound + 4/a_bound - b_bound = {m_osc:.4g}"
         )
-    norm_bound_check(p)
-    offset_ratio_check(p, T, range(2, 9))
+    rn = norm_bound_check(p)
+    if not rn.ok:
+        k = "norm estimate exceeds the proven bound"
+        raise NumericalError(f"{k}: {rn.estimate} > {rn.bound} (b={p.b}, N={p.N})")
+    ro = offset_ratio_check(p, T, range(2, 9))
+    if not ro.ok:
+        raise NumericalError(
+            f"offset ratio bound violated: max {ro.max_ratio} >= {ro.bound} (b={p.b}, N={p.N})"
+        )
 
     spec = p.spec(T)
     simp = simplicity_diagnostic(spec, T, dt)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loewner
-from loewner import spec_from_json
+from loewner import spec_from_json, weierstrass
 from loewner.cli import main
 from loewner.hull import trace, welding
 from loewner.imaginary import classify_sqrt_gap
@@ -150,6 +150,33 @@ class TestCsvFiles:
         for (b, N, c, check, margin, verdict), (n, kind, m) in zip(rows, want):
             assert (float(b), N, float(c), check) == (16.0, str(n), 0.7, kind)
             assert (float(margin), verdict) == (m, "pass")
+
+    @pytest.mark.parametrize("constant, b, cut", [("norm_constant", 16.0, 0.22),
+                                                   ("offset_constant", 25.0, 0.3)])
+    def test_weierstrass_check_reports_violated_bounds(self, constant, b, cut, tmp_path,
+                                                       monkeypatch, capsys):
+        # the constant of one b, cut to a fraction of its value, falls below
+        # the ratios of N = 4 and 8 there (norm 0.244 and 0.245, offset 0.578
+        # and 0.593 of the true bound) and stays above those of N = 1 and 2
+        check, true = constant.split("_")[0], getattr(weierstrass, constant)
+        bad = set()
+        for N in (1, 2, 4, 8):
+            p = WeierstrassParams(b=b, N=N, c=1.0)
+            value = (norm_bound_check(p).estimate if check == "norm"
+                     else offset_ratio_check(p, 1.0, range(2, 9)).max_ratio)
+            if value > cut * true(b):
+                bad.add((b, N, check))
+        assert {N for _, N, _ in bad} == {4, 8}
+        monkeypatch.setattr(weierstrass, constant, lambda v: true(v) * (cut if v == b else 1.0))
+        assert run(["weierstrass", "check", "--out", str(tmp_path)]) == 1
+        header, *rows = read_csv(tmp_path / "weierstrass_checks.csv")
+        assert len(rows) == 32
+        failed = {(float(r[0]), int(r[1]), r[3]) for r in rows if r[5] == "fail"}
+        assert failed == bad
+        assert all((float(r[4]) < 0) == (r[5] == "fail") for r in rows)
+        err = capsys.readouterr().err
+        assert err.count("failed: ") == 2
+        assert all(f"failed: {check} check at b={b!r}, N={N}" in err for _, N, _ in bad)
 
 
 class TestStartup:
@@ -365,6 +392,14 @@ class TestStrictness:
         assert run(["weierstrass"] + argv + ["--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "weierstrass_checks.csv").exists()
+
+    @pytest.mark.parametrize("action", ["trace", "welding"])
+    @pytest.mark.filterwarnings("error")
+    def test_too_many_zipper_cells_exit_2(self, action, tmp_path, capsys):
+        assert run([action, "--driving", ZERO, "--dt", "1e-300", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_CELLS = 8388608" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["real-eq", "operator-t", "--density", DENSITY, "--s", "x"],

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, shift
+from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, hull, shift
 from loewner.hull import (
+    MAX_CELLS,
     SimplicityReport,
     _cells,
     _compose,
     _inverse_slit_map,
+    _push_forward,
     _refined_points,
     capacity_estimate,
     capture_bracket,
@@ -109,6 +111,20 @@ class TestTrace:
             c = trace(spec, 1.0, dt)
             ref = u + 2j * np.sqrt(c.times)
             assert np.max(np.abs(c.points - ref)) < 1e-10
+
+    @pytest.mark.parametrize("zipper", [
+        lambda dt: trace(ZERO, 1.0, dt),
+        lambda dt: welding(ZERO, 1.0, [0.1, 0.2, 0.3], dt=dt, check_simple=False),
+        lambda dt: capture_bracket(ZERO, 1.0, 1.0, dt=dt),
+        lambda dt: continuity_diagnostic(ZERO, 1.0, [0.1], dt=dt),
+    ], ids=["trace", "welding", "bracket", "continuity"])
+    @pytest.mark.parametrize("dt", [2.0**-60, 1e-300, 5e-324])
+    def test_cell_limit_raises_before_allocating(self, zipper, dt):
+        # only counts far above the limit, which numpy could not allocate
+        # either: a count just above it would take hundreds of MB if the
+        # check were lost
+        with pytest.raises(DomainError, match=f"MAX_CELLS = {MAX_CELLS}"):
+            zipper(dt)
 
     def test_truncated_last_cell(self):
         c = trace(ZERO, 1.0, 0.3)
@@ -340,6 +356,134 @@ class TestSimplicity:
         assert simplicity_diagnostic(spec, 1.0, 1e-3).simple
 
 
+def numpy_push(x, sides, first, u, hs):
+    """The reference push: one numpy pass per cell over the points born by then.
+
+    Cell k maps the columns with first[j] <= k, and the first crossing is
+    the first one in row-major order within the first cell that has one.
+    """
+    side = np.asarray(sides)[:, None]
+    live = np.searchsorted(first, np.arange(u.size), side="right")
+    for k in range(u.size):
+        d = x[:, : live[k]] - u[k]
+        crossed = side * d <= 0
+        if np.any(crossed):
+            row, col = np.argwhere(crossed)[0]
+            return k, int(row), int(col)
+        x[:, : live[k]] = u[k] + side * np.sqrt(d * d + 4.0 * hs[k])
+    return None
+
+
+@pytest.fixture
+def both_pushes(monkeypatch):
+    """Run every push of ``hull`` on the float push and on the numpy reference.
+
+    Each call asserts the same crossing and, without one, the same points
+    bit for bit; the fixture's list collects the crossings.
+    """
+    crossings = []
+
+    def push(x, sides, first, u, hs):
+        ref = x.copy()
+        want = numpy_push(ref, sides, first, u, hs)
+        got = _push_forward(x, sides, first, u, hs)
+        assert got == want
+        assert got is not None or x.tobytes() == ref.tobytes()
+        crossings.append(got)
+        return got
+
+    monkeypatch.setattr(hull, "_push_forward", push)
+    return crossings
+
+
+def welding_outcome(*args, **kw):
+    """The welding table's arrays and ratio ranges, or the error message."""
+    try:
+        wt = welding(*args, check_simple=False, **kw)
+    except NumericalError as exc:
+        return str(exc)
+    return (wt.left.tobytes(), wt.right.tobytes(), wt.ratio1.tobytes(),
+            wt.ratio1_range, wt.ratio2_range, wt.lambda_T)
+
+
+def jumpy_spec(rng):
+    """A sampled driving with a few large seeded jumps."""
+    times = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, int(rng.integers(3, 12)))]))
+    values = np.cumsum(rng.normal(0.0, rng.choice([0.05, 0.3, 1.0, 3.0]), times.size))
+    return DrivingSpec("sampled", {"times": times.tolist(), "values": values.tolist()}, 1.0)
+
+
+class TestPushForward:
+    """The float push against the numpy per-cell pass it replaced."""
+
+    WELD_MIX = [(9.0, 2), (9.0, 3), (16.0, 2), (16.0, 3)]
+
+    @pytest.mark.parametrize("b, N", WELD_MIX)
+    @pytest.mark.parametrize("c", [0.209375, 0.340625, 0.490625])
+    def test_pipeline_welding_equals_the_numpy_push(self, b, N, c, monkeypatch):
+        spec = WeierstrassParams(b=b, N=N, c=c).spec(1.0)
+        args = (spec, 1.0, np.linspace(0.05, 0.9, 12))
+        got = welding_outcome(*args, dt=2e-3)
+        monkeypatch.setattr(hull, "_push_forward", numpy_push)
+        assert got == welding_outcome(*args, dt=2e-3)
+        assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("spec", [
+        WeierstrassParams(b=9.0, N=3, c=0.3).spec(1.0),
+        DrivingSpec("constant", {"value": 0.0}, 1.0),
+        brownian(1.0, 100),
+    ], ids=["weierstrass", "zero", "brownian"])
+    @pytest.mark.parametrize("m", [3, 12, 18, 64, 256])
+    def test_welding_grids_equal_the_numpy_push(self, spec, m, monkeypatch):
+        args = (spec, 1.0, np.linspace(0.05, 0.9, m))
+        got = welding_outcome(*args, dt=2e-3)
+        monkeypatch.setattr(hull, "_push_forward", numpy_push)
+        assert got == welding_outcome(*args, dt=2e-3)
+
+    def test_crossings_on_jumpy_drivings_equal_the_numpy_push(self, both_pushes):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            spec = jumpy_spec(rng)
+            s = np.sort(rng.uniform(0.0, 0.99, int(rng.integers(3, 30))))
+            welding_outcome(spec, 1.0, s, dt=float(rng.choice([1e-2, 5e-3, 2e-3])))
+        crossed = [c for c in both_pushes if c is not None]
+        assert len(both_pushes) == 60 and len(crossed) >= 15
+        assert {row for _, row, _ in crossed} == {0, 1}
+        assert any(col > 0 for _, _, col in crossed)
+
+    # ten cells of duration 0.01; left points are at -1 and -0.1, born in cells 0 and 3
+    HS = np.full(10, 0.01)
+
+    def push_both(self, x, sides, first, u):
+        ref = np.array(x, dtype=float)
+        want = numpy_push(ref, sides, first, np.asarray(u, dtype=float), self.HS)
+        got = np.array(x, dtype=float)
+        crossing = _push_forward(got, sides, first, np.asarray(u, dtype=float), self.HS)
+        assert crossing == want
+        return crossing
+
+    def test_a_later_column_crossing_at_an_earlier_cell_comes_first(self):
+        # column 0 crosses at cell 8, column 1 (pushed after it) at cell 5
+        u = [0.0] * 5 + [-0.5, 0.0, 0.0, -5.0, 0.0]
+        assert self.push_both([[-1.0, -0.1]], (-1.0,), [0, 3], u) == (5, 0, 1)
+
+    def test_the_right_row_crossing_first_is_reported(self):
+        # the driving jumps above the right prime ends at cell 4 and below the
+        # left ones at cell 6; the left row is pushed first
+        u = [0.0] * 4 + [5.0, 0.0, -5.0, 0.0, 0.0, 0.0]
+        assert self.push_both([[-1.0, -0.5], [1.0, 0.5]], (-1.0, 1.0), [0, 1], u) == (4, 1, 0)
+
+    def test_a_point_on_the_driving_crosses(self):
+        # side (x - u_k) <= 0 includes x = u_k, as the numpy test did
+        assert self.push_both([[0.0]], (1.0,), [0], [0.0] * 10) == (0, 0, 0)
+
+    def test_points_born_after_the_last_cell_stay(self):
+        x = np.array([[-1.0, -0.25], [1.0, 0.25]])
+        assert _push_forward(x, (-1.0, 1.0), [0, 10], np.zeros(10), self.HS) is None
+        assert x[0, 1] == -0.25 and x[1, 1] == 0.25
+        assert x[1, 0] == pytest.approx(np.sqrt(1.0 + 0.4))
+
+
 class TestWelding:
     def test_trivial_driving_antisymmetric(self):
         wt = welding(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0,
@@ -445,6 +589,10 @@ class TestExactSymmetries:
 
 
 class TestCaptureBracket:
+    @pytest.fixture(autouse=True)
+    def check_push(self, both_pushes):
+        """Every bracket push here equals the numpy reference bit for bit."""
+
     def test_trivial_driving(self):
         br = capture_bracket(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, 0.1)
         assert br.x0 == pytest.approx(0.1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loewner import DomainError, PreconditionError, ode, weierstrass
+from loewner import DomainError, NumericalError, PreconditionError, ode, weierstrass
 from loewner.weierstrass import (
     WeierstrassParams,
     comparison_constant,
@@ -129,6 +129,20 @@ class TestPipeline:
         assert v.welding_table is not None
         r1 = v.welding_table.ratio1_range
         assert 0.5 < r1[0] <= r1[1] < 2.0
+
+    @pytest.mark.parametrize("constant, message", [
+        ("norm_constant", r"norm estimate exceeds the proven bound: \S+ > \S+ \(b=16.0, N=2\)$"),
+        ("offset_constant", r"offset ratio bound violated: max \S+ >= \S+ \(b=16.0, N=2\)$"),
+    ], ids=["norm", "offset"])
+    def test_violated_bound_raises(self, constant, message, monkeypatch):
+        # the checks report a violation; the pipeline raises on it
+        true = getattr(weierstrass, constant)
+        monkeypatch.setattr(weierstrass, constant, lambda b: 0.1 * true(b))
+        p = WeierstrassParams(b=16.0, N=2, c=0.3)
+        rep = norm_bound_check(p) if constant == "norm_constant" else offset_ratio_check(p, 1.0, range(2, 9))
+        assert not rep.ok
+        with pytest.raises(NumericalError, match=message):
+            quasislit_pipeline(p, dt=5e-3)
 
     def test_large_amplitude_rejected(self):
         with pytest.raises(PreconditionError):
