@@ -346,6 +346,8 @@ def _cmd_weierstrass_check(args) -> int:
     out = _outdir(args)
     _csv_rows(out / "weierstrass_checks.csv", ["b", "N", "c", "check", "margin", "verdict"], rows)
     bad = [r for r in rows if r[-1] != "pass"]
+    _write_meta(out / "weierstrass_checks.meta.json", "weierstrass check", rows=len(rows),
+                failures=len(bad), failed=[[b, N, check] for b, N, _, check, _, _ in bad])
     print(f"{len(rows)} checks, {len(bad)} failures -> {out / 'weierstrass_checks.csv'}")
     for b, N, _, check, _, _ in bad:
         print(f"failed: {check} check at b={b!r}, N={N}", file=sys.stderr)
@@ -491,6 +493,9 @@ def main(argv=None) -> int:
         return 2
     except LoewnerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

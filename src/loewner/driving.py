@@ -15,7 +15,9 @@ local square-root scaling exponents used by the capture diagnostics.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -339,25 +341,48 @@ def holder_half_norm(spec: DrivingSpec, grid) -> float:
     Maximises ``|lambda(t') - lambda(t)| / sqrt(t' - t)`` over all grid
     pairs; monotone nondecreasing under grid refinement.
 
-    The pairs are scanned by lag k = 1, 2, ... on the sorted grid, and the
-    scan stops at the first lag whose smallest step dt satisfies
-    ``spread / sqrt(dt) <= best``, with ``spread = max(v) - min(v)``.  The
-    stop is exact, so the result is the all-pairs maximum bit for bit: the
-    steps only grow with the lag, and rounding is monotone, so every later
-    pair has |fl(v_j - v_i)| <= fl(spread) and a root no smaller than
-    fl(sqrt(dt)), hence a quotient no larger than best.
+    The pairs are scanned by lag k = 1, 2, ... on the sorted grid.  With
+    ``spread = max(v) - min(v)``, ``top`` the lag's largest |v_j - v_i| and
+    r a lower bound on its roots, the scan stops at the first lag with
+    ``spread / r <= best`` and skips one with ``top / r <= best``, trying
+    first ``lo = sqrt(k h1 (1 - 8 eps))``, h1 the smallest lag-1 step, and
+    then the lag's own ``sqrt(dt.min())``; only a lag that neither decides
+    forms its quotients.  A lag right after one that raised ``best`` skips
+    ``top``.  The result is the all-pairs maximum bit for bit: each exact
+    lag-k step is a sum of k lag-1 steps of at least h1/(1 + u) (u = eps/2),
+    so each rounded root of the lag is at least sqrt(k h1) (1 - 3u) and the
+    rounded lo at most sqrt(k h1) (1 - 5u).  That needs normal floats, so lo
+    is NaN, deciding nothing, unless h1 is at least 4 times the smallest
+    normal float.  Both bounds grow with k, and rounded subtraction, root
+    and division are monotone.
     """
     t = np.unique(np.asarray(grid, dtype=float))
     if t.size < 2:
         raise DomainError("Hölder norm needs at least two distinct grid points")
     v = np.asarray(spec(t))
-    spread = float(np.max(v) - np.min(v))
-    best = 0.0
-    for k in range(1, t.size):
-        dt = t[k:] - t[:-k]
-        if spread / np.sqrt(dt.min()) <= best:
+    n, spread = t.size, float(np.max(v) - np.min(v))
+    h1 = float(np.min(t[1:] - t[:-1]))
+    normal = h1 >= 4.0 * sys.float_info.min
+    shrunk = h1 * (1.0 - 8.0 * sys.float_info.epsilon) if normal else math.nan
+    dv_work, dt_work = np.empty(n - 1), np.empty(n - 1)
+    best, raised = 0.0, False
+    for k in range(1, n):
+        lo = math.sqrt(k * shrunk)
+        if spread / lo <= best:
             break
-        best = max(best, float(np.max(np.abs(v[k:] - v[:-k]) / np.sqrt(dt))))
+        dv = np.subtract(v[k:], v[:-k], out=dv_work[: n - k])
+        np.abs(dv, out=dv)
+        if not raised:
+            top = float(dv.max())
+            if top / lo <= best:
+                continue
+        dt = np.subtract(t[k:], t[:-k], out=dt_work[: n - k])
+        root = math.sqrt(float(dt.min()))
+        if spread / root <= best:
+            break
+        if raised or top / root > best:
+            q = float(np.divide(dv, np.sqrt(dt, out=dt), out=dv).max())
+            best, raised = max(best, q), q > best
     return best
 
 

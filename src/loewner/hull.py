@@ -549,6 +549,8 @@ def welding(
     phi = np.interp(v, left, right)
     num, den = phi[..., 1] - phi[..., 0], phi[..., 2] - phi[..., 1]
     q = num[den != 0] / den[den != 0]
+    if q.size == 0:
+        raise NumericalError("welding map is degenerate: every three-point denominator is 0")
     return WeldingTable(
         s_grid=s_grid,
         left=left,

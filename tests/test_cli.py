@@ -150,6 +150,9 @@ class TestCsvFiles:
         for (b, N, c, check, margin, verdict), (n, kind, m) in zip(rows, want):
             assert (float(b), N, float(c), check) == (16.0, str(n), 0.7, kind)
             assert (float(margin), verdict) == (m, "pass")
+        meta = json.loads((tmp_path / "weierstrass_checks.meta.json").read_text())
+        assert (meta["command"], meta["rows"], meta["failures"], meta["failed"]) == (
+            "weierstrass check", 8, 0, [])
 
     @pytest.mark.parametrize("constant, b, cut", [("norm_constant", 16.0, 0.22),
                                                    ("offset_constant", 25.0, 0.3)])
@@ -174,6 +177,9 @@ class TestCsvFiles:
         failed = {(float(r[0]), int(r[1]), r[3]) for r in rows if r[5] == "fail"}
         assert failed == bad
         assert all((float(r[4]) < 0) == (r[5] == "fail") for r in rows)
+        meta = json.loads((tmp_path / "weierstrass_checks.meta.json").read_text())
+        assert (meta["rows"], meta["failures"]) == (32, 2)
+        assert {(b, N, check) for b, N, check in meta["failed"]} == bad
         err = capsys.readouterr().err
         assert err.count("failed: ") == 2
         assert all(f"failed: {check} check at b={b!r}, N={N}" in err for _, N, _ in bad)
@@ -468,6 +474,14 @@ class TestStrictness:
     def test_long_span_quadrature_is_classified(self, argv, capsys):
         assert run(argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_out_of_memory_exits_1(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        monkeypatch.setattr(loewner.cli, "_cmd_verify", exhausted)
+        assert run(["verify", "--only", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "error: out of memory: Unable to allocate" in err and "Traceback" not in err
 
     def test_bad_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LOEWNER_LOG", "chatty")

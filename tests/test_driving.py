@@ -16,6 +16,7 @@ from loewner import (
     spec_to_config,
 )
 from loewner.driving import _TIME_GRIDS
+from loewner.weierstrass import WeierstrassParams, norm_bound_check
 
 
 def sqrt_spec(c, T=1.0):
@@ -23,16 +24,17 @@ def sqrt_spec(c, T=1.0):
 
 
 def all_pairs_norm(spec, grid):
-    """The Hölder quotient maximised over every pair of grid points."""
+    """The Hölder quotient maximised over every pair of grid points, one row
+    of pairs (a point against every later one) at a time: O(n) memory."""
     t = np.unique(np.asarray(grid, dtype=float))
     v = np.asarray(spec(t))
-    later = np.tril(np.ones((t.size, t.size), dtype=bool), -1)
-    dt = np.subtract.outer(t, t)[later]
-    dv = np.subtract.outer(v, v)[later]
-    return float(np.max(np.abs(dv) / np.sqrt(dt)))
+    return max(float(np.max(np.abs(v[i + 1:] - v[i]) / np.sqrt(t[i + 1:] - t[i])))
+               for i in range(t.size - 1))
 
 
 UNIFORM = np.linspace(0.0, 1.0, 1001)
+RANDOM = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 4001))
+W93 = DrivingSpec("weierstrass_partial", {"c": 0.5, "b": 9.0, "N": 3}, 1.0)
 # a unit rise over 500 points packed into [0.5, 0.5 + 1e-6], between two
 # sparse points: the largest quotient is the cluster's widest pair, at lag
 # 499, while every lag below it also has a step of about 0.5, so a stop
@@ -40,11 +42,13 @@ UNIFORM = np.linspace(0.0, 1.0, 1001)
 RAMP_TIMES = np.concatenate([[0.0], 0.5 + np.linspace(0.0, 1e-6, 500), [1.0]])
 RAMP_VALUES = np.concatenate([[0.0], np.linspace(0.0, 1.0, 500), [1.0]])
 
-# criterion 11's (b, N) at c = 1, and the (b, N, c) of the six pipeline cases
+# criterion 11's (b, N) at c = 1, the (b, N, c) of the six pipeline cases,
+# and the four (b, N) of the benchmark's weld batch at the ends of its
+# amplitude grid
 NORM_CHECK_SPECS = [(b, N, 1.0) for b in (9.0, 16.0, 25.0, 100.0) for N in (1, 2, 4, 8)] + [
     (9.0, 2, 0.35), (9.0, 3, 0.284), (16.0, 2, 0.3), (16.0, 3, 0.45), (16.0, 4, 0.1),
     (100.0, 4, 0.05),
-]
+] + [(b, N, c) for b in (9.0, 16.0) for N in (2, 3) for c in (0.209375, 0.490625)]
 
 
 class TestEval:
@@ -257,11 +261,36 @@ class TestHolderNorm:
 
     @pytest.mark.parametrize("b, N, c", NORM_CHECK_SPECS)
     def test_scan_equals_all_pairs_on_the_norm_check_specs(self, b, N, c):
-        # norm_bound_check's window, on 1001 points instead of 4001
-        window = 2.0 * np.pi / b + 1.0
-        s = DrivingSpec("weierstrass_partial", {"c": c, "b": b, "N": N}, window + 1e-9)
-        grid = np.linspace(0.0, window, 1001)
-        assert holder_half_norm(s, grid) == all_pairs_norm(s, grid)
+        # norm_bound_check's own 4001-point grid and driving
+        grid = np.linspace(0.0, 2.0 * np.pi / b + 1.0, 4001)
+        s = DrivingSpec("weierstrass_partial", {"c": c, "b": b, "N": N},
+                        float(np.max(grid)) + 1e-9, normalize=False)
+        est = norm_bound_check(WeierstrassParams(b=b, N=N, c=c)).estimate
+        assert est == holder_half_norm(s, grid) == all_pairs_norm(s, grid)
+
+    @pytest.mark.parametrize("spec, grid", [
+        # lambda = t: a lag's quotient is the root of its step, so every lag
+        # raises the maximum and the scan visits all 4000 of them
+        (DrivingSpec("linear", {"slope": 1.0}, 1.0), np.linspace(0.0, 1.0, 4001)),
+        # random grids: the smallest step is far below the typical one, so the
+        # cheap root bound decides little and the lags' own steps decide
+        (DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=100), RANDOM),
+        (DrivingSpec("brownian", {"kappa": 6.0}, 1.0, seed=101), RANDOM),
+        # the cheap bound needs normal floats: subnormal steps, and a step
+        # below 4 times the smallest normal float once 1e-330 has rounded to
+        # 0, fall back to the lags' own steps without a division by zero or
+        # a warning
+        (W93, [0.0, 5e-324, 1e-310, *np.linspace(1e-3, 1.0, 400)]),
+        (W93, [0.0, 1e-330, 3 * 2.0 ** -1022, *np.linspace(1e-3, 1.0, 400)]),
+        # lag 1 gives 1, lag 2 less and lag 3 one ulp more; the steps are
+        # exact, so a cheap bound not shrunk below the lag's own root would
+        # stop the scan, or skip lag 3, one ulp short
+        (DrivingSpec("sampled", {"times": [0.0, 1.0, 2.0, 3.0], "values": [
+            0.0, 1.0, 1.0, float(np.nextafter(np.sqrt(3.0), 2.0))]}, 3.0), [0.0, 1.0, 2.0, 3.0]),
+    ], ids=["every-lag-raises", "brownian2-random", "brownian6-random", "subnormal-step",
+            "rounded-to-zero-step", "one-ulp-above"])
+    def test_scan_equals_all_pairs_on_edge_grids(self, spec, grid):
+        assert holder_half_norm(spec, grid) == all_pairs_norm(spec, grid)
 
     @pytest.mark.parametrize("spec, grid", [
         (DrivingSpec("brownian", {"kappa": 2.0}, 1.0, seed=100), UNIFORM),

@@ -550,6 +550,15 @@ class TestWelding:
         with pytest.raises(NumericalError, match="left point of s = 0.05 crossed"):
             welding(jump, 1.0, np.linspace(0.05, 0.9, 12), dt=1e-2, check_simple=False)
 
+    def test_degenerate_welding_map_raises_numerical_error(self):
+        # the steep falls of this driving send all 12 left prime ends to one
+        # float, so every three-point denominator of the statistic is 0
+        fall = DrivingSpec("sampled", {
+            "times": [0, 0.1291, 0.3137, 0.7971, 0.8628, 1],
+            "values": [-0.7374, -0.6218, -3.2034, -7.7438, -8.2438, -11.1589]}, 1.0)
+        with pytest.raises(NumericalError, match="welding map is degenerate"):
+            welding(fall, 1.0, np.linspace(0.026, 0.884, 12), dt=5e-3, check_simple=False)
+
     def test_grid_domain_checked(self):
         with pytest.raises(DomainError):
             welding(ZERO, 1.0, [1.5], check_simple=False)
