@@ -9,7 +9,13 @@ with no hook in the library:
 - ``steps``: calls of ``ode._Stepper.step``;
 - ``evals``: evaluations of the field each stepper was built with;
 - ``map_points``: map-point applications of the zipper's inverse slit map,
-  the point count of every ``hull._inverse_slit_map`` call.
+  the point count of every ``hull._inverse_slit_map`` call;
+- ``quads``: calls of the adaptive quadrature ``quadrature.quad``;
+- ``integrand``: evaluations of the integrands passed to it (one float each);
+- ``simpson`` and ``gauss``: calls of the fixed rules on arrays,
+  ``quadrature.cumulative_simpson`` and ``quadrature._gauss_panel``.
+
+The quadrature counts rebind the names in the modules that import them.
 
 To re-pin, run this file: a failing assertion prints the new counts.  A
 change that moves a count states the old and the new counts in CHANGES.md,
@@ -24,14 +30,20 @@ from collections import Counter
 
 import pytest
 
-from loewner import DrivingSpec, hull, ode
-from loewner.acceptance import criterion_welding_symmetry
+from loewner import DrivingSpec, acceptance, hull, imaginary, ode, quadrature, real_line
 from loewner.weierstrass import WeierstrassParams, quasislit_pipeline
+
+KEYS = ("runs", "steps", "evals", "map_points", "quads", "integrand", "simpson", "gauss")
+
+
+def pins(**want):
+    """The full count dict: ``want`` and a zero for every other count."""
+    return dict(dict.fromkeys(KEYS, 0), **want)
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    c = Counter(runs=0, steps=0, evals=0, map_points=0)
+    c = Counter(pins())
     init, step, kernel = ode._Stepper.__init__, ode._Stepper.step, hull._inverse_slit_map
 
     def counted_init(self, field, *args, **kwargs):
@@ -50,9 +62,29 @@ def counts(monkeypatch):
         c["map_points"] += x.size
         return kernel(x, *args)
 
+    def counted_quad(f, *args):
+        def counted_integrand(x):
+            c["integrand"] += 1
+            return f(x)
+
+        c["quads"] += 1
+        return quadrature.quad(counted_integrand, *args)
+
+    def counted_rule(key, rule):
+        def counted(*args):
+            c[key] += 1
+            return rule(*args)
+
+        return counted
+
     monkeypatch.setattr(ode._Stepper, "__init__", counted_init)
     monkeypatch.setattr(ode._Stepper, "step", counted_step)
     monkeypatch.setattr(hull, "_inverse_slit_map", counted_kernel)
+    for module in (real_line, imaginary):
+        monkeypatch.setattr(module, "quad", counted_quad)
+    monkeypatch.setattr(real_line, "cumulative_simpson",
+                        counted_rule("simpson", quadrature.cumulative_simpson))
+    monkeypatch.setattr(real_line, "_gauss_panel", counted_rule("gauss", quadrature._gauss_panel))
     return c
 
 
@@ -80,22 +112,63 @@ WELD_SEED_7 = [
 def test_weld_pipeline_counts(params, want, counts):
     v = quasislit_pipeline(WeierstrassParams(*params), T=1.0, dt=2e-3, compute_ratio_bound=True)
     assert v.ratio1_contained
-    assert dict(counts) == dict(want, map_points=pipeline_map_points(500))
+    assert dict(counts) == pins(**want, map_points=pipeline_map_points(500))
 
 
 def test_weld_batch_totals(counts):
     for params, _ in WELD_SEED_7:
         quasislit_pipeline(WeierstrassParams(*params), T=1.0, dt=2e-3, compute_ratio_bound=True)
-    assert dict(counts) == dict(runs=4, steps=250, evals=2062, map_points=1_503_000)
+    assert dict(counts) == pins(runs=4, steps=250, evals=2062, map_points=1_503_000)
 
 
 def test_welding_criterion_counts(counts):
     # criterion 10 welds the zero driving without the simplicity check: it
     # pushes real points only, and runs no stepper and no inverse map
-    assert criterion_welding_symmetry().passed
-    assert dict(counts) == dict(runs=0, steps=0, evals=0, map_points=0)
+    assert acceptance.run_one(10).passed
+    assert dict(counts) == pins()
+
+
+# The other criteria.  Criteria 5 and 11 make none of the counted calls:
+# the sharp example is closed form, and criterion 11's cost is the Hölder lag
+# scan and the offset increments on fixed grids.
+CRITERION_PINS = {
+    1: pins(runs=1, steps=44, evals=271),
+    2: pins(runs=9, steps=18, evals=177),
+    3: pins(runs=248, steps=12_456, evals=76_106),
+    4: pins(simpson=40, gauss=60),
+    5: pins(),
+    6: pins(runs=9, steps=946, evals=6987),
+    7: pins(runs=34, steps=168, evals=1042, quads=2, integrand=42),
+    8: pins(quads=39, integrand=25_641),
+    9: pins(map_points=13_507_500),
+    11: pins(),
+    12: pins(runs=5, steps=378, evals=2333, map_points=2_626_750),
+}
+
+
+@pytest.mark.parametrize("number", sorted(CRITERION_PINS))
+def test_criterion_counts(number, counts):
+    assert acceptance.run_one(number).passed
+    assert dict(counts) == CRITERION_PINS[number]
+
+
+# The seed-7 batch of the benchmark's capture workload: one-sided capture
+# scans of sqrt_approach drivings (the c = 5 reference, six captured values
+# of c and two empty ones) and two square-root gap classifications.
+CAPTURE_SEED_7_C = [5.0, 4.306555274840873, 4.753975364187561, 5.324599722178583,
+                    5.611755777284147, 5.829081437575935, 6.223759987533591,
+                    2.595833215329806, 3.480501696074358]
+CAPTURE_SEED_7_GAP = [0.29694255791685337, 3.189824907045927]
+
+
+def test_capture_batch_counts(counts):
+    for c in CAPTURE_SEED_7_C:
+        real_line.capture_scan(DrivingSpec("sqrt_approach", {"c": c}, 1.0), 1.0, mirrored=False)
+    for C in CAPTURE_SEED_7_GAP:
+        imaginary.classify_sqrt_gap(C, 1.0)
+    assert dict(counts) == pins(runs=334, steps=26_431, evals=161_422)
 
 
 def test_full_trace_map_points(counts):
     hull.trace(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, 1e-2)
-    assert dict(counts) == dict(runs=0, steps=0, evals=0, map_points=100 * 101 // 2)
+    assert dict(counts) == pins(map_points=100 * 101 // 2)
