@@ -13,12 +13,14 @@ a + 4/a) used by `loewner figure`.
 
 import csv
 
-from loewner.real_line import scaling_bound_diagnostic, sharp_oscillation
+import numpy as np
+
 from loewner import DrivingSpec
-from loewner.real_line import capture_scan
+from loewner.real_line import capture_scan, scaling_bound_diagnostic
+from loewner.sharp import SharpOscillation
 
 for a in (1.5, 3.0):
-    osc, rep, ss, xs, xis = sharp_oscillation(a, k_max=40)
+    rep = SharpOscillation(a, k_max=40).band_report()
     print(f"a = {a}: branch {rep['branch']}, partition {rep['k_start']}..{rep['k_max']}")
     print(f"  running min(xi) = {rep['running_min']:.5f}  (target {rep['target_min']})")
     print(f"  running max(xi) = {rep['running_max']:.5f}  (target {rep['target_max']})")
@@ -31,7 +33,9 @@ print(f"  captured interval: {None if scan.interval is None else tuple(round(v, 
 print(f"  a_hat = {diag.a_hat:.4f}, b_hat = {diag.b_hat:.4f}, "
       f"bound {diag.bound_value:.4f} holds: {diag.bound_holds}")
 
-osc, rep, ss, xs, xis = sharp_oscillation(1.5, k_max=40, n_dense=4000)
+osc = SharpOscillation(1.5, k_max=40)
+ss = np.linspace(0.0, osc.horizon * (1 - 1e-9), 4000)
+xs, xis = osc.x(ss), osc.xi(ss)
 with open("sharp_oscillation.csv", "w", newline="") as fh:
     w = csv.writer(fh)
     w.writerow(["s", "x", "xi", "ref_zero", "ref_a", "ref_band_top"])

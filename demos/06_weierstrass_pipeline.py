@@ -9,8 +9,6 @@ quasislit curve: the pipeline checks the margins, reconstructs the trace,
 tests simplicity, and extracts welding ratio statistics.
 """
 
-import numpy as np
-
 from loewner.weierstrass import (
     WeierstrassParams,
     norm_bound_check,
@@ -34,7 +32,7 @@ for b in (9.0, 16.0, 100.0):
           f"offset max {ro.max_ratio:.4f} < {ro.bound:.4f}")
 
 print("\n-- quasislit pipeline at small amplitude --")
-v = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.05), dt=2e-3, n_weld=8)
+v = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.05), dt=2e-3)
 print(f"  margins: 2 - a = {v.margin_small:.4f}, a + 4/a - b = {v.margin_oscillation:.2f}")
 print(f"  trace simple: {v.simple}")
 print(f"  welding ratio1 range: {v.welding_table.ratio1_range}")

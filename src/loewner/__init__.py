@@ -17,7 +17,6 @@ from .driving import (
     ScalingReport,
     holder_half_norm,
     local_scaling_exponents,
-    shift,
     spec_from_config,
     spec_from_json,
     spec_to_config,

@@ -1,7 +1,8 @@
 """Quantitative acceptance suite.
 
-Each criterion is a callable returning a :class:`CriterionResult`; the
-pytest module and the ``loewner verify`` subcommand both run this list.
+Each criterion is a callable returning ``(passed, detail)``; :func:`run_one`
+times it and names it by its slug in :data:`CRITERIA`, and the pytest module
+and the ``loewner verify`` subcommand both run the criteria through it.
 Expected values are frozen from independent oracles: closed forms where
 they exist, phase-line root analysis for the capture intervals, geometric
 series for the Weierstrass sums, and the explicit ramp solution for the
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .driving import DrivingSpec
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .hull import (
     _refined_points,
     capacity_estimate,
@@ -33,7 +34,8 @@ from .imaginary import (
     ramp_ode_terminal,
     solve_frame_imaginary,
 )
-from .real_line import FrameMap, capture_scan, reconstruct_captured_pair, sharp_oscillation
+from .real_line import FrameMap, capture_scan, reconstruct_captured_pair
+from .sharp import SharpOscillation
 from .weierstrass import WeierstrassParams, norm_bound_check, offset_ratio_check
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "run_one"]
@@ -47,17 +49,17 @@ class CriterionResult:
     detail: str
     seconds: float
 
-
-def _result(number, name, passed, detail, t0):
-    return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
+    def line(self) -> str:
+        """The PASS/FAIL line that ``loewner verify`` prints."""
+        mark = "PASS" if self.passed else "FAIL"
+        return f"[{mark}] {self.number:2d} {self.name}: {self.detail} ({self.seconds:.1f}s)"
 
 
 # -- 1 -----------------------------------------------------------------------
 
 
-def criterion_forward_map() -> CriterionResult:
+def criterion_forward_map() -> tuple[bool, str]:
     """Closed-form forward map for the trivial driving."""
-    t0 = time.time()
     spec = DrivingSpec("constant", {"value": 0.0}, 1.0)
     ts = np.array([0.25, 0.5, 1.0])
     xs = np.linspace(-3.0, 3.0, 28)
@@ -73,18 +75,14 @@ def criterion_forward_map() -> CriterionResult:
         ref = np.where(ref.imag < 0, -ref, ref)
         worst = max(worst, float(np.max(np.abs(g[i] - ref))))
         n_pts += zs.size
-    return _result(
-        1, "closed-form forward map", worst <= 1e-7,
-        f"max |g - sqrt(z^2+4t)| = {worst:.2e} over {n_pts} points (tol 1e-7)", t0,
-    )
+    return worst <= 1e-7, f"max |g - sqrt(z^2+4t)| = {worst:.2e} over {n_pts} points (tol 1e-7)"
 
 
 # -- 2 -----------------------------------------------------------------------
 
 
-def criterion_capacity() -> CriterionResult:
+def criterion_capacity() -> tuple[bool, str]:
     """Capacity normalisation c(t) = 2t across the driving zoo."""
-    t0 = time.time()
     zoo = [
         DrivingSpec("sqrt_approach", {"c": 2.0}, 1.0),
         DrivingSpec("weierstrass_partial", {"c": 0.3, "b": 9.0, "N": 4}, 1.0, normalize=True),
@@ -95,10 +93,7 @@ def criterion_capacity() -> CriterionResult:
         for t in (0.25, 0.5, 1.0):
             est, _ = capacity_estimate(spec, t, 250.0)
             worst_rel = max(worst_rel, abs(est - 2.0 * t) / (2.0 * t))
-    return _result(
-        2, "half-plane capacity normalisation", worst_rel <= 0.01,
-        f"worst relative capacity error {worst_rel:.2e} (tol 1%)", t0,
-    )
+    return worst_rel <= 0.01, f"worst relative capacity error {worst_rel:.2e} (tol 1%)"
 
 
 # -- 3 -----------------------------------------------------------------------
@@ -112,8 +107,7 @@ def criterion_capacity() -> CriterionResult:
 _CAPTURE_ENDPOINTS = {4.0: 2.0, 5.0: 4.0, 6.0: 5.23606797749979}
 
 
-def criterion_capture_transition() -> CriterionResult:
-    t0 = time.time()
+def criterion_capture_transition() -> tuple[bool, str]:
     details = []
     ok = True
     for c in (3.0, 3.9):
@@ -128,15 +122,14 @@ def criterion_capture_transition() -> CriterionResult:
         err = np.inf if scan.interval is None else abs(scan.interval[1] - endpoint)
         ok &= err <= 1e-3
         details.append(f"c={c}: endpoint err {err:.1e}")
-    return _result(3, "real capture transition", ok, "; ".join(details) + " (tol 1e-3)", t0)
+    return ok, "; ".join(details) + " (tol 1e-3)"
 
 
 # -- 4 -----------------------------------------------------------------------
 
 
-def criterion_reconstruction() -> CriterionResult:
+def criterion_reconstruction() -> tuple[bool, str]:
     """Round trip density -> captured pair, 20 randomized mixtures."""
-    t0 = time.time()
     rng = np.random.default_rng(42)
     worst_res = 0.0
     worst_term = 0.0
@@ -153,37 +146,31 @@ def criterion_reconstruction() -> CriterionResult:
         worst_res = max(worst_res, rec.residual)
         worst_term = max(worst_term, rec.terminal_gap)
     ok = worst_res <= 1e-6 and worst_term <= 1e-6
-    return _result(
-        4, "captured-pair reconstruction", ok,
-        f"max residual {worst_res:.2e}, max terminal gap {worst_term:.2e} (tol 1e-6)", t0,
-    )
+    return ok, f"max residual {worst_res:.2e}, max terminal gap {worst_term:.2e} (tol 1e-6)"
 
 
 # -- 5 -----------------------------------------------------------------------
 
 
-def criterion_sharp_oscillation() -> CriterionResult:
-    t0 = time.time()
-    _, rep15, _, _, _ = sharp_oscillation(1.5, k_max=40)
-    _, rep30, _, _, _ = sharp_oscillation(3.0, k_max=40)
+def criterion_sharp_oscillation() -> tuple[bool, str]:
+    rep15 = SharpOscillation(1.5).band_report()
+    rep30 = SharpOscillation(3.0).band_report()
     ok = (
         1.45 <= rep15["running_min"] <= 1.55
         and 4.0 <= rep15["running_max"] <= 4.35
         and 3.9 <= rep30["running_max"] <= 4.1
     )
-    return _result(
-        5, "sharp oscillation bands", ok,
+    return ok, (
         f"a=1.5: min {rep15['running_min']:.4f} in [1.45,1.55], "
         f"max {rep15['running_max']:.4f} in [4.0,4.35]; "
-        f"a=3: max {rep30['running_max']:.4f} in [3.9,4.1]", t0,
+        f"a=3: max {rep30['running_max']:.4f} in [3.9,4.1]"
     )
 
 
 # -- 6 -----------------------------------------------------------------------
 
 
-def criterion_imaginary_transition() -> CriterionResult:
-    t0 = time.time()
+def criterion_imaginary_transition() -> tuple[bool, str]:
     ok = True
     details = []
     for C in (0.0, 1.0, 1.9, 2.0, 2.1, 3.0):
@@ -193,18 +180,16 @@ def criterion_imaginary_transition() -> CriterionResult:
         run_agrees = (r.run.status == "vanishing") == want_vanish
         ok &= (got_vanish == want_vanish) and run_agrees
         details.append(f"C={C}:{r.status[:4]}")
-    ramp = ramp_ode_terminal(2.0, 1e-6, 1.0, cross_validate=False)
-    ramp_err = abs(ramp.y - np.sqrt(2.0))
+    ramp_err = abs(ramp_ode_terminal(2.0, 1e-6, 1.0) - np.sqrt(2.0))
     ok &= ramp_err <= 0.02
     details.append(f"ramp limit err {ramp_err:.1e} (tol 0.02)")
-    return _result(6, "imaginary vanishing transition", ok, "; ".join(details), t0)
+    return ok, "; ".join(details)
 
 
 # -- 7 -----------------------------------------------------------------------
 
 
-def criterion_growth_floor() -> CriterionResult:
-    t0 = time.time()
+def criterion_growth_floor() -> tuple[bool, str]:
     e_low = lambda s: np.sqrt(2.0) + 0.0 * np.asarray(s)
     e_bd = lambda s: 2.0 + 0.0 * np.asarray(s)
     _, cls_low = solve_frame_imaginary(e_low, np.sqrt(2.0))
@@ -217,39 +202,35 @@ def criterion_growth_floor() -> CriterionResult:
         and abs(L_low.value - (-7.0)) <= 1e-8
         and abs(L_bd.value) <= 1e-8
     )
-    return _result(
-        7, "stationary vanishing and growth floor", ok,
+    return ok, (
         f"sqrt(2): {cls_low.status}, L+S = {L_low.value + 7.0:.1e}; "
-        f"2: {cls_bd.status}, L = {L_bd.value:.1e} (tol 1e-8)", t0,
+        f"2: {cls_bd.status}, L = {L_bd.value:.1e} (tol 1e-8)"
     )
 
 
 # -- 8 -----------------------------------------------------------------------
 
 
-def criterion_gap_duality() -> CriterionResult:
-    t0 = time.time()
+def criterion_gap_duality() -> tuple[bool, str]:
     tg = np.linspace(0.0, 8.0, 9)
     d1 = gap_duality_check(lambda s: 5.0 + 0.0 * np.asarray(s),
                            lambda s: 4.0 + 0.0 * np.asarray(s), tg)
     d2 = gap_duality_check(lambda s: 4.0 + 0.0 * np.asarray(s),
                            lambda s: 2.0 + 0.0 * np.asarray(s), tg)
-    osc, _, _, _, _ = sharp_oscillation(1.5, k_max=40)
+    osc = SharpOscillation(1.5)
     tg3 = np.linspace(0.0, 40.0, 21)
     d3 = gap_duality_check(osc.xi, osc.x, tg3, domain_end=osc.horizon)
     ok = d1.max_deviation <= 1e-10 and d2.max_deviation <= 1e-10 and d3.max_deviation <= 1e-4
-    return _result(
-        8, "gap-driving duality", ok,
+    return ok, (
         f"constant pairs {max(d1.max_deviation, d2.max_deviation):.1e} (tol 1e-10); "
-        f"sharp pair {d3.max_deviation:.1e} (tol 1e-4)", t0,
+        f"sharp pair {d3.max_deviation:.1e} (tol 1e-4)"
     )
 
 
 # -- 9 -----------------------------------------------------------------------
 
 
-def criterion_trace_fidelity() -> CriterionResult:
-    t0 = time.time()
+def criterion_trace_fidelity() -> tuple[bool, str]:
     zero = DrivingSpec("constant", {"value": 0.0}, 1.0)
     c = trace(zero, 1.0, 1e-3)
     err0 = float(np.max(np.abs(c.points - 2j * np.sqrt(c.times))))
@@ -275,31 +256,26 @@ def criterion_trace_fidelity() -> CriterionResult:
         factor = ds[0] / ds[1]
         ok &= factor >= 1.3
         details.append(f"{label} self-convergence factor {factor:.2f} (>= 1.3)")
-    return _result(9, "trace fidelity and self-convergence", ok, "; ".join(details), t0)
+    return ok, "; ".join(details)
 
 
 # -- 10 ----------------------------------------------------------------------
 
 
-def criterion_welding_symmetry() -> CriterionResult:
-    t0 = time.time()
+def criterion_welding_symmetry() -> tuple[bool, str]:
     zero = DrivingSpec("constant", {"value": 0.0}, 1.0)
     wt = welding(zero, 1.0, np.linspace(0.05, 0.9, 18), dt=1e-3, check_simple=False)
     odd = float(np.max(np.abs(wt.left + wt.right)))
     r1 = max(abs(wt.ratio1_range[0] - 1.0), abs(wt.ratio1_range[1] - 1.0))
     r2 = max(abs(wt.ratio2_range[0] - 1.0), abs(wt.ratio2_range[1] - 1.0))
     ok = odd <= 1e-6 and r1 <= 1e-6 and r2 <= 1e-6
-    return _result(
-        10, "welding of the trivial driving", ok,
-        f"|phi(x)+x| = {odd:.1e}, |ratio1-1| = {r1:.1e}, |ratio2-1| = {r2:.1e} (tol 1e-6)", t0,
-    )
+    return ok, f"|phi(x)+x| = {odd:.1e}, |ratio1-1| = {r1:.1e}, |ratio2-1| = {r2:.1e} (tol 1e-6)"
 
 
 # -- 11 ----------------------------------------------------------------------
 
 
-def criterion_weierstrass_bounds() -> CriterionResult:
-    t0 = time.time()
+def criterion_weierstrass_bounds() -> tuple[bool, str]:
     worst_norm = 0.0
     worst_offset = 0.0
     for b in (9.0, 16.0, 25.0, 100.0):
@@ -310,33 +286,28 @@ def criterion_weierstrass_bounds() -> CriterionResult:
             worst_norm = max(worst_norm, rn.ratio)
             worst_offset = max(worst_offset, ro.max_ratio / ro.bound)
     ok = worst_norm < 1.0 and worst_offset < 1.0
-    return _result(
-        11, "Weierstrass norm and offset bounds", ok,
-        f"worst norm ratio {worst_norm:.3f}, worst offset ratio {worst_offset:.3f} (< 1)", t0,
-    )
+    return ok, f"worst norm ratio {worst_norm:.3f}, worst offset ratio {worst_offset:.3f} (< 1)"
 
 
 # -- 12 ----------------------------------------------------------------------
 
 
-def criterion_endpoint_experiment() -> CriterionResult:
-    t0 = time.time()
-    ee = endpoint_experiment(DrivingSpec("sqrt_approach", {"c": 5.5}, 1.0), 1.0, dt=2e-3, halvings=2)
+def criterion_endpoint_experiment() -> tuple[bool, str]:
+    ee = endpoint_experiment(DrivingSpec("sqrt_approach", {"c": 5.5}, 1.0), 1.0, dt=2e-3)
     neg_ok = False
     try:
         endpoint_experiment(DrivingSpec("sqrt_approach", {"c": 3.0}, 1.0), 1.0)
     except PreconditionError:
         neg_ok = True
     ok = ee.decreasing and ee.band_ok and neg_ok
-    return _result(
-        12, "steep-approach endpoint experiment", ok,
+    return ok, (
         f"endpoint stats {np.array2string(ee.endpoint_stats, precision=4)} decreasing={ee.decreasing}; "
         f"gap band min {ee.band_min_observed:.4f} >= {ee.band_floor:.4f}; "
-        f"negative control {'raised' if neg_ok else 'MISSED'}", t0,
+        f"negative control {'raised' if neg_ok else 'MISSED'}"
     )
 
 
-CRITERIA: list[tuple[int, str, Callable[[], CriterionResult]]] = [
+CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     (1, "forward-map", criterion_forward_map),
     (2, "capacity", criterion_capacity),
     (3, "capture-transition", criterion_capture_transition),
@@ -353,18 +324,15 @@ CRITERIA: list[tuple[int, str, Callable[[], CriterionResult]]] = [
 
 
 def run_one(number: int) -> CriterionResult:
-    for n, _, fn in CRITERIA:
-        if n == number:
-            return fn()
-    raise KeyError(f"no acceptance criterion {number}")
-
-
-def run_all(echo: Optional[Callable[[str], None]] = None) -> list[CriterionResult]:
-    results = []
+    """Run criterion ``number``, timed and named by its slug; an unknown number
+    is a usage error."""
     for n, name, fn in CRITERIA:
-        res = fn()
-        results.append(res)
-        if echo is not None:
-            mark = "PASS" if res.passed else "FAIL"
-            echo(f"[{mark}] {n:2d} {name}: {res.detail} ({res.seconds:.1f}s)")
-    return results
+        if n == number:
+            t0 = time.perf_counter()
+            passed, detail = fn()
+            return CriterionResult(n, name, bool(passed), detail, time.perf_counter() - t0)
+    raise ConfigError(f"no acceptance criterion {number}: the criteria are numbered 1-{len(CRITERIA)}")
+
+
+def run_all() -> list[CriterionResult]:
+    return [run_one(n) for n, _, _ in CRITERIA]

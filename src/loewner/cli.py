@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .acceptance import run_all, run_one
+from . import __version__, acceptance
 from .driving import DrivingSpec, spec_from_json, spec_to_config
 from .errors import ConfigError, DomainError, LoewnerError, NumericalError, PreconditionError
 from .hull import trace as hull_trace
@@ -39,9 +38,9 @@ from .real_line import (
     driving_from_profile,
     no_capture_certificate,
     profile_from_density,
-    sharp_oscillation,
     solve_frame_equation,
 )
+from .sharp import SharpOscillation
 from .weierstrass import (
     WeierstrassParams,
     norm_bound_check,
@@ -238,9 +237,17 @@ def _cmd_operator_f(args) -> int:
     return 0
 
 
-def _cmd_sharp_example(args) -> int:
+def _sharp_samples(args):
+    """The sharp example of --a and --k-max: its band report and (s, x, xi)
+    at 20000 points of [0, horizon)."""
     with _from_flags():  # a and k_max come from flags
-        osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
+        osc = SharpOscillation(args.a, k_max=args.k_max)
+        s = np.linspace(0.0, osc.horizon * (1 - 1e-9), 20000)
+        return osc.band_report(), s, osc.x(s), osc.xi(s)
+
+
+def _cmd_sharp_example(args) -> int:
+    rep, ss, xs, xis = _sharp_samples(args)
     out = _outdir(args)
     _csv_rows(out / "sharp_example.csv", ["s", "x", "xi"], zip(ss, xs, xis))
     print(f"running_min: {rep['running_min']!r}  running_max: {rep['running_max']!r}")
@@ -373,20 +380,19 @@ def _cmd_weierstrass_pipeline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.only is not None:
-        res = run_one(args.only)
-        mark = "PASS" if res.passed else "FAIL"
-        print(f"[{mark}] {res.number:2d} {res.name}: {res.detail} ({res.seconds:.1f}s)")
-        return 0 if res.passed else 1
-    results = run_all(echo=print)
-    n_fail = sum(not r.passed for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} acceptance criteria passed")
+    numbers = [n for n, _, _ in acceptance.CRITERIA] if args.only is None else [args.only]
+    n_fail = 0
+    for n in numbers:
+        res = acceptance.run_one(n)
+        print(res.line())
+        n_fail += not res.passed
+    if args.only is None:
+        print(f"{len(numbers) - n_fail}/{len(numbers)} acceptance criteria passed")
     return 0 if n_fail == 0 else 1
 
 
 def _cmd_figure(args) -> int:
-    with _from_flags():  # a and k_max come from flags
-        osc, rep, ss, xs, xis = sharp_oscillation(args.a, k_max=args.k_max)
+    rep, ss, xs, xis = _sharp_samples(args)
     a = args.a
     out = _outdir(args)
     _csv_rows(

@@ -32,7 +32,6 @@ __all__ = [
     "ScalingReport",
     "holder_half_norm",
     "local_scaling_exponents",
-    "shift",
     "spec_from_config",
     "spec_to_config",
 ]
@@ -318,18 +317,6 @@ def _inverse_frame(xi, T: float, lambda_T: float, t):
         s = -0.5 * np.log(rem[inside] / T)
         out[inside] = lambda_T - np.sqrt(rem[inside]) * np.asarray(xi(s), dtype=float)
     return out if out.shape else float(out)
-
-
-def shift(spec: DrivingSpec, r: float, normalize: Optional[bool] = None) -> DrivingSpec:
-    """The driving t -> lambda(t + r) on [0, T - r]."""
-    if not (0.0 <= r < spec.T):
-        raise DomainError(f"shift offset {r} outside [0, T)")
-    return DrivingSpec(
-        family="composite",
-        params={"base": spec, "t_offset": float(r), "scale": 1.0},
-        T=spec.T - r,
-        normalize=spec.normalize if normalize is None else normalize,
-    )
 
 
 # -- analysis ---------------------------------------------------------------

@@ -172,6 +172,10 @@ MAX_CELLS = 2**23
 _HALF = np.array(0.5)  # a 0-d operand, which numpy dispatches faster than a float
 _HALF.flags.writeable = False
 
+# the prime ends of one welding side span at least this fraction of their
+# largest size (2^20 eps), or they are rounding noise and no welding map
+_WELD_NOISE = 2.0**20 * np.finfo(float).eps
+
 
 def _cells(spec: DrivingSpec, T: float, dt: float):
     """Edges, durations and driving values u_k of the zipper cells (see trace)."""
@@ -542,9 +546,15 @@ def welding(
 
     ratio1 = (left - lam_T) / (lam_T - right)
 
+    span = left[-1] - left[0]
+    for name, d, ends in (("left", span, left), ("right", right[0] - right[-1], right)):
+        if d <= _WELD_NOISE * max(abs(ends[0]), abs(ends[-1])):
+            raise NumericalError(f"welding map is degenerate: the {name} prime ends span "
+                                 f"{float(d)!r}, within rounding of their size")
+
     # three-point quasisymmetry on the interpolated welding map; the prime
     # ends stay in the order of s while one-cell jumps are below sqrt(h)
-    h = (left[-1] - left[0]) * np.array([1 / 64, 1 / 32, 1 / 16, 1 / 8])
+    h = span * np.array([1 / 64, 1 / 32, 1 / 16, 1 / 8])
     v = np.linspace(left[0], left[-1] - 2 * h, 33)[..., None] + h[:, None] * np.arange(3)
     phi = np.interp(v, left, right)
     num, den = phi[..., 1] - phi[..., 0], phi[..., 2] - phi[..., 1]
@@ -670,14 +680,13 @@ def endpoint_experiment(
     spec: DrivingSpec,
     T: float,
     dt: float = 2e-3,
-    halvings: int = 2,
     scales=None,
 ) -> EndpointExperiment:
     """Probe trace-endpoint behaviour for steep square-root approaches.
 
     Hypotheses (checked, error on failure): the scaling estimates at T
     satisfy a_hat >= 5 and b_hat < a_hat + 4/a_hat.  The experiment
-    refines the trace and tracks
+    traces at dt, dt/2 and dt/4 and tracks
 
         e(dt) = min(|Im gamma(T)|, distance from gamma(T) to the earlier
                 trace),
@@ -694,7 +703,7 @@ def endpoint_experiment(
     if not b_hat < a_hat + 4.0 / a_hat:
         raise PreconditionError(f"b_hat = {b_hat:.4f} >= a_hat + 4/a_hat")
 
-    dts = dt / 2.0 ** np.arange(halvings + 1)
+    dts = dt / 2.0 ** np.arange(3)
     stats = []
     for d in dts:
         c = trace(spec, T, float(d))

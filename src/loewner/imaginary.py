@@ -44,7 +44,7 @@ import numpy as np
 
 from .driving import DrivingSpec
 from .errors import DomainError, NumericalError, PreconditionError
-from .ode import SINGULARITY_FLOOR, Event, IntegratorConfig, SolutionPath, integrate, integrate_until
+from .ode import SINGULARITY_FLOOR, Event, IntegratorConfig, SolutionPath, integrate_until
 from .quadrature import bisect_root, quad
 
 __all__ = [
@@ -333,19 +333,7 @@ def solve_imaginary(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RampTerminal:
-    y: float
-    y_integrated: Optional[float]
-    cross_check: Optional[float]
-
-
-def ramp_ode_terminal(
-    c: float,
-    eps: float,
-    T: float,
-    cross_validate: bool = True,
-) -> RampTerminal:
+def ramp_ode_terminal(c: float, eps: float, T: float) -> float:
     """Terminal value y(T) of dy/dt = 2y/(y^2 + c t), y(0) = eps.
 
     Treating t as a function of y makes the equation linear; the implicit
@@ -354,9 +342,8 @@ def ramp_ode_terminal(
         c != 4:  t = (y^2 - eps^{2 - c/2} y^{c/2}) / (4 - c)
         c == 4:  t = y^2 log(y/eps) / 2
 
-    are solved for y by bracketed root finding and optionally cross-checked
-    against direct integration.  As eps -> 0 the terminal value tends to
-    sqrt(T (4 - c)) below c = 4 and to 0 at or above it.
+    are solved for y by bracketed root finding.  As eps -> 0 the terminal
+    value tends to sqrt(T (4 - c)) below c = 4 and to 0 at or above it.
     """
     if c < 0 or eps <= 0 or T <= 0:
         raise DomainError("need c >= 0, eps > 0, T > 0")
@@ -377,17 +364,9 @@ def ramp_ode_terminal(
     else:
         raise NumericalError(f"no bracket found for the ramp solution (c={c})")
     try:
-        y = bisect_root(lambda u: t_of_y(u) - T, y_lo, y_hi)
+        return bisect_root(lambda u: t_of_y(u) - T, y_lo, y_hi)
     except NumericalError as exc:
         raise NumericalError(f"ramp root finding failed for c={c}, eps={eps}: {exc}") from exc
-
-    y_int = None
-    diff = None
-    if cross_validate:
-        path = integrate(lambda t, u: 2.0 * u / (u * u + c * t), eps, (0.0, T))
-        y_int = float(np.asarray(path.terminal_value))
-        diff = abs(y_int - y)
-    return RampTerminal(y, y_int, diff)
 
 
 @dataclass

@@ -27,12 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .driving import DrivingSpec, local_scaling_exponents
-from .errors import (
-    DomainError,
-    NumericalError,
-    PreconditionError,
-    ReconstructionError,
-)
+from .errors import DomainError, PreconditionError, ReconstructionError
 from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, _bisect_event, _Stepper, integrate_until
 from .quadrature import _gauss_panel, cumulative_simpson, quad
 from .sharp import SharpOscillation
@@ -43,14 +38,12 @@ __all__ = [
     "solve_real_loewner",
     "solve_frame_equation",
     "density_flags",
-    "tail_integral",
     "profile_from_density",
     "driving_from_profile",
     "reconstruct_captured_pair",
     "no_capture_certificate",
     "capture_scan",
     "scaling_bound_diagnostic",
-    "sharp_oscillation",
     "speed_condition_report",
 ]
 
@@ -291,22 +284,13 @@ def _tail_fit(phi: Callable, s_max: float) -> tuple[float, float]:
     return float(vals[-1] / beta), float(beta)
 
 
-def tail_integral(phi: Callable, s_grid):
-    """I(s) = integral_s^inf phi for each s in s_grid (vectorised).
+def _tail_reader(phi: Callable) -> tuple[Callable, float]:
+    """The tail integral I(s) = integral_s^inf phi, formed once per density.
 
     Composite-Simpson on a 20001-point grid of [0, DENSITY_S_MAX] plus an
-    exponential tail model fitted on the last decade.  Returns (values,
-    error_estimate).
-    """
-    read, err = _tail_reader(phi)
-    return read(s_grid), err
-
-
-def _tail_reader(phi: Callable) -> tuple[Callable, float]:
-    """The grid-free part of :func:`tail_integral`, formed once per density.
-
-    Returns (read, error_estimate); read(s_grid) gives I on any grid in
-    [0, DENSITY_S_MAX] from the one sampling, cumulative sum and tail fit.
+    exponential tail model fitted on the last decade.  Returns (read,
+    error_estimate); read(s_grid) gives I on any grid in [0, DENSITY_S_MAX]
+    (vectorised) from the one sampling, cumulative sum and tail fit.
     """
     fine = np.linspace(0.0, DENSITY_S_MAX, 20001)
     fv = np.asarray(phi(fine), dtype=float)
@@ -366,7 +350,8 @@ def profile_from_density(phi: Callable, s_grid):
     are the caller's business via :func:`density_flags`.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    I, err = tail_integral(phi, s_grid)
+    read_tail, err = _tail_reader(phi)
+    I = read_tail(s_grid)  # checks the grid before exp can overflow on it
     return np.exp(s_grid) * I, err
 
 
@@ -876,8 +861,8 @@ def scaling_bound_diagnostic(
     is asserted (within ``SCALING_MARGIN``, on the default scale ladder).
     The sharp attainable bound, which drops to 4 for 2 < |a| < 4, is
     reported alongside; the piecewise construction of
-    :func:`sharp_oscillation` attains it, so violations of the primary bound
-    in that regime indicate sharpness rather than error.
+    :class:`loewner.sharp.SharpOscillation` attains it, so violations of the
+    primary bound in that regime indicate sharpness rather than error.
     """
     if scan is None:
         scan = capture_scan(spec, T, refine=False, mirrored=True)
@@ -912,22 +897,8 @@ def scaling_bound_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# sharp oscillating example and slow-approach report
+# slow-approach report
 # ---------------------------------------------------------------------------
-
-
-def sharp_oscillation(a: float, k_max: int = 40, n_dense: int = 20000):
-    """Explicit captured pair whose driving attains the oscillation bound.
-
-    Returns (osc, report, s_dense, x_dense, xi_dense); the branch follows
-    from ``a``.  See :class:`loewner.sharp.SharpOscillation` for the
-    construction and
-    ``report`` for the band estimates at the distinguished sampling points.
-    """
-    osc = SharpOscillation(a=a, k_max=k_max)
-    report = osc.band_report()
-    s = np.linspace(0.0, osc.horizon * (1 - 1e-9), n_dense)
-    return osc, report, s, np.asarray(osc.x(s)), np.asarray(osc.xi(s))
 
 
 @dataclass

@@ -177,12 +177,6 @@ class SharpOscillation:
         val = x + 4.0 / (x - dx)
         return val if getattr(val, "shape", ()) else float(val)
 
-    def eta(self, s):
-        """Gap between driving and solution, xi - x = 4/(x - dx/ds)."""
-        x, dx = self._eval(s, clamp=True)
-        val = 4.0 / (x - dx)
-        return val if getattr(val, "shape", ()) else float(val)
-
     # -- distinguished sampling points ------------------------------------
 
     def midpoint_times(self) -> np.ndarray:

@@ -177,7 +177,6 @@ def quasislit_pipeline(
     p: WeierstrassParams,
     T: float = 1.0,
     dt: float = 1e-3,
-    n_weld: int = 12,
     compute_ratio_bound: bool = False,
 ) -> QuasislitVerdict:
     """Hypothesis margins, trace simplicity, and welding statistics.
@@ -186,7 +185,8 @@ def quasislit_pipeline(
     bound a = c (sqrt(pi)+1/sqrt(pi)) sqrt(2)/(sqrt(b)-1) must satisfy
     a < 2, and the norm-side bound bb = c C(b) must satisfy
     bb < a + 4/a.  Since x + 4/x decreases below 2, the true oscillation
-    exponents then satisfy the same inequalities.  With
+    exponents then satisfy the same inequalities.  A simple trace is
+    welded at 12 times evenly spaced in [0.05 T, 0.9 T].  With
     ``compute_ratio_bound`` the welding ratio is checked against
     M0 = (C1 + 2)/C2.  C1 is at least the largest square-root increment
     on the capture bracket's grid, and the bracket checks the upper barrier
@@ -217,7 +217,7 @@ def quasislit_pipeline(
     m0 = None
     contained = None
     if simp.simple:
-        s_grid = np.linspace(0.05 * T, 0.9 * T, n_weld)
+        s_grid = np.linspace(0.05 * T, 0.9 * T, 12)
         table = welding(spec, T, s_grid, dt=dt, check_simple=False)
         if compute_ratio_bound:
             C1 = capture_bracket(spec, T, b_bound * 1.001, dt=dt).ratio_max

@@ -1,14 +1,15 @@
 """Acceptance suite: one test per quantitative criterion.
 
-Each test prints its pass/fail line (visible with ``pytest -s`` or via
-``loewner verify``) and asserts the criterion at its stated tolerance.  The
+Each test runs its criterion through ``run_one``, prints the pass/fail line
+that ``loewner verify`` prints, and asserts the criterion at its stated
+tolerance.  The
 detail strings are frozen: a change that moves a printed value, even one at
 roundoff level, must update them on purpose.
 """
 
 import pytest
 
-from loewner.acceptance import CRITERIA
+from loewner.acceptance import CRITERIA, run_one
 
 DETAILS = {
     1: "max |g - sqrt(z^2+4t)| = 6.48e-10 over 960 points (tol 1e-7)",
@@ -34,9 +35,9 @@ DETAILS = {
     "number,name,fn", CRITERIA, ids=[f"{n:02d}-{name}" for n, name, _ in CRITERIA]
 )
 def test_criterion(number, name, fn, capsys):
-    res = fn()
-    line = f"[{'PASS' if res.passed else 'FAIL'}] {res.number:2d} {name}: {res.detail} ({res.seconds:.1f}s)"
+    res = run_one(number)
     with capsys.disabled():
-        print(line)
-    assert res.passed, line
+        print(res.line())
+    assert (res.number, res.name) == (number, name)
+    assert res.passed, res.line()
     assert res.detail == DETAILS[number]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loewner
-from loewner import spec_from_json, weierstrass
+from loewner import acceptance, spec_from_json, weierstrass
 from loewner.cli import main
 from loewner.hull import trace, welding
 from loewner.imaginary import classify_sqrt_gap
@@ -292,6 +292,25 @@ class TestStrictness:
         assert run(["welding", "--driving", ZERO, "--dt", "1e-2", "--n", n,
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "welding.meta.json").exists()
+
+    def test_welding_of_rounding_noise_exits_1(self, tmp_path, capsys):
+        # the steep falls of this driving bring the 12 left prime ends within
+        # 60 ulps of each other, so the three-point statistic would read noise
+        fall = json.dumps({"family": "sampled", "T": 1.0, "params": {
+            "times": [0, 0.1291, 0.3137, 0.7971, 0.8628, 1],
+            "values": [-0.7374, -0.6218, -3.2034, -7.7438, -8.2438, -11.1589]}})
+        assert run(["welding", "--driving", fall, "--dt", "5e-3", "--n", "12",
+                    "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: welding map is degenerate: the left prime ends span" in err
+        assert "Traceback" not in err and not (tmp_path / "welding.csv").exists()
+
+    @pytest.mark.parametrize("number", ["0", "13", "-1"])
+    def test_verify_unknown_criterion_exits_2(self, number, capsys):
+        assert run(["verify", "--only", number]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: no acceptance criterion {number}:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["--dt", "0"],
@@ -588,6 +607,24 @@ class TestSubcommands:
     def test_verify_single_criterion(self, capsys):
         assert run(["verify", "--only", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_verify_and_only_print_the_same_line(self, capsys, monkeypatch):
+        # both forms name a criterion by its slug; only the time may differ.
+        # The full run reads CRITERIA at call time, so two fast criteria
+        # stand in for the twelve
+        def untimed(line):
+            return line.rsplit(" (", 1)[0]
+
+        fast = [c for c in acceptance.CRITERIA if c[0] in (5, 10)]
+        monkeypatch.setattr(acceptance, "CRITERIA", fast)
+        assert run(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "2/2 acceptance criteria passed"
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "[PASS]  5 sharp-oscillation", "[PASS] 10 welding"]
+        for n, line in zip((5, 10), lines):
+            assert run(["verify", "--only", str(n)]) == 0
+            assert untimed(capsys.readouterr().out.strip()) == untimed(line)
 
     def test_con1_classification(self, tmp_path, capsys):
         assert run(["imag-eq", "con1", "--const", "1.5", "--y0", "0.5",

@@ -11,12 +11,17 @@ from loewner import (
     DrivingSpec,
     holder_half_norm,
     local_scaling_exponents,
-    shift,
     spec_from_config,
     spec_to_config,
 )
 from loewner.driving import _TIME_GRIDS
 from loewner.weierstrass import WeierstrassParams, norm_bound_check
+
+
+def shift(spec, r, normalize=None):
+    """The driving t -> lambda(t + r) on [0, T - r], as a composite spec."""
+    return DrivingSpec("composite", {"base": spec, "t_offset": r, "scale": 1.0}, spec.T - r,
+                       normalize=spec.normalize if normalize is None else normalize)
 
 
 def sqrt_spec(c, T=1.0):

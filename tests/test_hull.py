@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, hull, shift
+from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, hull
 from loewner.hull import (
     MAX_CELLS,
     SimplicityReport,
@@ -92,7 +92,8 @@ class TestCapacity:
         t1, t2 = 0.3, 0.4
         full, _ = capacity_estimate(spec, t1 + t2, 250.0)
         first, _ = capacity_estimate(spec, t1, 250.0)
-        rest, _ = capacity_estimate(shift(spec, t1), t2, 250.0)
+        shifted = DrivingSpec("composite", {"base": spec, "t_offset": t1, "scale": 1.0}, 1.0 - t1)
+        rest, _ = capacity_estimate(shifted, t2, 250.0)
         assert full == pytest.approx(first + rest, abs=5e-3)
 
 
@@ -552,7 +553,7 @@ class TestWelding:
 
     def test_degenerate_welding_map_raises_numerical_error(self):
         # the steep falls of this driving send all 12 left prime ends to one
-        # float, so every three-point denominator of the statistic is 0
+        # float: they span nothing, and every three-point denominator is 0
         fall = DrivingSpec("sampled", {
             "times": [0, 0.1291, 0.3137, 0.7971, 0.8628, 1],
             "values": [-0.7374, -0.6218, -3.2034, -7.7438, -8.2438, -11.1589]}, 1.0)
@@ -698,7 +699,7 @@ class TestContinuityDiagnostic:
 
 class TestEndpointExperiment:
     def test_steep_approach(self):
-        ee = endpoint_experiment(sqrt_spec(5.5), 1.0, dt=2e-3, halvings=2)
+        ee = endpoint_experiment(sqrt_spec(5.5), 1.0, dt=2e-3)
         assert ee.decreasing
         assert ee.band_ok and ee.band_min_observed >= ee.band_floor
         # criterion 12's figure: the frame runs keep steps in the s >= 5
@@ -713,7 +714,7 @@ class TestEndpointExperiment:
         # a sampled driving is piecewise linear below its grid step, so the
         # scaling ladder must stop above it
         scales = 0.25 * 2.0 ** -np.arange(0, 9)
-        ee = endpoint_experiment(spec, 1.0, dt=2e-3, halvings=2, scales=scales)
+        ee = endpoint_experiment(spec, 1.0, dt=2e-3, scales=scales)
         assert ee.a_hat >= 5.0 and ee.b_hat < ee.a_hat + 4.0 / ee.a_hat
         assert ee.decreasing
 

@@ -20,7 +20,7 @@ from loewner.imaginary import (
 )
 from loewner.imaginary import _FLOW_CONFIG, _log_field
 from loewner.ode import integrate
-from loewner.real_line import sharp_oscillation
+from loewner.sharp import SharpOscillation
 
 
 def const(v):
@@ -246,15 +246,22 @@ class TestClosedFormOracle:
                 assert (eta, cls.status, np.ptp(path.values)) == (eta, "vanishing", 0.0)
 
 
+def ramp_by_integration(c, eps, T):
+    """y(T) of dy/dt = 2y/(y^2 + c t), y(0) = eps, by the adaptive stepper:
+    the cross-check of the implicit solution ramp_ode_terminal solves."""
+    path = integrate(lambda t, u: 2.0 * u / (u * u + c * t), eps, (0.0, T))
+    return float(np.asarray(path.terminal_value))
+
+
 class TestRampTerminal:
     def test_zero_rate_closed_form(self):
-        r = ramp_ode_terminal(0.0, 0.3, 1.0)
-        assert r.y == pytest.approx(np.sqrt(4.09), abs=1e-8)
-        assert r.cross_check < 1e-7
+        y = ramp_ode_terminal(0.0, 0.3, 1.0)
+        assert type(y) is float
+        assert y == pytest.approx(np.sqrt(4.09), abs=1e-8)
+        assert abs(ramp_by_integration(0.0, 0.3, 1.0) - y) < 1e-7
 
     def test_monotone_limit_below_threshold(self):
-        ys = [ramp_ode_terminal(2.0, e, 1.0, cross_validate=False).y
-              for e in (1e-2, 1e-4, 1e-6)]
+        ys = [ramp_ode_terminal(2.0, e, 1.0) for e in (1e-2, 1e-4, 1e-6)]
         errs = [abs(y - np.sqrt(2.0)) for y in ys]
         assert ys[0] > ys[1] > ys[2] > np.sqrt(2.0)
         assert errs[0] > errs[1] > errs[2]
@@ -265,8 +272,8 @@ class TestRampTerminal:
         for _ in range(80):
             y = np.sqrt(2.0 / (10.0 + np.log(y)))
         r = ramp_ode_terminal(4.0, np.exp(-10.0), 1.0)
-        assert r.y == pytest.approx(y, abs=1e-10)
-        assert r.cross_check < 1e-5
+        assert r == pytest.approx(y, abs=1e-10)
+        assert abs(ramp_by_integration(4.0, np.exp(-10.0), 1.0) - r) < 1e-5
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -337,7 +344,7 @@ class TestGapDuality:
         assert d.max_deviation < 1e-10
 
     def test_sharp_pair(self):
-        osc, _, _, _, _ = sharp_oscillation(1.5, k_max=40)
+        osc = SharpOscillation(1.5, k_max=40)
         d = gap_duality_check(osc.xi, osc.x, np.linspace(0.0, 30.0, 16),
                               domain_end=osc.horizon)
         assert d.max_deviation < 1e-4

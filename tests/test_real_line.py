@@ -21,7 +21,6 @@ from loewner.real_line import (
     profile_from_density,
     reconstruct_captured_pair,
     scaling_bound_diagnostic,
-    sharp_oscillation,
     solve_frame_equation,
     solve_real_loewner,
     speed_condition_report,
@@ -608,14 +607,17 @@ class TestScalingBoundDiagnostic:
 
 class TestSharpOscillation:
     def test_low_branch_bands(self):
-        _, rep, _, xs, xis = sharp_oscillation(1.5, k_max=40)
+        osc = SharpOscillation(1.5, k_max=40)
+        rep = osc.band_report()
+        s = np.linspace(0.0, osc.horizon * (1 - 1e-9), 20000)
+        xs, xis = osc.x(s), osc.xi(s)
         assert 1.45 <= rep["running_min"] <= 1.55
         assert 4.0 <= rep["running_max"] <= 4.35
         assert np.all(xs > 0)  # captured solutions stay positive
         assert np.all(xis - xs > 0)
 
     def test_high_branch_reaches_four(self):
-        _, rep, _, _, _ = sharp_oscillation(3.0, k_max=40)
+        rep = SharpOscillation(3.0, k_max=40).band_report()
         assert 3.9 <= rep["running_max"] <= 4.1
 
     @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
@@ -630,7 +632,7 @@ class TestSharpOscillation:
             knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
             [0.0, osc.horizon, 2.0 * osc.horizon],
         ])
-        for f in (osc.x, osc.xi, osc.eta):
+        for f in (osc.x, osc.xi):
             lane = [f(float(s)) for s in ss]
             assert all(type(v) is float for v in lane)
             assert np.array_equal(lane, [f(np.array([s]))[0] for s in ss])
@@ -640,14 +642,14 @@ class TestSharpOscillation:
         # at a = 2 the two bound formulas coincide: a + 4/a = 4 = max(4, a+4/a)
         a = 2.0
         assert a + 4.0 / a == 4.0 == max(4.0, a + 4.0 / a)
-        _, rep, _, _, _ = sharp_oscillation(2.0, k_max=20)
+        rep = SharpOscillation(2.0, k_max=20).band_report()
         assert rep["branch"] == 1
 
     def test_amplitude_domain(self):
         with pytest.raises(DomainError):
-            sharp_oscillation(4.0)
+            SharpOscillation(4.0)
         with pytest.raises(DomainError):
-            sharp_oscillation(0.0)
+            SharpOscillation(0.0)
 
 
 class TestSpeedCondition:

@@ -124,9 +124,9 @@ class TestPipeline:
             quasislit_pipeline(WeierstrassParams(b=b, N=4, c=c_star * 1.01))
 
     def test_small_amplitude_verdict(self):
-        v = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.05), dt=2e-3, n_weld=8)
+        v = quasislit_pipeline(WeierstrassParams(b=100.0, N=4, c=0.05), dt=2e-3)
         assert v.simple
-        assert v.welding_table is not None
+        assert v.welding_table is not None and v.welding_table.s_grid.size == 12
         r1 = v.welding_table.ratio1_range
         assert 0.5 < r1[0] <= r1[1] < 2.0
 
@@ -150,8 +150,7 @@ class TestPipeline:
 
     def test_welding_ratio_within_barrier_bound(self):
         v = quasislit_pipeline(
-            WeierstrassParams(b=16.0, N=4, c=0.1), dt=2e-3, n_weld=8,
-            compute_ratio_bound=True,
+            WeierstrassParams(b=16.0, N=4, c=0.1), dt=2e-3, compute_ratio_bound=True,
         )
         assert v.ratio_bound is not None and v.ratio_bound > 1.0
         assert v.ratio1_contained
