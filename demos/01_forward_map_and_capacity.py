@@ -12,20 +12,22 @@ from far-field probes.
 import numpy as np
 
 from loewner import DrivingSpec
-from loewner.hull import capacity_estimate, forward_map, forward_map_grid
+from loewner.hull import capacity_estimate, forward_map_grid
+from loewner.imaginary import solve_planar
 
 zero = DrivingSpec("constant", {"value": 0.0}, 2.0)
 
 print("-- closed-form checks, lambda = 0 --")
 for z, t in [(1.0, 1.0), (3j, 1.0), (1 + 1j, 0.5)]:
-    got = forward_map(zero, t, z).value
+    path, _ = solve_planar(zero, z, t)
+    got = complex(*path.values[-1])
     ref = np.sqrt(complex(z) ** 2 + 4 * t)
     ref = ref if ref.imag >= 0 else -ref
     print(f"  g_{t}({z}) = {got:.12f}   |err| = {abs(got - ref):.2e}")
 
 print("\n-- capture of a point on the growing slit --")
-res = forward_map(zero, 1.0, 2j)
-print(f"  z = 2i is swallowed at t = {res.event.time:.9f} (exact: 1)")
+_, ev = solve_planar(zero, 2j, 1.0)
+print(f"  z = 2i is swallowed at t = {ev.time:.9f} (exact: 1)")
 
 print("\n-- batch evaluation (one vectorised integration) --")
 zs = np.array([0.5 + 0.2j, -1 + 1j, 2 + 3j])

@@ -14,11 +14,10 @@ import numpy as np
 
 from loewner.imaginary import (
     classify_sqrt_gap,
-    dual_vanishing_probe,
     growth_floor,
     ramp_ode_terminal,
+    solve_frame_difference,
     solve_frame_imaginary,
-    vanishing_spread,
 )
 
 print("-- transition sweep --")
@@ -44,12 +43,24 @@ for v in (np.sqrt(2.0), 2.0, 2.0 * np.sqrt(2.0)):
     print(f"  eta = {v:.3f}: L(5) = {g.value:+.6f}")
 
 print("\n-- all vanishing solutions collapse together (except the largest) --")
-rep = vanishing_spread(eta(np.sqrt(2.0)), [0.5, 1.0, np.sqrt(2.0)])
-for row in rep.rows:
-    print(f"  y0 = {row.y0:.4f}: {row.status}, terminal {row.terminal_value:.3e}")
-print(f"  largest pairwise gap among the small ones: {rep.max_small_gap:.2e}")
+terminals = []
+for y0 in (0.5, 1.0, np.sqrt(2.0)):
+    path, cls = solve_frame_imaginary(eta(np.sqrt(2.0)), y0)
+    print(f"  y0 = {y0:.4f}: {cls.status}, terminal {path.terminal_value:.3e}")
+    if cls.status == "vanishing":
+        terminals.append(path.terminal_value)
+small = terminals[:-1]
+print(f"  largest pairwise gap among the small ones: {max(small) - min(small):.2e}")
 
 print("\n-- duality probe: difference-flow vanishing forces height vanishing --")
-pr = dual_vanishing_probe(eta(1.0))
-print(f"  eta = 1: dual vanishing from w0 = {pr.dual_vanishing_w0}, "
-      f"height flow from the same start: {pr.height_status}")
+# eta = 1 is the gap's lower bound: probe starts below it, keep the first
+# difference-flow solution that vanishes and stays below the bound
+for w0 in (0.9, 0.5, 0.25):
+    path, cls = solve_frame_difference(eta(1.0), w0)
+    if cls.status == "vanishing" and path.values.max() < 1.0:
+        break
+else:
+    raise SystemExit("no difference-flow start vanished below the bound")
+_, cls = solve_frame_imaginary(eta(1.0), w0)
+print(f"  eta = 1: dual vanishing from w0 = {w0}, "
+      f"height flow from the same start: {cls.status}")

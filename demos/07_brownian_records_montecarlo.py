@@ -12,11 +12,9 @@ desk-scale sampling only illustrates the trend.
 
 import numpy as np
 
-from loewner import DrivingSpec
-from loewner.real_line import speed_condition_report
+from loewner import DrivingSpec, local_scaling_exponents
 
 kappa = 6.0
-h = lambda d: np.log(1.0 / d)
 rows = []
 for seed in range(12):
     spec = DrivingSpec("brownian", {"kappa": kappa}, 1.0, normalize=True, seed=seed)
@@ -26,8 +24,11 @@ for seed in range(12):
     T_star = float(t[np.argmax(spec(t))])
     if T_star < 0.05:
         continue
-    rep = speed_condition_report(spec, T_star, h)
-    rows.append((seed, T_star, rep.liminf_side, rep.limsup_side))
+    rep = local_scaling_exponents(spec, T_star)
+    d, R = rep.scales_used, rep.signed_quotients
+    hv = np.array([np.log(1.0 / x) for x in d])  # h point by point, on the ladder
+    tail = slice(d.size // 2, None)  # the finer half of the ladder
+    rows.append((seed, T_star, np.min((R * hv)[tail]), np.max((R / hv)[tail])))
 
 print(f"kappa = {kappa}, {len(rows)} usable record times")
 print(f"{'seed':>4} {'T*':>8} {'min R*h':>12} {'max R/h':>12}")

@@ -213,13 +213,12 @@ def criterion_growth_floor() -> tuple[bool, str]:
 
 def criterion_gap_duality() -> tuple[bool, str]:
     tg = np.linspace(0.0, 8.0, 9)
-    d1 = gap_duality_check(lambda s: 5.0 + 0.0 * np.asarray(s),
-                           lambda s: 4.0 + 0.0 * np.asarray(s), tg)
-    d2 = gap_duality_check(lambda s: 4.0 + 0.0 * np.asarray(s),
-                           lambda s: 2.0 + 0.0 * np.asarray(s), tg)
+    # the constant pairs (xi, x_hat) = (5, 4) and (4, 2) have the gaps 1 and 2
+    d1 = gap_duality_check(lambda s: 5.0 + 0.0 * np.asarray(s), lambda s: 1.0, tg)
+    d2 = gap_duality_check(lambda s: 4.0 + 0.0 * np.asarray(s), lambda s: 2.0, tg)
     osc = SharpOscillation(1.5)
     tg3 = np.linspace(0.0, 40.0, 21)
-    d3 = gap_duality_check(osc.xi, osc.x, tg3, domain_end=osc.horizon)
+    d3 = gap_duality_check(osc.xi, osc.gap, tg3, domain_end=osc.horizon)
     ok = d1.max_deviation <= 1e-10 and d2.max_deviation <= 1e-10 and d3.max_deviation <= 1e-4
     return ok, (
         f"constant pairs {max(d1.max_deviation, d2.max_deviation):.1e} (tol 1e-10); "

@@ -63,6 +63,8 @@ _NON_SCALAR_KEYS = {"times", "values", "branch", "base"}
 _NEGATABLE = ("constant", "linear", "sqrt_approach")
 
 DEFAULT_BROWNIAN_STEP_FRACTION = 2.0**-16
+# at most ceil(T/grid_step) = 2^23 Brownian steps: 64 MB of path values
+MAX_BROWNIAN_STEPS = 2**23
 
 # (step, n) -> the read-only time grid of the Brownian specs that hold it
 _TIME_GRIDS = weakref.WeakValueDictionary()
@@ -132,9 +134,16 @@ class DrivingSpec:
             if self.seed is None:
                 raise ConfigError("brownian family requires a seed")
             kappa = float(p.get("kappa", 1.0))
-            if kappa < 0:
-                raise DomainError("kappa must be nonnegative")
+            if not 0.0 <= kappa < np.inf:  # NaN fails too
+                raise DomainError(f"kappa must be a nonnegative finite number, got {kappa!r}")
             step = float(p.get("grid_step", DEFAULT_BROWNIAN_STEP_FRACTION * self.T))
+            if not 0.0 < step < np.inf:
+                raise DomainError(f"grid_step must be a positive finite number, got {step!r}")
+            if step < self.T / MAX_BROWNIAN_STEPS:  # too many steps, found without forming T/step
+                raise DomainError(
+                    f"T = {self.T!r} and grid_step = {step!r} give more Brownian steps "
+                    f"than MAX_BROWNIAN_STEPS = {MAX_BROWNIAN_STEPS}"
+                )
             n = int(np.ceil(self.T / step)) + 1
             # the path is v[0] = 0 and the partial sums of the scaled increments
             v = np.empty(n)

@@ -50,12 +50,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .driving import DrivingSpec, local_scaling_exponents
 from .errors import DomainError, NumericalError, PreconditionError
-from .imaginary import solve_planar
 from .ode import SINGULARITY_FLOOR, integrate
 from .real_line import FrameDriving, solve_frame_equation
 
 __all__ = [
-    "forward_map",
     "forward_map_grid",
     "capacity_estimate",
     "TraceCurve",
@@ -75,25 +73,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ForwardResult:
-    value: Optional[complex]
-    event: Optional[object]  # capture Event when the point was swallowed
-
-
-def forward_map(
-    spec: DrivingSpec,
-    t: float,
-    z: complex,
-) -> ForwardResult:
-    """g_t(z) for one point, with guarded capture detection."""
-    path, ev = solve_planar(spec, z, t)
-    if ev is not None and ev.kind in ("capture", "blow_up"):
-        return ForwardResult(None, ev)
-    X, Y = path.values[-1]
-    return ForwardResult(complex(X, Y), None)
-
-
 def forward_map_grid(
     spec: DrivingSpec,
     t_checkpoints: Sequence[float],
@@ -102,8 +81,9 @@ def forward_map_grid(
     """g_t(z) on a grid of times and points, one vectorised integration.
 
     All points must stay away from the hull over the whole time range
-    (use :func:`forward_map` for potentially captured points); a collapsing
-    gap raises rather than returning poisoned values.  Every checkpoint
+    (:func:`loewner.imaginary.solve_planar` follows one point that may be
+    captured and reports its capture time); a collapsing gap raises rather
+    than returning poisoned values.  Every checkpoint
     must be a finite time in [0, spec.T]; the rows at t = 0 are ``zs``.
     """
     ts = np.asarray(t_checkpoints, dtype=float)

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .driving import DrivingSpec
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError
 from .ode import SINGULARITY_FLOOR, Event, IntegratorConfig, SolutionPath, integrate_until
 from .quadrature import bisect_root, quad
 
@@ -58,8 +58,6 @@ __all__ = [
     "driving_from_gap",
     "gap_duality_check",
     "classify_sqrt_gap",
-    "vanishing_spread",
-    "dual_vanishing_probe",
 ]
 
 THRESHOLD_MARGIN = 1e-6     # strictness above the level-2 certificate
@@ -500,104 +498,14 @@ class DualityReport:
 
 def gap_duality_check(
     xi: Callable,
-    x_hat: Callable,
+    eta: Callable,
     t_grid,
     domain_end: Optional[float] = None,
 ) -> DualityReport:
-    """Verify xi == H(xi - x_hat) for a captured solution x_hat of xi."""
-
-    def eta(s):
-        return np.asarray(xi(s), dtype=float) - np.asarray(x_hat(s), dtype=float)
-
+    """Verify xi == H(eta) for the gap eta = xi - x_hat of a captured solution x_hat of xi."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     rec = driving_from_gap(eta, t_grid, domain_end=domain_end)
     target = np.asarray(xi(t_grid), dtype=float)
     dev = np.abs(rec - target)
     k = int(np.argmax(dev))
     return DualityReport(float(dev[k]), float(t_grid[k]), t_grid, rec, target)
-
-
-# ---------------------------------------------------------------------------
-# multi-solution diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpreadRow:
-    y0: float
-    status: str
-    terminal_value: float
-    certificate: str
-
-
-@dataclass
-class SpreadReport:
-    rows: list[SpreadRow]
-    pairwise_gaps: np.ndarray        # |terminal_i - terminal_j| over vanishing rows
-    max_small_gap: Optional[float]   # worst gap excluding the largest initial value
-    small_terminal_max: Optional[float]
-
-
-def vanishing_spread(
-    eta: Callable,
-    y0s: Sequence[float],
-) -> SpreadReport:
-    """Run the height flow from several initial values to ``FRAME_HORIZON_S``.
-
-    Among the vanishing solutions, all but at most the largest collapse
-    together: pairwise terminal differences excluding the largest initial
-    value are reported (they should sit at roundoff).
-    """
-    y0s = sorted(float(v) for v in y0s)
-    if len(y0s) < 2:
-        raise DomainError("need at least two initial values")
-    rows = []
-    terminals = {}
-    for y0 in y0s:
-        path, cls = solve_frame_imaginary(eta, y0)
-        term = float(np.asarray(path.terminal_value))
-        rows.append(SpreadRow(y0, cls.status, term, cls.certificate))
-        if cls.status == "vanishing":
-            terminals[y0] = term
-    van = np.array([terminals[y] for y in sorted(terminals)])
-    gaps = np.abs(np.subtract.outer(van, van))
-    if van.size >= 2:
-        small = van[:-1]
-        max_small = float(np.max(np.abs(np.subtract.outer(small, small)))) if small.size > 1 else 0.0
-        small_term = float(np.max(np.abs(small)))
-    else:
-        max_small = None
-        small_term = None
-    return SpreadReport(rows, gaps, max_small, small_term)
-
-
-@dataclass
-class DualProbeReport:
-    lower_bound: float
-    w0_tried: list
-    dual_vanishing_w0: Optional[float]
-    height_status: Optional[str]
-    consistent: Optional[bool]
-
-
-def dual_vanishing_probe(eta: Callable) -> DualProbeReport:
-    """Probe the duality: a difference-flow vanishing solution staying below
-    the gap's lower bound forces the height flow to vanish from the same
-    start (otherwise the gap's infimum must be zero)."""
-    samples = np.asarray(eta(np.linspace(0.0, FRAME_HORIZON_S, 2001)), dtype=float)
-    c = float(np.min(samples))
-    if c <= 0:
-        raise PreconditionError("gap driving must have a positive lower bound")
-    tried = []
-    for frac in (0.9, 0.5, 0.25):
-        w0 = frac * c
-        tried.append(w0)
-        path, cls = solve_frame_difference(eta, w0)
-        if cls.status != "vanishing":
-            continue
-        if float(np.max(np.asarray(path.values, dtype=float))) >= c:
-            continue
-        _, h_cls = solve_frame_imaginary(eta, w0)
-        return DualProbeReport(c, tried, w0, h_cls.status, h_cls.status == "vanishing")
-    return DualProbeReport(c, tried, None, None, None)
-

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .driving import DrivingSpec, local_scaling_exponents
+from .driving import DrivingSpec
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .ode import SINGULARITY_FLOOR, IntegratorConfig, SolutionPath, _bisect_event, _Stepper, integrate_until
 from .quadrature import _gauss_panel, cumulative_simpson, quad
@@ -43,8 +43,6 @@ __all__ = [
     "reconstruct_captured_pair",
     "no_capture_certificate",
     "capture_scan",
-    "scaling_bound_diagnostic",
-    "speed_condition_report",
 ]
 
 # transformed-time horizon at which a bounded positive frame solution is
@@ -64,8 +62,6 @@ SCAN_HORIZON_S = 60.0
 # density quadratures run on [0, DENSITY_S_MAX]; an exponential fitted on
 # the last decade models the tail beyond it
 DENSITY_S_MAX = 45.0
-# slack of the finite-ladder estimates a_hat, b_hat against the oscillation bound
-SCALING_MARGIN = 0.25
 # smallest capture_scan refine_tol: the refinement horizon 4/refine_tol is
 # then 4e12, far past where a run parks at its fixed point or exits, and a
 # finer bisection would resolve endpoints of order one below double precision
@@ -828,109 +824,3 @@ def capture_scan(
         scan.nprobes += m.nprobes
         scan.nfev += m.nfev
     return scan
-
-
-# ---------------------------------------------------------------------------
-# oscillation-band diagnostic for captured drivings
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScalingBoundReport:
-    applicable: bool
-    same_sign: Optional[bool]
-    a_hat: Optional[float]
-    b_hat: Optional[float]
-    bound_value: Optional[float]
-    bound_holds: Optional[bool]
-    attainable_bound_value: Optional[float]
-    attainable_bound_holds: Optional[bool]
-    margin: float
-    note: str = ""
-
-
-def scaling_bound_diagnostic(
-    spec: DrivingSpec,
-    T: float,
-    scan: Optional[ScanResult] = None,
-) -> ScalingBoundReport:
-    """Check the oscillation bound forced on drivings captured at T.
-
-    With a = liminf and b = limsup of |lambda(T)-lambda(t)|/sqrt(T-t), a
-    captured driving must oscillate: when |a| < 4, |b| >= max(4, |a|+4/|a|)
-    is asserted (within ``SCALING_MARGIN``, on the default scale ladder).
-    The sharp attainable bound, which drops to 4 for 2 < |a| < 4, is
-    reported alongside; the piecewise construction of
-    :class:`loewner.sharp.SharpOscillation` attains it, so violations of the
-    primary bound in that regime indicate sharpness rather than error.
-    """
-    if scan is None:
-        scan = capture_scan(spec, T, refine=False, mirrored=True)
-    has_members = scan.interval is not None or scan.mirrored_interval is not None
-    if not has_members:
-        return ScalingBoundReport(
-            applicable=False, same_sign=None, a_hat=None, b_hat=None,
-            bound_value=None, bound_holds=None, attainable_bound_value=None,
-            attainable_bound_holds=None, margin=SCALING_MARGIN,
-            note="no capture at T: diagnostic vacuous",
-        )
-    rep = local_scaling_exponents(spec, T)
-    q = rep.signed_quotients
-    same_sign = bool(np.min(q) >= -1e-9 or np.max(q) <= 1e-9)
-    a, b = rep.a_hat, rep.b_hat
-    if a < 4.0 - SCALING_MARGIN:
-        bound = max(4.0, a + 4.0 / a) if a > 0 else np.inf
-        attain = (a + 4.0 / a) if a <= 2.0 else 4.0
-        return ScalingBoundReport(
-            applicable=True, same_sign=same_sign, a_hat=a, b_hat=b,
-            bound_value=bound, bound_holds=bool(b >= bound - SCALING_MARGIN),
-            attainable_bound_value=attain,
-            attainable_bound_holds=bool(b >= attain - SCALING_MARGIN),
-            margin=SCALING_MARGIN,
-        )
-    return ScalingBoundReport(
-        applicable=True, same_sign=same_sign, a_hat=a, b_hat=b,
-        bound_value=None, bound_holds=None,
-        attainable_bound_value=None, attainable_bound_holds=None,
-        margin=SCALING_MARGIN, note="|a_hat| >= 4: bound vacuous",
-    )
-
-
-# ---------------------------------------------------------------------------
-# slow-approach report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpeedConditionReport:
-    liminf_side: float
-    limsup_side: float
-    products: np.ndarray
-    quotients_over_h: np.ndarray
-    scales: np.ndarray
-    h_diverges: bool
-
-
-def speed_condition_report(spec: DrivingSpec, T: float, h: Callable, scales=None) -> SpeedConditionReport:
-    """Finite-scale estimates of the rate-weighted scaling quotients at T.
-
-    Reports min over the finest scales of R(d) * h(d) and max of R(d)/h(d)
-    where R(d) = (lambda(T) - lambda(T-d)) / sqrt(d), the signed quotients
-    of :func:`local_scaling_exponents` on the same ladder.  No inequality
-    between the two sides is asserted; both estimates are diagnostic.
-    """
-    rep = local_scaling_exponents(spec, T, scales)
-    d, R = rep.scales_used, rep.signed_quotients
-    hv = np.asarray([float(h(x)) for x in d])
-    if np.any(hv <= 0):
-        raise PreconditionError("rate function must be positive on the ladder")
-    h_diverges = bool(hv[-1] > hv[0])  # ladder decreases toward 0
-    tail = slice(d.size // 2, None)
-    return SpeedConditionReport(
-        liminf_side=float(np.min((R * hv)[tail])),
-        limsup_side=float(np.max((R / hv)[tail])),
-        products=R * hv,
-        quotients_over_h=R / hv,
-        scales=d,
-        h_diverges=h_diverges,
-    )

@@ -177,6 +177,12 @@ class SharpOscillation:
         val = x + 4.0 / (x - dx)
         return val if getattr(val, "shape", ()) else float(val)
 
+    def gap(self, s):
+        """The gap xi - x = 4/(x - dx/ds), from one evaluation; clamped like xi."""
+        x, dx = self._eval(s, clamp=True)
+        val = 4.0 / (x - dx)
+        return val if getattr(val, "shape", ()) else float(val)
+
     # -- distinguished sampling points ------------------------------------
 
     def midpoint_times(self) -> np.ndarray:

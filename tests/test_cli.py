@@ -280,6 +280,40 @@ class TestStrictness:
                     "--out", str(tmp_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"family": "sampled", "params": {"times": [0, 0.5, 0.5, 1], "values": [0, 1, 2, 3]},
+          "T": 1}, "sampled times must be strictly increasing"),
+        ({"family": "sampled", "params": {"times": [0, 0.5], "values": [0, 1]}, "T": 1},
+         "sampled grid must cover [0, T]"),
+        ({"family": "sampled", "params": {"times": [0, 1], "values": [0, 1, 2]}, "T": 1},
+         "sampled family needs matching 1-d times/values"),
+        ({"family": "composite", "params": {"base": json.loads(ZERO), "t_offset": 2}, "T": 1},
+         "composite t_offset 2.0 outside [0, base.T)"),
+        ({"family": "composite", "params": {"base": 5}, "T": 1},
+         "composite base must be a DrivingSpec or config"),
+        ({"family": "weierstrass_partial", "params": {"c": 0.1, "b": 0.5, "N": 2}, "T": 1},
+         "weierstrass frequency ratio b must exceed 1"),
+        ([1], "driving config must be a JSON object"),
+        ({"family": "constant", "params": [1], "T": 1}, "params must be a JSON object"),
+        ({"family": "brownian", "params": {}, "T": 1}, "brownian family requires a seed"),
+        *[({"family": "brownian", "params": {"kappa": k}, "T": 1, "seed": 1},
+           f"kappa must be a nonnegative finite number, got {k!r}")
+          for k in (-1.0, float("nan"), float("inf"))],
+        *[({"family": "brownian", "params": {"grid_step": g}, "T": 1, "seed": 1},
+           f"grid_step must be a positive finite number, got {g!r}")
+          for g in (0.0, -0.001, float("nan"), float("inf"))],
+        ({"family": "brownian", "params": {"grid_step": 1e-300}, "T": 1, "seed": 1},
+         "than MAX_BROWNIAN_STEPS = 8388608"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_driving_config_error_exits_2_with_its_message(self, cfg, message, tmp_path,
+                                                           capsys):
+        assert run(["trace", "--driving", json.dumps(cfg), "--dt", "1e-2",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["--T", "0", "--C", "1"],
         ["--C", "-1"],

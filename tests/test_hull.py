@@ -14,7 +14,6 @@ from loewner.hull import (
     capture_bracket,
     continuity_diagnostic,
     endpoint_experiment,
-    forward_map,
     forward_map_grid,
     simplicity_diagnostic,
     trace,
@@ -32,23 +31,6 @@ def sqrt_spec(c, T=1.0):
 
 
 class TestForwardMap:
-    def test_real_point(self):
-        r = forward_map(ZERO, 1.0, 1.0)
-        assert r.value == pytest.approx(np.sqrt(5.0), abs=1e-8)
-
-    def test_capture_exactly_at_horizon(self):
-        r = forward_map(ZERO, 1.0, 2j)
-        assert r.event is not None and r.event.kind == "capture"
-        assert r.event.time == pytest.approx(1.0, abs=1e-6)
-
-    def test_point_above_slit_tip(self):
-        r = forward_map(ZERO, 1.0, 3j)
-        assert r.value == pytest.approx(1j * np.sqrt(5.0), abs=1e-8)
-
-    def test_near_slit_point_not_captured(self):
-        r = forward_map(ZERO, 1.0, 1.0 + 1e-4j)
-        assert r.event is None and abs(r.value) > 2.0
-
     def test_grid_matches_closed_form(self):
         zs = np.array([1 + 0.5j, -2 + 1j, 0.3 + 2j, 5 + 0.1j])
         g = forward_map_grid(ZERO, [0.25, 1.0], zs)
@@ -670,6 +652,17 @@ class TestContinuityDiagnostic:
         # levels differ on the scale of the ladder gaps
         gaps = -np.diff(rep.y_ladder)
         assert np.all(rep.sup_distances <= 2.0 * np.sqrt(gaps) + 1e-6)
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 3e-3])
+    def test_trivial_driving_levels_are_exact(self, dt):
+        # under lambda = 0 the maps compose in closed form: cell n seeded at
+        # height y ends at i sqrt(y^2 + 4 t_n), t_n the right edge of cell n
+        ladder = np.array([0.1 / 4**k for k in range(5)])
+        rep = continuity_diagnostic(ZERO, 1.0, ladder, dt=dt)
+        t_n = _cells(ZERO, 1.0, dt)[0][1:]
+        exact = np.sqrt(ladder[:, None] ** 2 + 4.0 * t_n)
+        assert np.all(rep.values.real == 0.0)
+        assert np.max(np.abs(rep.values.imag - exact) / exact) < 1e-13
 
     def test_steep_approach_cauchy(self):
         ladder = [0.1 / 4**k for k in range(5)]

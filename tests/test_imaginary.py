@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError
+from loewner import DomainError, DrivingSpec, NumericalError
 from loewner.imaginary import (
     classify_sqrt_gap,
     driving_from_gap,
-    dual_vanishing_probe,
     gap_duality_check,
     growth_floor,
     ramp_ode_terminal,
@@ -16,7 +15,6 @@ from loewner.imaginary import (
     solve_frame_imaginary,
     solve_imaginary,
     solve_planar,
-    vanishing_spread,
 )
 from loewner.imaginary import _FLOW_CONFIG, _log_field
 from loewner.ode import integrate
@@ -36,21 +34,25 @@ ZERO = DrivingSpec("constant", {"value": 0.0}, 2.0)
 
 class TestPlanar:
     def test_vertical_capture_times(self):
-        # points i y are captured when y^2 = 4t
-        for y0, t_cap in ((1.0, 0.25), (2.0, 1.0)):
-            _, ev = solve_planar(ZERO, 1j * y0, 2.0)
+        # points i y are captured when y^2 = 4t; the last one exactly at the
+        # horizon, where the final singular step is promoted to a capture
+        for y0, t_cap, horizon in ((1.0, 0.25, 2.0), (2.0, 1.0, 2.0), (2.0, 1.0, 1.0)):
+            _, ev = solve_planar(ZERO, 1j * y0, horizon)
             assert ev.kind == "capture"
             assert ev.time == pytest.approx(t_cap, abs=1e-8)
 
     def test_closed_form_point(self):
-        path, ev = solve_planar(ZERO, 1 + 1j, 0.5)
-        assert ev.kind == "horizon"
-        X, Y = path.values[-1]
-        ref = np.sqrt((1 + 1j) ** 2 + 4 * 0.5)
-        assert complex(X, Y) == pytest.approx(ref, abs=1e-10)
-        # conserved quantities of the closed form: X^2 - Y^2 - 4t, XY
-        assert X * X - Y * Y - 2.0 == pytest.approx(0.0, abs=1e-10)
-        assert X * Y == pytest.approx(1.0, abs=1e-10)
+        # g_t(z) = sqrt(z^2 + 4t): a real point, a point above the slit tip
+        # 2i, and one passing 1e-4 from the slit all stay uncaptured
+        for z0, t in ((1 + 1j, 0.5), (1.0, 1.0), (3j, 1.0), (1 + 1e-4j, 1.0)):
+            path, ev = solve_planar(ZERO, z0, t)
+            assert ev.kind == "horizon"
+            X, Y = path.values[-1]
+            sq = complex(z0) ** 2
+            assert complex(X, Y) == pytest.approx(np.sqrt(sq + 4 * t), abs=1e-10)
+            # conserved quantities of the closed form: X^2 - Y^2 - 4t, 2XY
+            assert X * X - Y * Y - 4 * t == pytest.approx(sq.real, abs=1e-10)
+            assert 2 * X * Y == pytest.approx(sq.imag, abs=1e-10)
 
     def test_height_strictly_decreasing(self):
         path, _ = solve_planar(ZERO, 0.5 + 2j, 1.0)
@@ -338,14 +340,14 @@ class TestGapDuality:
 
     def test_constant_pairs(self):
         tg = np.linspace(0.0, 6.0, 7)
-        d = gap_duality_check(const(5.0), const(4.0), tg)
+        d = gap_duality_check(const(5.0), const(1.0), tg)
         assert d.max_deviation < 1e-10
         d = gap_duality_check(const(4.0), const(2.0), tg)
         assert d.max_deviation < 1e-10
 
     def test_sharp_pair(self):
         osc = SharpOscillation(1.5, k_max=40)
-        d = gap_duality_check(osc.xi, osc.x, np.linspace(0.0, 30.0, 16),
+        d = gap_duality_check(osc.xi, osc.gap, np.linspace(0.0, 30.0, 16),
                               domain_end=osc.horizon)
         assert d.max_deviation < 1e-4
 
@@ -360,31 +362,42 @@ class TestGapDuality:
 
 
 class TestSpreadAndProbe:
+    """Several height-flow starts under one gap, and the difference flow's duality."""
+
+    @staticmethod
+    def runs(eta, y0s):
+        return [solve_frame_imaginary(eta, y0) for y0 in y0s]
+
     def test_spread_stationary_plus_decaying(self):
-        rep = vanishing_spread(const(np.sqrt(2.0)), [0.5, 1.0, np.sqrt(2.0)])
-        assert all(r.status == "vanishing" for r in rep.rows)
-        assert rep.max_small_gap < 1e-6
-        assert rep.small_terminal_max < 1e-6
-        assert rep.rows[-1].terminal_value == pytest.approx(np.sqrt(2.0), abs=1e-6)
+        # eta = sqrt 2 makes sqrt 2 a fixed point; the smaller starts collapse together
+        runs = self.runs(const(np.sqrt(2.0)), [0.5, 1.0, np.sqrt(2.0)])
+        assert all(cls.status == "vanishing" for _, cls in runs)
+        small = [path.terminal_value for path, _ in runs[:-1]]
+        assert max(small) - min(small) < 1e-6 and max(small) < 1e-6
+        assert runs[-1][0].terminal_value == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
     def test_spread_pair_collapses_together(self):
-        rep = vanishing_spread(const(1.5), [0.2, 0.4])
-        assert all(r.status == "vanishing" for r in rep.rows)
-        assert np.max(rep.pairwise_gaps) < 1e-6
+        runs = self.runs(const(1.5), [0.2, 0.4])
+        assert all(cls.status == "vanishing" for _, cls in runs)
+        assert abs(runs[0][0].terminal_value - runs[1][0].terminal_value) < 1e-6
 
     def test_spread_vacuous_when_not_vanishing(self):
-        rep = vanishing_spread(const(2.0), [0.5, 1.0])
-        assert all(r.status == "not_vanishing_certified" for r in rep.rows)
-        assert rep.max_small_gap is None
+        runs = self.runs(const(2.0), [0.5, 1.0])
+        assert all(cls.status == "not_vanishing_certified" for _, cls in runs)
 
     def test_dual_probe_consistent(self):
-        pr = dual_vanishing_probe(const(1.0))
-        assert pr.dual_vanishing_w0 is not None and pr.consistent
+        # under eta = 1 the difference flow from 0.9 vanishes below the gap's
+        # lower bound 1, which forces the height flow from 0.9 to vanish
+        path, cls = solve_frame_difference(const(1.0), 0.9)
+        assert cls.status == "vanishing" and path.values.max() < 1.0
+        assert solve_frame_imaginary(const(1.0), 0.9)[1].status == "vanishing"
 
     def test_dual_probe_vacuous_above_two(self):
-        pr = dual_vanishing_probe(const(2.5))
-        assert pr.dual_vanishing_w0 is None
+        # no start below the lower bound 2.5 vanishes: the probe finds nothing
+        for w0 in (0.9 * 2.5, 0.5 * 2.5, 0.25 * 2.5):
+            assert solve_frame_difference(const(2.5), w0)[1].status != "vanishing"
 
     def test_dual_probe_needs_positive_bound(self):
-        with pytest.raises(PreconditionError):
-            dual_vanishing_probe(lambda s: np.maximum(1.0 - np.asarray(s), 0.0))
+        # a gap that reaches 0 at s = 1 has no positive lower bound
+        with pytest.raises(DomainError, match="strictly positive gap"):
+            solve_frame_difference(lambda s: np.maximum(1.0 - np.asarray(s), 0.0), 0.5)

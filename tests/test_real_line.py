@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError
+from loewner import DomainError, DrivingSpec, NumericalError, PreconditionError, local_scaling_exponents
 from loewner.driving import _inverse_frame
 from loewner.real_line import (
     FRAME_ZERO_FLOOR,
@@ -20,10 +20,8 @@ from loewner.real_line import (
     no_capture_certificate,
     profile_from_density,
     reconstruct_captured_pair,
-    scaling_bound_diagnostic,
     solve_frame_equation,
     solve_real_loewner,
-    speed_condition_report,
     _classify_frame_batch,
     _refine_edge,
 )
@@ -587,22 +585,29 @@ class TestCaptureScan:
 
 
 class TestScalingBoundDiagnostic:
+    """A driving captured at T whose liminf exponent a is below 4 must
+    oscillate: its limsup exponent b >= max(4, a + 4/a).  a and b are the
+    smallest and largest |quotient| of ``local_scaling_exponents``; the
+    finite ladder gets a slack of 0.25."""
+
     def test_supercritical_vacuous_above_four(self):
-        rep = scaling_bound_diagnostic(sqrt_spec(5.0), 1.0)
-        assert rep.applicable and rep.same_sign
-        assert rep.bound_value is None and "vacuous" in rep.note
+        # c = 5 captures with a = b = 5 >= 4, where the bound says nothing
+        rep = local_scaling_exponents(sqrt_spec(5.0), 1.0)
+        assert rep.a_hat >= 4.0 and np.all(rep.signed_quotients > 0)
 
     def test_subcritical_not_applicable(self):
-        rep = scaling_bound_diagnostic(sqrt_spec(3.0), 1.0)
-        assert not rep.applicable
+        # c = 3 captures no point, so the bound does not apply
+        scan = capture_scan(sqrt_spec(3.0), 1.0, refine=False)
+        assert scan.interval is None and scan.mirrored_interval is None
 
     def test_sharp_example_satisfies_bound(self):
         spec = DrivingSpec("sharp_example", {"a": 1.5}, 1.0)
         scan = capture_scan(spec, 1.0, refine=False, mirrored=False)
         assert scan.interval is not None
-        rep = scaling_bound_diagnostic(spec, 1.0, scan=scan)
-        assert rep.applicable and rep.same_sign
-        assert rep.bound_holds and rep.attainable_bound_holds
+        rep = local_scaling_exponents(spec, 1.0)
+        a, b = rep.a_hat, rep.b_hat
+        assert a < 4.0 and np.all(rep.signed_quotients > 0)
+        assert b >= max(4.0, a + 4.0 / a) - 0.25
 
 
 class TestSharpOscillation:
@@ -632,11 +637,21 @@ class TestSharpOscillation:
             knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
             [0.0, osc.horizon, 2.0 * osc.horizon],
         ])
-        for f in (osc.x, osc.xi):
+        for f in (osc.x, osc.xi, osc.gap):
             lane = [f(float(s)) for s in ss]
             assert all(type(v) is float for v in lane)
             assert np.array_equal(lane, [f(np.array([s]))[0] for s in ss])
             assert np.array_equal(lane, f(ss))
+
+    @pytest.mark.parametrize("a", [1.5, 3.0])
+    def test_gap_is_xi_minus_x(self, a):
+        # one evaluation gives the gap 4/(x - dx/ds); inside the horizon it
+        # is xi - x up to the rounding of that subtraction
+        osc = SharpOscillation(a, k_max=20)
+        ss = np.linspace(0.0, osc.horizon, 2001)
+        gap, xi = osc.gap(ss), osc.xi(ss)
+        assert np.all(gap > 0)
+        assert np.max(np.abs(gap - (xi - osc.x(ss))) / xi) < 4 * np.finfo(float).eps
 
     def test_boundary_arithmetic(self):
         # at a = 2 the two bound formulas coincide: a + 4/a = 4 = max(4, a+4/a)
@@ -653,27 +668,35 @@ class TestSharpOscillation:
 
 
 class TestSpeedCondition:
+    """Rate-weighted quotients R(d) h(d) and R(d)/h(d), h(d) = log(1/d), on
+    the finer half of the ``local_scaling_exponents`` ladder."""
+
+    @staticmethod
+    def sides(spec, T):
+        rep = local_scaling_exponents(spec, T)
+        d, R = rep.scales_used, rep.signed_quotients
+        hv = np.log(1.0 / d)
+        tail = slice(d.size // 2, None)
+        return np.min((R * hv)[tail]), np.max((R / hv)[tail])
+
     def test_sqrt_approach_diverging_products(self):
-        h = lambda d: np.log(1.0 / d)
-        rep = speed_condition_report(sqrt_spec(2.0), 1.0, h)
-        # numerator ~ c sqrt(d): products c*h -> infinity along the ladder
-        assert rep.h_diverges
-        assert rep.liminf_side > 10.0
+        # R = c = 2 on every scale: R h grows without bound along the ladder
+        lo, hi = self.sides(sqrt_spec(2.0), 1.0)
+        assert lo > 10.0 and 0.0 < hi < 2.0
 
     def test_zero_driving(self):
-        h = lambda d: np.log(1.0 / d)
-        rep = speed_condition_report(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0, h)
-        assert rep.liminf_side == 0.0 and rep.limsup_side == 0.0
+        lo, hi = self.sides(DrivingSpec("constant", {"value": 0.0}, 1.0), 1.0)
+        assert lo == 0.0 and hi == 0.0
 
     @pytest.mark.parametrize("scales", [[0.1, 0.2], [1.0, 0.5], [0.5, 0.0], [1.5, 0.5]])
     def test_ladder_is_checked(self, scales):
         # strictly decreasing and inside (0, T)
         with pytest.raises(DomainError):
-            speed_condition_report(sqrt_spec(2.0), 1.0, lambda d: 1.0, scales)
+            local_scaling_exponents(sqrt_spec(2.0), 1.0, scales)
 
     def test_brownian_runs_as_diagnostic(self):
         spec = DrivingSpec("brownian", {"kappa": 6.0}, 1.0, normalize=True, seed=2)
         t = np.linspace(0.01, 1.0, 4097)
         T_star = float(t[np.argmax(spec(t))])
-        rep = speed_condition_report(spec, T_star, lambda d: np.log(1.0 / d))
-        assert np.isfinite(rep.liminf_side) and np.isfinite(rep.limsup_side)
+        lo, hi = self.sides(spec, T_star)
+        assert np.isfinite(lo) and np.isfinite(hi)
